@@ -11,26 +11,23 @@ from .randomness import (DependenceSpec, MarginalSpec, RngStream,
                          sample_marginal, spawn_stream, substream)
 from .renewal import (AgeResidual, RenewalPath, age_residual_at,
                       compensated_cumsum, count_at, equilibrium_cdf,
-                      equilibrium_tail, mean_excess, spread_sampler,
-                      uniform_split_check)
+                      equilibrium_tail, mean_excess, spread_sampler)
 from .engine import (CyclePath, Estimate, Realization, RegenModel,
-                     StateFunction, constant, constant_path,
-                     cycle_functionals, default_burn_in, evaluate_at,
-                     exp_neg, identity, indicator_gt, indicator_le,
-                     linear_path, path_integral, ratio_estimate,
-                     renewal_reward_estimate, run_chunked, sample_states,
-                     sample_stationary, thread_count, time_average_estimate,
-                     updated_indicator)
+                     StateFunction, constant, cycle_functionals,
+                     default_burn_in, evaluate_at, exp_neg, identity,
+                     indicator_gt, indicator_le, linear_path, path_integral,
+                     ratio_estimate, renewal_reward_estimate, run_chunked,
+                     sample_states, sample_stationary, thread_count,
+                     time_average_estimate, updated_indicator)
 from .models import (AgeResidualSpec, ClearingCoordinate, ClearingSpec,
                      JacksonSpec, LevyQueueCoordinate, LevyQueueSpec,
                      StatusSource, StatusSpec, build_age_residual,
                      build_clearing, build_jackson, build_levy_queue,
                      build_model, build_status, jackson_cycle_mean,
                      jackson_utilizations, pi_closed_form, traffic_solve)
-from .asymptotics import (GapEstimate, HypothesisVerdict, Ks2Result,
-                          ScheduleCoordinate, ScheduleSpec, SweepResult,
-                          check_hypotheses, convergence_sweep,
-                          final_gap_verdict, independence_ks2,
+from .asymptotics import (GapEstimate, HypothesisVerdict, ScheduleCoordinate,
+                          ScheduleSpec, SweepResult, check_hypotheses,
+                          convergence_sweep, final_gap_verdict,
                           product_form_gap, quantile_indicator_tuples,
                           sample_joint)
 from .config import (ScenarioConfig, load_scenario, loads_scenario,

@@ -14,11 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .engine import RegenModel, StateFunction, indicator_le, sample_states
 from .errors import ConfigurationError, HypothesisError
-from .randomness import as_generator, substream
 
 SCHEDULE_FAMILIES = ("affine", "power")
 
@@ -208,13 +206,19 @@ class GapEstimate:
         }
 
 
-def product_form_gap(samples: np.ndarray, rng, *, resamples: int = 400,
-                     t: float = math.nan, f_id: str = "f") -> GapEstimate:
-    """``| mean prod_i f_i  -  prod_i mean f_i |`` with a bootstrap SE.
+def product_form_gap(samples: np.ndarray, *, t: float = math.nan,
+                     f_id: str = "f") -> GapEstimate:
+    """``| mean prod_i f_i  -  prod_i mean f_i |`` with the delta-method SE
+    of the signed gap.
 
-    The statistic only sees the sample matrix, so it is invariant under
-    permuting replications. A zero bootstrap spread (e.g. constant columns)
-    is flagged as degenerate rather than treated as infinitely precise.
+    The signed gap is a smooth function of the sample means of the row
+    product ``p = prod_i s_i`` and of each column ``s_i``; its influence
+    function is ``p - sum_i (prod_{j != i} mean s_j) s_i`` up to a constant,
+    so the SE is that quantity's standard deviation over sqrt(n) (van der
+    Vaart, Asymptotic Statistics, ch. 3 and 20). The statistic only sees the
+    sample matrix, so it is invariant under permuting replications. A zero
+    SE (e.g. constant columns) is flagged as degenerate rather than treated
+    as infinitely precise.
     """
     s = np.asarray(samples, dtype=float)
     if s.ndim != 2:
@@ -222,18 +226,18 @@ def product_form_gap(samples: np.ndarray, rng, *, resamples: int = 400,
     n, m = s.shape
     if n < 1000:
         raise ValueError("need at least 1000 replications for a stable gap")
-    gen = as_generator(rng)
     col_means = s.mean(axis=0)
-    gap = abs(float(s.prod(axis=1).mean()) - float(col_means.prod()))
-    boot = np.empty(resamples)
-    for b in range(resamples):
-        rows = s[gen.integers(0, n, n)]
-        boot[b] = abs(float(rows.prod(axis=1).mean())
-                      - float(rows.mean(axis=0).prod()))
-    se = float(boot.std(ddof=1))
+    products = s.prod(axis=1)
+    mean_of_products = float(products.mean())
+    gap = abs(mean_of_products - float(col_means.prod()))
+    others = np.array([np.delete(col_means, i).prod() for i in range(m)])
+    influence = products - (s * others).sum(axis=1)
+    # shifting by one row leaves the spread unchanged and keeps constant
+    # columns at exactly zero
+    se = float((influence - influence[0]).std(ddof=1) / math.sqrt(n))
     return GapEstimate(
         t=float(t), f_id=str(f_id), n=n, gap=gap, se=se,
-        mean_of_products=float(s.prod(axis=1).mean()),
+        mean_of_products=mean_of_products,
         marginal_means=tuple(float(v) for v in col_means),
         marginal_ses=tuple(float(v) for v in s.std(axis=0, ddof=1)
                            / math.sqrt(n)),
@@ -257,13 +261,33 @@ class SweepResult:
         return tuple(g for g in self.gaps if g.t == self.t_grid[-1])
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties sharing the mean of the ranks they span."""
+    _, inverse, counts = np.unique(values, return_inverse=True,
+                                   return_counts=True)
+    starts = np.cumsum(counts) - counts
+    return (starts + (counts + 1) / 2.0)[inverse]
+
+
+def floored_trend(t_grid, worst, gap_floor: float) -> float:
+    """Spearman correlation of the worst gaps, clamped at ``gap_floor``,
+    against t. Below the floor the ordering of the gaps is measurement
+    noise, so gaps that all sit there give 0.0."""
+    floored = np.maximum(np.asarray(worst, dtype=float), gap_floor)
+    if np.all(floored == floored[0]):
+        return 0.0
+    ranks_t = _average_ranks(np.asarray(t_grid, dtype=float))
+    return float(np.corrcoef(ranks_t, _average_ranks(floored))[0, 1])
+
+
 def convergence_sweep(model: RegenModel, schedule: ScheduleSpec, t_grid,
                       f_tuples, replications: int, seed: int, *,
                       allow_hypothesis_fail: bool = False,
-                      resamples: int = 400,
+                      gap_floor: float = 0.02,
                       threads: int | None = None) -> SweepResult:
-    """Gap estimates over an increasing time grid plus the Spearman trend of
-    the worst gap against t (negative means the gap is shrinking)."""
+    """Gap estimates over an increasing time grid plus the floored Spearman
+    trend of the worst gap against t (negative means the gap is
+    shrinking)."""
     grid = tuple(float(t) for t in t_grid)
     if len(grid) < 3 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("t_grid must be strictly increasing with >= 3 points")
@@ -278,19 +302,15 @@ def convergence_sweep(model: RegenModel, schedule: ScheduleSpec, t_grid,
         states = sample_states(model, schedule.values(t), replications, seed,
                                base_key=(101, k), threads=threads)
         here = []
-        for j, (f_id, fs) in enumerate(f_tuples):
+        for f_id, fs in f_tuples:
             mat = np.column_stack([np.asarray(fs[i](states[i]), dtype=float)
                                    for i in range(model.dimension)])
-            est = product_form_gap(mat, substream(seed, 907, k, j),
-                                   resamples=resamples, t=t, f_id=f_id)
+            est = product_form_gap(mat, t=t, f_id=f_id)
             gaps.append(est)
             here.append(est.gap)
         worst.append(max(here))
-    if len(set(worst)) == 1:
-        trend = 0.0
-    else:
-        trend = float(stats.spearmanr(grid, worst).statistic)
-    return SweepResult(t_grid=grid, gaps=tuple(gaps), trend=trend)
+    return SweepResult(t_grid=grid, gaps=tuple(gaps),
+                       trend=floored_trend(grid, worst, gap_floor))
 
 
 def final_gap_verdict(sweep: SweepResult, gap_floor: float = 0.02,
@@ -308,48 +328,6 @@ def final_gap_verdict(sweep: SweepResult, gap_floor: float = 0.02,
                           "threshold": threshold,
                           "degenerate": g.degenerate, "ok": ok})
     return passed, per_tuple
-
-
-@dataclass(frozen=True)
-class Ks2Result:
-    distance: float
-    p_value: float
-    grid: int
-    permutations: int
-
-
-def independence_ks2(x, y, rng, *, grid: int = 32,
-                     permutations: int = 200) -> Ks2Result:
-    """Grid-based two-sample independence check with a permutation p-value.
-
-    The statistic is the sup over a quantile grid of
-    ``| P_hat(X <= qx, Y <= qy) - P_hat(X <= qx) P_hat(Y <= qy) |``.
-    """
-    x = np.ravel(np.asarray(x, dtype=float))
-    y = np.ravel(np.asarray(y, dtype=float))
-    if len(x) != len(y):
-        raise ValueError("x and y must pair up")
-    n = len(x)
-    if n < 10_000:
-        raise ValueError("need at least 10000 paired samples")
-    gen = as_generator(rng)
-    levels = np.arange(1, grid + 1) / (grid + 1.0)
-    ax = (x[:, None] <= np.quantile(x, levels)).astype(np.float32)
-    ay = (y[:, None] <= np.quantile(y, levels)).astype(np.float32)
-
-    def distance(bmat: np.ndarray) -> float:
-        joint = ax.T @ bmat / n
-        return float(np.abs(joint - np.outer(ax.mean(axis=0),
-                                             bmat.mean(axis=0))).max())
-
-    observed = distance(ay)
-    exceed = 0
-    for _ in range(permutations):
-        if distance(ay[gen.permutation(n)]) >= observed - 1e-12:
-            exceed += 1
-    return Ks2Result(distance=observed,
-                     p_value=(1.0 + exceed) / (permutations + 1.0),
-                     grid=grid, permutations=permutations)
 
 
 def quantile_indicator_tuples(model: RegenModel, burn_in: float, seed: int, *,

@@ -132,8 +132,7 @@ def cmd_verify_independence(args) -> int:
             model, burn, seed, prepass=run.quantile_prepass, threads=threads)
     sweep = convergence_sweep(
         model, cfg.schedule, run.t_grid, f_tuples, run.replications, seed,
-        allow_hypothesis_fail=True, resamples=run.bootstrap_resamples,
-        threads=threads)
+        allow_hypothesis_fail=True, gap_floor=run.gap_floor, threads=threads)
 
     if "csv" in cfg.output.formats:
         rows = [[g.t, g.f_id, g.gap, g.se, float(g.n)] for g in sweep.gaps]

@@ -450,7 +450,6 @@ class RunConfig:
     allow_hypothesis_fail: bool = False
     test_functions: str = "quantile_indicators"
     quantile_prepass: int = 10_000
-    bootstrap_resamples: int = 400
     gap_floor: float = 0.02
     coordinate: int = 0
     g: TestFunctionConfig | None = None
@@ -458,8 +457,7 @@ class RunConfig:
 
 RUN_FIELDS = ("seed", "replications", "t_grid", "n_cycles", "horizon",
               "burn_in", "allow_hypothesis_fail", "test_functions",
-              "quantile_prepass", "bootstrap_resamples", "gap_floor",
-              "coordinate", "g")
+              "quantile_prepass", "gap_floor", "coordinate", "g")
 
 
 def parse_run(obj, path: str = "run") -> RunConfig:
@@ -501,11 +499,6 @@ def parse_run(obj, path: str = "run") -> RunConfig:
     if prepass < 100:
         raise ConfigurationError("quantile_prepass must be >= 100",
                                  f"{path}.quantile_prepass")
-    resamples = _integer(obj, "bootstrap_resamples", path, required=False,
-                         default=400)
-    if resamples < 50:
-        raise ConfigurationError("bootstrap_resamples must be >= 50",
-                                 f"{path}.bootstrap_resamples")
     gap_floor = _number(obj, "gap_floor", path, required=False, default=0.02)
     if gap_floor < 0.0:
         raise ConfigurationError("gap_floor must be >= 0",
@@ -523,8 +516,7 @@ def parse_run(obj, path: str = "run") -> RunConfig:
         test_functions=_string(obj, "test_functions", path,
                                choices=TEST_FUNCTION_BANKS, required=False,
                                default="quantile_indicators"),
-        quantile_prepass=prepass, bootstrap_resamples=resamples,
-        gap_floor=gap_floor, coordinate=coordinate,
+        quantile_prepass=prepass, gap_floor=gap_floor, coordinate=coordinate,
         g=parse_g(g_raw, f"{path}.g") if g_raw is not None else None)
 
 
@@ -537,7 +529,6 @@ def run_to_json(cfg: RunConfig) -> dict:
         "allow_hypothesis_fail": cfg.allow_hypothesis_fail,
         "test_functions": cfg.test_functions,
         "quantile_prepass": cfg.quantile_prepass,
-        "bootstrap_resamples": cfg.bootstrap_resamples,
         "gap_floor": cfg.gap_floor,
         "coordinate": cfg.coordinate,
     }

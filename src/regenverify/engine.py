@@ -100,12 +100,6 @@ class CyclePath:
         return self.values[j] + self.slopes[j] * (s - self.breaks[j])
 
 
-def constant_path(value, length: float) -> CyclePath:
-    v = np.atleast_1d(np.asarray(value, dtype=float))
-    return CyclePath(np.array([0.0, length]), v[None, :],
-                     np.zeros((1, len(v))))
-
-
 def linear_path(start, slope, length: float) -> CyclePath:
     v = np.atleast_1d(np.asarray(start, dtype=float))
     s = np.atleast_1d(np.asarray(slope, dtype=float))

@@ -24,8 +24,8 @@ from .errors import (ArithmeticCyclesWarning, BudgetExceededError,
                      ConfigurationError)
 from .engine import CyclePath, RegenModel, linear_path, run_chunked
 from .randomness import (DependenceSpec, MarginalSpec, effective_arithmetic,
-                         effective_cycle_mean, effective_second_moment,
-                         sample_cycle_vector, sample_cycle_vectors, substream)
+                         effective_cycle_mean, sample_cycle_vector,
+                         sample_cycle_vectors, substream)
 from .renewal import equilibrium_tail, mean_excess
 
 MAX_EVENTS_PER_CYCLE = 10_000_000

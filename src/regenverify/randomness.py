@@ -173,18 +173,6 @@ class MarginalSpec:
             return self.span * sum(n * w for n, w in self.weights)
         return 0.5 * (self.lo + self.hi)
 
-    def second_moment(self) -> float:
-        k = self.kind
-        if k == "exponential":
-            return 2.0 / self.rate ** 2
-        if k == "gamma":
-            return self.shape * (self.shape + 1.0) / self.rate ** 2
-        if k == "deterministic":
-            return self.value ** 2
-        if k == "lattice":
-            return self.span ** 2 * sum(n * n * w for n, w in self.weights)
-        return (self.hi ** 3 - self.lo ** 3) / (3.0 * (self.hi - self.lo))
-
     @property
     def arithmetic(self) -> bool:
         """True when all mass sits on a lattice {0, d, 2d, ...}."""
@@ -425,15 +413,6 @@ def effective_cycle_mean(dep: DependenceSpec, marginal: MarginalSpec) -> float:
     if dep.kind == "common_shock":
         return dep.shock.mean() + marginal.mean()
     return marginal.mean()
-
-
-def effective_second_moment(dep: DependenceSpec,
-                            marginal: MarginalSpec) -> float:
-    if dep.kind == "common_shock":
-        zm, rm = dep.shock.mean(), marginal.mean()
-        return (dep.shock.second_moment() + 2.0 * zm * rm
-                + marginal.second_moment())
-    return marginal.second_moment()
 
 
 def effective_arithmetic(dep: DependenceSpec, marginal: MarginalSpec) -> bool:

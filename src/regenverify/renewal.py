@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate
 
 from .errors import ConfigurationError
 from .randomness import MarginalSpec, as_generator
@@ -203,22 +203,3 @@ def spread_sampler(spec: MarginalSpec, rng, size=None):
         u = gen.random(size)
         out = np.sqrt(spec.lo ** 2 + u * (spec.hi ** 2 - spec.lo ** 2))
     return float(out) if size is None else out
-
-
-def uniform_split_check(spec: MarginalSpec, rng, n: int
-                        ) -> tuple[float, float]:
-    """Split spread draws at an independent uniform and KS-test both halves
-    against the equilibrium CDF.
-
-    Returns the two KS statistics; under the stationary construction both
-    pieces follow the equilibrium law.
-    """
-    if n < 1000:
-        raise ValueError("need at least 1000 samples for a stable statistic")
-    gen = as_generator(rng)
-    alpha = np.asarray(spread_sampler(spec, gen, n), dtype=float)
-    u = gen.random(n)
-    cdf = lambda q: equilibrium_cdf(spec, q)
-    ks_lo = stats.kstest(u * alpha, cdf).statistic
-    ks_hi = stats.kstest((1.0 - u) * alpha, cdf).statistic
-    return float(ks_lo), float(ks_hi)

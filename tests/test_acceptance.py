@@ -171,7 +171,7 @@ def test_c05_single_renewal_process_two_times(report):
     states = sample_states(model, [2.0 * t, 3.0 * t], 100_000, seed=41)
     ages = [states[i][:, 0] for i in range(2)]
     mat = np.column_stack([(a <= median).astype(float) for a in ages])
-    est = product_form_gap(mat, substream(41, 907))
+    est = product_form_gap(mat)
     gap_ok = est.gap <= max(GAP_FLOOR, 3.0 * est.se)
 
     ks = [stats.kstest(a, lambda x: equilibrium_cdf(marginal, x)).statistic
@@ -292,7 +292,7 @@ def test_c09_false_fail_calibration(report):
         seed = 1 + run
         fs = quantile_indicator_tuples(model, 200.0, seed, prepass=4000)
         sweep = convergence_sweep(model, schedule, (10.0, 50.0, 200.0), fs,
-                                  5000, seed, resamples=200)
+                                  5000, seed)
         passed, _ = final_gap_verdict(sweep)
         fails += not passed
     ok = fails <= 8
@@ -313,7 +313,7 @@ def test_c10_byte_identical_outputs(tmp_path, report, child_env):
         "schedule": {"coordinates": [{"family": "affine", "a": 1.0},
                                      {"family": "affine", "a": 1.0}]},
         "run": {"seed": 7, "replications": 2000, "t_grid": [5.0, 25.0, 100.0],
-                "quantile_prepass": 2000, "bootstrap_resamples": 100,
+                "quantile_prepass": 2000,
                 "burn_in": 200.0, "n_cycles": 2000, "horizon": 2000.0,
                 "g": {"kind": "identity"}},
         "output": {"directory": "unused"},

@@ -11,9 +11,9 @@ from regenverify import (ClearingCoordinate, ClearingSpec, ConfigurationError,
                          MarginalSpec, ScheduleCoordinate, ScheduleSpec,
                          SweepResult, build_clearing, check_hypotheses,
                          constant, convergence_sweep, final_gap_verdict,
-                         independence_ks2, product_form_gap,
-                         quantile_indicator_tuples, sample_joint, spawn_stream,
-                         substream)
+                         product_form_gap, quantile_indicator_tuples,
+                         sample_joint, spawn_stream, substream)
+from regenverify.asymptotics import floored_trend
 
 EXP1 = MarginalSpec.exponential(1.0)
 
@@ -197,7 +197,7 @@ def test_sample_joint_median_indicators_near_half():
 def test_gap_on_independent_columns_is_noise():
     gen = substream(305, 0)
     mat = (gen.random((20_000, 2)) < 0.5).astype(float)
-    est = product_form_gap(mat, substream(305, 1))
+    est = product_form_gap(mat)
     assert est.gap <= 3.0 * est.se
     assert not est.degenerate
 
@@ -205,14 +205,14 @@ def test_gap_on_independent_columns_is_noise():
 def test_gap_on_identical_columns_is_quarter():
     gen = substream(306, 0)
     col = (gen.random(20_000) < 0.5).astype(float)
-    est = product_form_gap(np.column_stack([col, col]), substream(306, 1))
+    est = product_form_gap(np.column_stack([col, col]))
     assert abs(est.gap - 0.25) < 0.01
     assert est.gap > 10.0 * est.se
 
 
 def test_gap_on_constant_columns_is_degenerate_zero():
     mat = np.ones((2000, 3))
-    est = product_form_gap(mat, substream(307, 0))
+    est = product_form_gap(mat)
     assert est.gap == 0.0
     assert est.se == 0.0
     assert est.degenerate
@@ -221,18 +221,31 @@ def test_gap_on_constant_columns_is_degenerate_zero():
 def test_gap_invariant_under_permuting_replications():
     gen = substream(308, 0)
     mat = gen.random((5000, 2))
-    a = product_form_gap(mat, substream(308, 1))
-    b = product_form_gap(mat[gen.permutation(5000)], substream(308, 2))
+    a = product_form_gap(mat)
+    b = product_form_gap(mat[gen.permutation(5000)])
     # invariant up to summation order
     assert a.gap == pytest.approx(b.gap, abs=1e-13)
     assert a.mean_of_products == pytest.approx(b.mean_of_products, abs=1e-13)
 
 
+def test_gap_se_matches_spread_of_signed_gap_under_null():
+    # independent Bernoulli(1/2) columns: the reported SE must be the
+    # sampling spread of the signed gap, not of its absolute value
+    signed, ses = [], []
+    for rep in range(200):
+        gen = substream(317, rep)
+        est = product_form_gap((gen.random((5000, 2)) < 0.5).astype(float))
+        signed.append(est.mean_of_products - math.prod(est.marginal_means))
+        ses.append(est.se)
+    ratio = np.mean(ses) / np.std(signed, ddof=1)
+    assert abs(ratio - 1.0) <= 0.10
+
+
 def test_gap_input_validation():
     with pytest.raises(ValueError):
-        product_form_gap(np.ones((999, 2)), substream(309, 0))
+        product_form_gap(np.ones((999, 2)))
     with pytest.raises(ValueError):
-        product_form_gap(np.ones(2000), substream(309, 0))
+        product_form_gap(np.ones(2000))
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +256,7 @@ def test_sweep_positive_control_passes_final_gap_rule():
     model = drift_clearing([1.0, 0.5], DependenceSpec.comonotone())
     fs = quantile_indicator_tuples(model, 200.0, seed=310, prepass=4000)
     sweep = convergence_sweep(model, affine([(1, 0), (1, 0)]),
-                              (10.0, 50.0, 200.0), fs, 5000, seed=310,
-                              resamples=200)
+                              (10.0, 50.0, 200.0), fs, 5000, seed=310)
     passed, per_tuple = final_gap_verdict(sweep)
     assert passed
     assert len(per_tuple) == 3
@@ -259,8 +271,7 @@ def test_sweep_negative_control_gap_large_at_every_time():
         convergence_sweep(model, sched, (10.0, 50.0, 200.0), fs, 5000,
                           seed=311)
     sweep = convergence_sweep(model, sched, (10.0, 50.0, 200.0), fs, 5000,
-                              seed=311, resamples=200,
-                              allow_hypothesis_fail=True)
+                              seed=311, allow_hypothesis_fail=True)
     assert np.all(sweep.worst_gaps() >= 0.1)
 
 
@@ -276,6 +287,22 @@ def test_sweep_validation():
     with pytest.raises(ValueError):
         convergence_sweep(model, sched, (10.0, 50.0, 200.0), fs, 500,
                           seed=312)
+
+
+def test_floored_trend():
+    from scipy import stats
+
+    grid = (10.0, 100.0, 1000.0)
+    assert floored_trend(grid, (0.004, 0.019, 0.011), 0.02) == 0.0
+    assert floored_trend(grid, (0.3, 0.1, 0.05), 0.02) < 0.0
+    # clamping ties the last two points; ranks average like scipy's
+    tied = (0.08, 0.01, 0.015)
+    assert floored_trend(grid, tied, 0.02) == pytest.approx(
+        stats.spearmanr(grid, np.maximum(tied, 0.02)).statistic)
+    long_grid = (1.0, 2.0, 4.0, 8.0, 16.0)
+    untied = (0.05, 0.09, 0.03, 0.07, 0.04)
+    assert floored_trend(long_grid, untied, 0.02) == pytest.approx(
+        stats.spearmanr(long_grid, untied).statistic)
 
 
 def test_final_gap_verdict_thresholds():
@@ -301,39 +328,6 @@ def test_final_gap_verdict_thresholds():
                             gaps=(gap("big", 0.5, 0.001),), trend=0.0)
     passed, rows = final_gap_verdict(sweep_bad)
     assert not passed and not rows[0]["ok"]
-
-
-# ---------------------------------------------------------------------------
-# pairwise independence check
-
-
-def test_ks2_detects_comonotone_pairs():
-    gen = substream(313, 0)
-    x = gen.standard_normal(10_000)
-    res = independence_ks2(x, x, substream(313, 1))
-    assert res.p_value < 0.01
-    assert res.distance > 0.1
-
-
-def test_ks2_input_validation():
-    gen = substream(314, 0)
-    with pytest.raises(ValueError):
-        independence_ks2(gen.random(10_000), gen.random(9_999),
-                         substream(314, 1))
-    with pytest.raises(ValueError):
-        independence_ks2(gen.random(100), gen.random(100), substream(314, 1))
-
-
-def test_ks2_p_value_calibration_under_independence():
-    # p-values should be roughly uniform: the rejection rate at 5% over 100
-    # independent runs stays within 5% +/- 5%
-    rejections = 0
-    for rep in range(100):
-        gen = substream(315, rep, 0)
-        res = independence_ks2(gen.random(10_000), gen.random(10_000),
-                               substream(315, rep, 1))
-        rejections += res.p_value < 0.05
-    assert rejections <= 10
 
 
 # ---------------------------------------------------------------------------

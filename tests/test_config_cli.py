@@ -46,8 +46,8 @@ def small_sweep_scenario(rates=(1.0, 0.5), out="out", *,
         "schedule": {"coordinates": [{"family": "affine", "a": 1.0},
                                      {"family": "affine", "a": 1.0}]},
         "run": {"seed": 7, "replications": 2000, "t_grid": [5.0, 25.0, 100.0],
-                "quantile_prepass": 2000, "bootstrap_resamples": 100,
-                "burn_in": 200.0, "allow_hypothesis_fail": allow_fail},
+                "quantile_prepass": 2000, "burn_in": 200.0,
+                "allow_hypothesis_fail": allow_fail},
         "output": {"directory": out, "formats": ["csv", "json"]},
     }
 
@@ -151,8 +151,9 @@ def test_null_values_match_omitted_fields():
     (lambda o: o["model"]["coordinates"][0].update(color="red"),
      "model.coordinates[0]"),
     (lambda o: o["run"].update(t_grid=[5.0, 5.0, 9.0]), "run.t_grid"),
-    (lambda o: o["run"].update(bootstrap_resamples=10),
-     "run.bootstrap_resamples"),
+    # older scenario files may still set this retired field
+    (lambda o: o["run"].update(bootstrap_resamples=400),
+     "bootstrap_resamples"),
     (lambda o: o["schedule"]["coordinates"].pop(), "schedule.coordinates"),
     (lambda o: o["model"].update(dependence={
         "kind": "gaussian_copula", "correlation": [[1.0]]}), "dependence"),
@@ -433,3 +434,12 @@ def test_thread_count_does_not_change_outputs(tmp_path, child_env):
         outs[threads] = ((dest / "gap.csv").read_bytes(),
                          (dest / "verdict.json").read_bytes())
     assert outs["1"] == outs["4"]
+
+
+def test_cli_import_leaves_scipy_stats_unloaded(child_env):
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, regenverify.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=child_env("1"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -12,7 +12,7 @@ from regenverify import (AgeResidualSpec, MarginalSpec, RenewalPath,
                          age_residual_at, build_age_residual,
                          compensated_cumsum, count_at, equilibrium_cdf,
                          equilibrium_tail, sample_states, spawn_stream,
-                         spread_sampler, uniform_split_check)
+                         spread_sampler)
 
 
 def fe_quadrature(spec: MarginalSpec, x: float) -> float:
@@ -215,6 +215,24 @@ def test_spread_of_lattice_is_size_biased():
     draws = spread_sampler(spec, spawn_stream(53).generator(), 100_000)
     # size-biased weights: (1*0.5, 2*0.5) / 1.5 -> P(2) = 2/3
     assert abs(np.mean(draws == 2.0) - 2.0 / 3.0) < 0.01
+
+
+def uniform_split_check(spec: MarginalSpec, rng, n: int
+                        ) -> tuple[float, float]:
+    """Split spread draws at an independent uniform and KS-test both halves
+    against the equilibrium CDF.
+
+    Returns the two KS statistics; under the stationary construction both
+    pieces follow the equilibrium law.
+    """
+    if n < 1000:
+        raise ValueError("need at least 1000 samples for a stable statistic")
+    alpha = np.asarray(spread_sampler(spec, rng, n), dtype=float)
+    u = rng.random(n)
+    cdf = lambda q: equilibrium_cdf(spec, q)
+    ks_lo = stats.kstest(u * alpha, cdf).statistic
+    ks_hi = stats.kstest((1.0 - u) * alpha, cdf).statistic
+    return float(ks_lo), float(ks_hi)
 
 
 def test_uniform_split_exponential():
