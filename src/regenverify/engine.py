@@ -4,7 +4,8 @@ A model is a recipe for drawing one joint cycle: a tuple of per-coordinate
 piecewise-affine paths whose lengths may be dependent across coordinates but
 are i.i.d. across cycles. On top of that the engine provides pathwise
 evaluation, a cycle-ratio estimator, a long-run time-average estimator, and
-stationary state sampling.
+stationary state sampling. Both stationary routes draw cycles in blocks of
+flat segment arrays (:class:`CycleBatch`) and integrate them in closed form.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ from .errors import BudgetExceededError
 from .randomness import as_generator, substream
 
 DEFAULT_CYCLE_BUDGET = 10_000_000
+
+# cycles per block in the stationary routes; fixed so peak memory and the
+# draw order do not depend on the run length or the thread count
+BATCH_CYCLES = 4096
 
 
 def thread_count(explicit: int | None = None) -> int:
@@ -100,6 +105,56 @@ class CyclePath:
         return self.values[j] + self.slopes[j] * (s - self.breaks[j])
 
 
+@dataclass(frozen=True, eq=False)
+class CycleBatch:
+    """``count`` cycles of one coordinate as flat segment arrays.
+
+    Segment ``j`` starts ``starts[j]`` time units into its cycle at state
+    ``values[j]`` and moves with ``slopes[j]`` until the next segment of the
+    same cycle starts or the cycle ends. Cycle ``k`` owns the segments from
+    ``offsets[k]`` up to the next cycle's offset, starts with a segment at
+    0 and lasts ``lengths[k]``.
+    """
+
+    starts: np.ndarray
+    values: np.ndarray
+    slopes: np.ndarray
+    offsets: np.ndarray
+    lengths: np.ndarray
+
+    @classmethod
+    def from_paths(cls, paths: Sequence[CyclePath]) -> "CycleBatch":
+        counts = np.array([len(p.values) for p in paths], dtype=np.int64)
+        return cls(np.concatenate([p.breaks[:-1] for p in paths]),
+                   np.concatenate([p.values for p in paths]),
+                   np.concatenate([p.slopes for p in paths]),
+                   np.cumsum(counts) - counts,
+                   np.array([p.length for p in paths]))
+
+    @property
+    def count(self) -> int:
+        return len(self.lengths)
+
+    def cycle_index(self) -> np.ndarray:
+        """The cycle each segment belongs to."""
+        counts = np.diff(np.append(self.offsets, len(self.starts)))
+        return np.repeat(np.arange(self.count), counts)
+
+    def segment_lengths(self) -> np.ndarray:
+        ends = np.append(self.starts[1:], 0.0)
+        ends[self.offsets[1:] - 1] = self.lengths[:-1]
+        ends[-1] = self.lengths[-1]
+        return ends - self.starts
+
+    def at(self, s: np.ndarray) -> np.ndarray:
+        """State of each cycle ``k`` at elapsed time ``s[k]`` in
+        [0, lengths[k])."""
+        s = np.asarray(s, dtype=float)
+        reached = (self.starts <= s[self.cycle_index()]).astype(np.int64)
+        j = self.offsets + np.add.reduceat(reached, self.offsets) - 1
+        return self.values[j] + self.slopes[j] * (s - self.starts[j])[:, None]
+
+
 def linear_path(start, slope, length: float) -> CyclePath:
     v = np.atleast_1d(np.asarray(start, dtype=float))
     s = np.atleast_1d(np.asarray(slope, dtype=float))
@@ -174,29 +229,44 @@ class StateFunction:
 
     def segment_integral(self, value0: np.ndarray, slope: np.ndarray,
                          length: float) -> float:
-        """Exact ``int_0^length f(value0 + u * slope) du``."""
-        if length <= 0.0:
-            return 0.0
+        """Exact ``int_0^length f(value0 + u * slope) du``: the one-row case
+        of :meth:`segment_integrals`."""
+        row = lambda x: np.asarray(x, dtype=float).reshape(1, -1)
+        return float(self.segment_integrals(row(value0), row(slope),
+                                            np.array([float(length)]))[0])
+
+    def segment_integrals(self, values: np.ndarray, slopes: np.ndarray,
+                          lengths: np.ndarray) -> np.ndarray:
+        """Exact ``int_0^lengths[j] f(values[j] + u * slopes[j]) du`` for
+        every row ``j`` of (segments, dim) arrays; rows of length <= 0
+        give 0."""
+        lengths = np.asarray(lengths, dtype=float)
         if self.kind == "constant":
-            return self.offset * length
-        a = float(self._lin(value0)) + self.offset
-        b = float(self._lin(slope))
-        if self.kind == "linear":
-            return a * length + 0.5 * b * length * length
-        if self.kind in ("indicator_le", "indicator_gt"):
-            q = self.threshold
-            if b == 0.0:
-                below = length if a <= q else 0.0
-            elif b > 0.0:
-                below = min(max((q - a) / b, 0.0), length)
-            else:
-                below = length - min(max((q - a) / b, 0.0), length)
-            return below if self.kind == "indicator_le" else length - below
-        if self.kind == "exp_neg":
-            if b == 0.0:
-                return math.exp(-a) * length
-            return math.exp(-a) * (-math.expm1(-b * length)) / b
-        raise ValueError(f"unknown state function kind {self.kind!r}")
+            out = self.offset * lengths
+        else:
+            a = self._lin(values) + self.offset
+            b = self._lin(slopes)
+            flat = b == 0.0
+            with np.errstate(divide="ignore", invalid="ignore",
+                             over="ignore"):
+                if self.kind == "linear":
+                    out = a * lengths + 0.5 * b * lengths * lengths
+                elif self.kind in ("indicator_le", "indicator_gt"):
+                    q = self.threshold
+                    cross = np.clip((q - a) / b, 0.0, lengths)
+                    below = np.where(flat, np.where(a <= q, lengths, 0.0),
+                                     np.where(b > 0.0, cross,
+                                              lengths - cross))
+                    out = (below if self.kind == "indicator_le"
+                           else lengths - below)
+                elif self.kind == "exp_neg":
+                    e = np.exp(-a)
+                    out = np.where(flat, e * lengths,
+                                   e * -np.expm1(-b * lengths) / b)
+                else:
+                    raise ValueError(
+                        f"unknown state function kind {self.kind!r}")
+        return np.where(lengths > 0.0, out, 0.0)
 
 
 def constant(value: float = 1.0) -> StateFunction:
@@ -230,6 +300,20 @@ def updated_indicator() -> StateFunction:
     return StateFunction("indicator_gt", weights=(1.0, -1.0), threshold=0.0)
 
 
+def _segment_integrals(g, values: np.ndarray, slopes: np.ndarray,
+                       lengths: np.ndarray) -> np.ndarray:
+    """Per-segment integrals of ``g``: exact for :class:`StateFunction`,
+    adaptive quadrature per segment for other callables."""
+    if isinstance(g, StateFunction):
+        return g.segment_integrals(values, slopes, lengths)
+    out = np.zeros(len(lengths))
+    for j in np.flatnonzero(lengths > 0.0):
+        v0, sl = values[j], slopes[j]
+        out[j], _ = integrate.quad(lambda u: float(g(v0 + sl * u)),
+                                   0.0, lengths[j], epsabs=1e-10, limit=200)
+    return out
+
+
 def path_integral(path: CyclePath, g, lo: float = 0.0,
                   hi: float | None = None) -> float:
     """``int_lo^hi g(X(u)) du`` along one cycle path.
@@ -241,25 +325,13 @@ def path_integral(path: CyclePath, g, lo: float = 0.0,
     lo = max(0.0, float(lo))
     if hi <= lo:
         return 0.0
-    exact = isinstance(g, StateFunction)
-    total = 0.0
-    breaks = path.breaks
-    for j in range(len(path.values)):
-        s = max(float(breaks[j]), lo)
-        e = min(float(breaks[j + 1]), hi)
-        if e <= s:
-            if breaks[j] >= hi:
-                break
-            continue
-        v0 = path.values[j] + path.slopes[j] * (s - breaks[j])
-        if exact:
-            total += g.segment_integral(v0, path.slopes[j], e - s)
-        else:
-            sl = path.slopes[j]
-            val, _ = integrate.quad(lambda u: float(g(v0 + sl * u)),
-                                    0.0, e - s, epsabs=1e-10, limit=200)
-            total += val
-    return total
+    b = path.breaks
+    s = np.maximum(b[:-1], lo)
+    e = np.minimum(b[1:], hi)
+    keep = e > s
+    v0 = path.values[keep] + path.slopes[keep] * (s - b[:-1])[keep, None]
+    return float(_segment_integrals(g, v0, path.slopes[keep],
+                                    (e - s)[keep]).sum())
 
 
 class JointStateSampler(Protocol):
@@ -274,8 +346,10 @@ class RegenModel:
 
     ``cycle_generator(gen)`` draws one joint cycle as a tuple of per
     coordinate :class:`CyclePath`. ``joint_state_sampler``, when present, is
-    a vectorised route to i.i.d. stationary-window states that must agree in
-    law with the generator; the test suite cross-checks the two.
+    a vectorised route to i.i.d. stationary-window states, and
+    ``cycle_batch(gen, count)``, when present, draws ``count`` joint cycles
+    as one :class:`CycleBatch` per coordinate; both must agree in law with
+    the generator, and the test suite cross-checks them against it.
     """
 
     name: str
@@ -284,6 +358,19 @@ class RegenModel:
     cycle_means: tuple[float, ...]
     cycle_generator: Callable[[np.random.Generator], tuple[CyclePath, ...]]
     joint_state_sampler: JointStateSampler | None = None
+    cycle_batch: Callable[[np.random.Generator, int],
+                          tuple[CycleBatch, ...]] | None = None
+
+
+def cycle_batches(model: RegenModel, gen: np.random.Generator,
+                  count: int) -> tuple[CycleBatch, ...]:
+    """``count`` fresh joint cycles, one batch per coordinate: the model's
+    native batch when it has one, else ``count`` generator calls stacked."""
+    if model.cycle_batch is not None:
+        return model.cycle_batch(gen, count)
+    cycles = [model.cycle_generator(gen) for _ in range(count)]
+    return tuple(CycleBatch.from_paths([c[i] for c in cycles])
+                 for i in range(model.dimension))
 
 
 class Realization:
@@ -363,11 +450,15 @@ def cycle_functionals(model: RegenModel, i: int, gs: Sequence, n_cycles: int,
     gen = as_generator(rng)
     rewards = np.empty((n_cycles, len(gs)))
     lengths = np.empty(n_cycles)
-    for k in range(n_cycles):
-        path = model.cycle_generator(gen)[i]
-        lengths[k] = path.length
+    for lo in range(0, n_cycles, BATCH_CYCLES):
+        batch = cycle_batches(model, gen, min(BATCH_CYCLES, n_cycles - lo))[i]
+        hi = lo + batch.count
+        lengths[lo:hi] = batch.lengths
+        seg = batch.segment_lengths()
         for j, g in enumerate(gs):
-            rewards[k, j] = path_integral(path, g)
+            rewards[lo:hi, j] = np.add.reduceat(
+                _segment_integrals(g, batch.values, batch.slopes, seg),
+                batch.offsets)
     return rewards, lengths
 
 
@@ -407,8 +498,8 @@ def time_average_estimate(model: RegenModel, i: int, g, horizon: float, rng,
     gen = as_generator(rng)
     edges = np.linspace(0.0, horizon, n_batches + 1)
     batches = np.zeros(n_batches)
-    pieces: list[float] = []
-    is_const = isinstance(g, StateFunction) and g.kind == "constant"
+    # two-term exact sums of each block's pieces, summed once at the end
+    partials: list[float] = []
     start = 0.0
     comp = 0.0
     drawn = 0
@@ -416,29 +507,47 @@ def time_average_estimate(model: RegenModel, i: int, g, horizon: float, rng,
         if drawn >= max_cycles:
             raise BudgetExceededError(
                 f"time average exceeded {max_cycles} cycles")
-        path = model.cycle_generator(gen)[i]
-        drawn += 1
-        y = path.length - comp
+        # size the block by the cycles still expected, so models that stack
+        # a slow per-cycle generator do not overdraw past the horizon
+        want = int(1.05 * (horizon - start) / mu) + 16
+        count = min(BATCH_CYCLES, max_cycles - drawn, want)
+        batch = cycle_batches(model, gen, count)[i]
+        drawn += count
+        # cycle epochs inside the block; the block end carries the
+        # compensated running sum from one block to the next, and rounding
+        # may neither move an epoch past it nor reorder segment starts
+        y = float(batch.lengths.sum()) - comp
         end = start + y
         comp = (end - start) - y
-        limit = min(end, horizon)
-        cut = start
-        while cut < limit:
-            b = min(int(np.searchsorted(edges, cut, side="right")) - 1,
-                    n_batches - 1)
-            nxt = min(limit, float(edges[b + 1]))
-            # single-difference piece lengths keep constant integrands exact
-            if is_const:
-                piece = g.offset * (nxt - cut)
-            else:
-                lo = cut - start
-                piece = path_integral(path, g, lo=lo, hi=lo + (nxt - cut))
-            batches[b] += piece
-            pieces.append(piece)
-            cut = nxt
+        epochs = np.minimum(
+            start + np.concatenate(([0.0], np.cumsum(batch.lengths[:-1]))),
+            end)
+        seg_lo = np.maximum.accumulate(
+            epochs[batch.cycle_index()] + batch.starts)
+        seg_hi = np.minimum(np.append(seg_lo[1:], end), horizon)
+        keep = seg_lo < horizon
+        seg_lo, seg_hi = seg_lo[keep], seg_hi[keep]
+        values, slopes = batch.values[keep], batch.slopes[keep]
+        # split only the segments that cross batch edges into pieces;
+        # single-difference piece lengths keep constant integrands exact
+        first = np.minimum(np.searchsorted(edges, seg_lo, side="right") - 1,
+                           n_batches - 1)
+        last = np.clip(np.searchsorted(edges, seg_hi, side="left") - 1,
+                       first, n_batches - 1)
+        n_pieces = last - first + 1
+        seg = np.repeat(np.arange(len(seg_lo)), n_pieces)
+        head = np.cumsum(n_pieces) - n_pieces
+        which = first[seg] + np.arange(len(seg)) - head[seg]
+        lo = np.where(which == first[seg], seg_lo[seg], edges[which])
+        hi = np.where(which == last[seg], seg_hi[seg], edges[which + 1])
+        v0 = values[seg] + slopes[seg] * (lo - seg_lo[seg])[:, None]
+        pieces = _segment_integrals(g, v0, slopes[seg], hi - lo)
+        batches += np.bincount(which, weights=pieces, minlength=n_batches)
+        total = math.fsum(pieces)
+        partials += [total, math.fsum(np.append(pieces, -total))]
         start = end
     width = horizon / n_batches
-    value = math.fsum(pieces) / horizon
+    value = math.fsum(partials) / horizon
     means = batches / width
     se = float(means.std(ddof=1)) / math.sqrt(n_batches)
     return Estimate(value, se)
@@ -466,7 +575,8 @@ def sample_states(model: RegenModel, times, n: int, seed: int, *,
 
     Returns one (n, state_dim_i) array per coordinate. Uses the model's
     vectorised sampler when available, else independent realizations, one
-    per replication on its own substream.
+    per replication on its own substream; every bundled family has a
+    sampler, so the realization route serves as the tests' reference.
     """
     times = np.asarray(times, dtype=float)
     if len(times) != model.dimension:

@@ -7,8 +7,9 @@
 - open Jackson networks regenerating at empty-system epochs
 
 Every family provides the per-cycle generator used by the generic engine;
-the renewal-driven families and the Jackson family also carry a vectorised
-stationary-window sampler that the tests cross-check against the generator.
+every family also carries a vectorised stationary-window sampler, and the
+storage/queue family draws its cycles in lockstep batches as well. The tests
+cross-check each fast path against the generator.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from scipy import integrate
 
 from .errors import (ArithmeticCyclesWarning, BudgetExceededError,
                      ConfigurationError)
-from .engine import CyclePath, RegenModel, linear_path, run_chunked
+from .engine import (DEFAULT_CYCLE_BUDGET, CycleBatch, CyclePath,
+                     RegenModel, linear_path, run_chunked)
 from .randomness import (DependenceSpec, MarginalSpec, effective_arithmetic,
                          effective_cycle_mean, sample_cycle_vector,
                          sample_cycle_vectors, substream)
@@ -33,6 +35,9 @@ MAX_EVENTS_PER_CYCLE = 10_000_000
 # target element count per temporary block in the vectorised samplers;
 # block geometry depends only on the scenario, never on thread count
 _BLOCK_TARGET = 4_000_000
+
+# replications per chunk of the lockstep storage/queue sampler
+_LEVY_CHUNK = 4096
 
 
 def _warn_arithmetic(which: list[int], family: str) -> None:
@@ -119,6 +124,103 @@ def _levy_cycle(coord: LevyQueueCoordinate, start_level: float,
         f"storage cycle exceeded {MAX_EVENTS_PER_CYCLE} jumps")
 
 
+def _levy_batch(coord: LevyQueueCoordinate, start_levels: np.ndarray,
+                gen: np.random.Generator) -> CycleBatch:
+    """One busy period from each start level, all run in lockstep: every
+    round draws the next gap of each live cycle, ends the cycles whose gap
+    reaches their level and adds a jump and a new segment to the rest."""
+    count = len(start_levels)
+    lam = coord.jump_rate
+    lengths = np.empty(count)
+    live = np.arange(count)
+    t = np.zeros(count)
+    level = np.asarray(start_levels, dtype=float)
+    rows, times, levels = [live], [t], [level]
+    for _ in range(MAX_EVENTS_PER_CYCLE):
+        gap = (gen.exponential(1.0 / lam, live.size) if lam > 0.0
+               else np.full(live.size, math.inf))
+        done = gap >= level
+        lengths[live[done]] = t[done] + level[done]
+        go = ~done
+        live, t = live[go], t[go] + gap[go]
+        if not live.size:
+            break
+        level = level[go] - gap[go] + coord.jump_size.sample(gen, live.size)
+        rows.append(live)
+        times.append(t)
+        levels.append(level)
+    else:
+        raise BudgetExceededError(
+            f"storage cycle exceeded {MAX_EVENTS_PER_CYCLE} jumps")
+    cycle = np.concatenate(rows)
+    # rounds are in time order, so a stable sort by cycle keeps each
+    # cycle's segments in time order
+    order = np.argsort(cycle, kind="stable")
+    counts = np.bincount(cycle, minlength=count)
+    values = np.concatenate(levels)[order][:, None]
+    return CycleBatch(np.concatenate(times)[order], values,
+                      np.full_like(values, -1.0), np.cumsum(counts) - counts,
+                      lengths)
+
+
+def _levy_state_sampler(coords: tuple[LevyQueueCoordinate, ...],
+                        dep: DependenceSpec, restarts):
+    """Stationary-window sampler run in lockstep by cycle index across
+    replications: each round draws one restart vector per live replication,
+    extends every coordinate that has not yet reached its observation time
+    by one busy period, and records the level at that time inside the
+    straddling cycle."""
+    m = len(coords)
+
+    def chunk_states(gen: np.random.Generator, count: int,
+                     taus: np.ndarray) -> list[np.ndarray]:
+        epochs = np.zeros((count, m))
+        comp = np.zeros((count, m))
+        # coordinate i of a replication is pending while its last epoch is
+        # still <= tau_i, as in Realization.ensure_covers
+        pending = np.ones((count, m), dtype=bool)
+        out = np.empty((count, m))
+        cycles = 0
+        while pending.any():
+            if cycles >= DEFAULT_CYCLE_BUDGET:
+                raise BudgetExceededError(
+                    f"realization exceeded {DEFAULT_CYCLE_BUDGET} cycles")
+            cycles += 1
+            rows = np.flatnonzero(pending.any(axis=1))
+            levels = sample_cycle_vectors(dep, restarts, gen, rows.size)
+            for i in range(m):
+                sel = pending[rows, i]
+                r = rows[sel]
+                if not r.size:
+                    continue
+                batch = _levy_batch(coords[i], levels[sel, i], gen)
+                s0 = epochs[r, i]
+                y = batch.lengths - comp[r, i]
+                s1 = s0 + y
+                comp[r, i] = (s1 - s0) - y
+                epochs[r, i] = s1
+                hit = s1 > taus[i]
+                if hit.any():
+                    # the epoch sum can round a hair past the true cycle end
+                    s = np.minimum(np.where(hit, taus[i] - s0, 0.0),
+                                   np.nextafter(batch.lengths, 0.0))
+                    out[r[hit], i] = batch.at(s)[hit, 0]
+                    pending[r[hit], i] = False
+        return [out[:, i:i + 1] for i in range(m)]
+
+    def sampler(times: np.ndarray, n: int, seed: int,
+                base_key: tuple[int, ...], threads: int) -> list[np.ndarray]:
+        taus = np.asarray(times, dtype=float)
+
+        def work(start: int, count: int, k: int) -> list[np.ndarray]:
+            return chunk_states(substream(seed, *base_key, k), count, taus)
+
+        parts = run_chunked(n, _LEVY_CHUNK, work, threads)
+        return [np.concatenate([p[i] for p in parts]) for i in range(m)]
+
+    return sampler
+
+
 def build_levy_queue(spec: LevyQueueSpec) -> RegenModel:
     spec.validate()
     coords = spec.coordinates
@@ -139,8 +241,15 @@ def build_levy_queue(spec: LevyQueueSpec) -> RegenModel:
         return tuple(_levy_cycle(coords[i], float(levels[i]), gen)
                      for i in range(len(coords)))
 
+    def batch(gen: np.random.Generator, count: int
+              ) -> tuple[CycleBatch, ...]:
+        levels = sample_cycle_vectors(dep, restarts, gen, count)
+        return tuple(_levy_batch(coords[i], levels[:, i], gen)
+                     for i in range(len(coords)))
+
     return RegenModel("levy_queue", len(coords), (1,) * len(coords),
-                      means, generate)
+                      means, generate,
+                      _levy_state_sampler(coords, dep, restarts), batch)
 
 
 # ---------------------------------------------------------------------------

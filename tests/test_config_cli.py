@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from regenverify.cli import (EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_OK,
-                             EXIT_STATISTICAL, main)
+from regenverify.cli import (EXIT_BUDGET, EXIT_CONFIG, EXIT_HYPOTHESIS,
+                             EXIT_OK, EXIT_STATISTICAL, main)
 from regenverify.config import (canonical_json, load_scenario, loads_scenario,
                                 parse_scenario, scenario_to_json)
 from regenverify.errors import ConfigurationError
@@ -288,6 +288,22 @@ def test_stationary_two_routes_agree(tmp_path, capsys):
                       "ta_se,z")
 
 
+def test_stationary_event_budget_exits_5(tmp_path, capsys, monkeypatch):
+    from regenverify import models
+    monkeypatch.setattr(models, "MAX_EVENTS_PER_CYCLE", 2)
+    path = write_config(tmp_path, {
+        "model": {"kind": "levy_queue",
+                  "coordinates": [{"restart_level": EXP, "jump_rate": 0.9,
+                                   "jump_size": EXP}],
+                  "dependence": {"kind": "independent"}},
+        "run": {"seed": 9, "n_cycles": 2000, "horizon": 2000.0,
+                "g": {"kind": "identity"}},
+        "output": {"directory": str(tmp_path / "res")},
+    })
+    assert main(["stationary", "--config", str(path)]) == EXIT_BUDGET
+    assert "2 jumps" in capsys.readouterr().err
+
+
 def test_stationary_requires_g(tmp_path, capsys):
     obj = small_sweep_scenario(out=str(tmp_path))
     path = write_config(tmp_path, obj)
@@ -331,6 +347,35 @@ def test_verify_independence_positive(tmp_path, capsys):
     assert len(verdict["per_tuple"]) == 3
     assert all(row["ok"] for row in verdict["per_tuple"])
     assert "trend" in verdict and "trend_ok" in verdict
+
+
+def test_verify_independence_levy_default_bank(tmp_path, capsys):
+    # two comonotone M/G/1 queues with vacations and the default quantile
+    # bank, whose pre-pass samples at burn-in 1000
+    path = write_config(tmp_path, {
+        "model": {
+            "kind": "levy_queue",
+            "coordinates": [
+                {"restart_level": EXP, "jump_rate": 0.5, "jump_size": EXP},
+                {"restart_level": {"kind": "exponential", "rate": 0.5},
+                 "jump_rate": 0.25, "jump_size": EXP}],
+            "dependence": {"kind": "comonotone"},
+        },
+        "schedule": {"coordinates": [{"family": "affine", "a": 1.0},
+                                     {"family": "affine", "a": 1.0}]},
+        "run": {"seed": 3, "replications": 1000,
+                "t_grid": [10.0, 20.0, 40.0], "quantile_prepass": 2000},
+        "output": {"directory": str(tmp_path / "levy"),
+                   "formats": ["csv", "json"]},
+    })
+    rc = main(["verify-independence", "--config", str(path)])
+    assert rc == EXIT_OK, capsys.readouterr().out
+    gap_lines = (tmp_path / "levy" / "gap.csv").read_text().splitlines()
+    assert gap_lines[0] == "t,f_tuple_id,gap,se,n"
+    rows = [line.split(",") for line in gap_lines[1:-1]]
+    assert sorted((float(r[0]), r[1]) for r in rows) == sorted(
+        (t, q) for t in (10.0, 20.0, 40.0) for q in ("q25", "q50", "q75"))
+    assert all(float(r[4]) == 1000.0 for r in rows)
 
 
 def test_verify_independence_gate_blocks_equal_means(tmp_path, capsys):

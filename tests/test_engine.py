@@ -11,8 +11,8 @@ from regenverify import (AgeResidualSpec, BudgetExceededError,
                          DependenceSpec, LevyQueueCoordinate, LevyQueueSpec,
                          MarginalSpec, Realization, StateFunction,
                          build_age_residual, build_clearing, build_levy_queue,
-                         constant, evaluate_at, exp_neg, identity,
-                         indicator_gt, indicator_le, linear_path,
+                         constant, cycle_functionals, evaluate_at, exp_neg,
+                         identity, indicator_gt, indicator_le, linear_path,
                          path_integral, ratio_estimate,
                          renewal_reward_estimate, run_chunked,
                          sample_stationary, sample_states, spawn_stream,
@@ -87,6 +87,39 @@ def test_segment_integral_matches_quadrature(g, value0, slope, length):
     exact = g.segment_integral(v0, sl, length)
     assert exact == pytest.approx(segment_quadrature(g, v0, sl, length),
                                   abs=1e-8)
+
+
+SEGMENT_CASES = [
+    # (value0, slope, length)
+    ((0.7, 0.2), (0.0, 0.0), 0.8),      # slope 0
+    ((0.2, 0.1), (1.0, 0.5), 2.0),      # positive slope
+    ((2.0, 1.0), (-1.0, 0.5), 1.5),     # negative slope
+    ((0.5, 0.0), (1.0, 0.0), 1.0),      # crosses the threshold 1.2 upwards
+    ((1.6, 0.0), (-1.0, 0.0), 1.0),     # crosses it downwards
+    ((1.0, 0.3), (2.0, -1.0), 0.0),     # zero length
+]
+
+
+@pytest.mark.parametrize("g", [
+    constant(2.5),
+    StateFunction("linear", weights=(2.0, -1.0), offset=0.3),
+    indicator_le(1.2),
+    indicator_gt(1.2),
+    StateFunction("exp_neg", weights=(0.5, 0.25), offset=0.1),
+])
+def test_segment_integrals_array_form_matches_scalar(g):
+    values = np.array([c[0] for c in SEGMENT_CASES])
+    slopes = np.array([c[1] for c in SEGMENT_CASES])
+    lengths = np.array([c[2] for c in SEGMENT_CASES])
+    rows = g.segment_integrals(values, slopes, lengths)
+    assert rows.shape == (len(SEGMENT_CASES),)
+    for j, (v0, sl, length) in enumerate(SEGMENT_CASES):
+        scalar = g.segment_integral(np.array(v0), np.array(sl), length)
+        assert rows[j] == scalar
+        want = (0.0 if length == 0.0
+                else segment_quadrature(g, v0, sl, length))
+        assert rows[j] == pytest.approx(want, abs=1e-8)
+    assert rows[-1] == 0.0
 
 
 def test_path_integral_over_segments():
@@ -229,6 +262,31 @@ def test_time_average_identity_long_run():
     est = time_average_estimate(model, 0, identity(), 100_000.0,
                                 substream(12, 0))
     assert abs(est.value - 1.0) < 0.02
+
+
+def test_time_average_budget_enforced():
+    model = pure_drift_clearing(MarginalSpec.exponential(1.0))
+    with pytest.raises(BudgetExceededError):
+        time_average_estimate(model, 0, identity(), 1000.0, substream(13, 1),
+                              max_cycles=10)
+
+
+def test_batched_routes_match_per_cycle_integrals():
+    # the batched routes agree with the per-cycle path_integral route on
+    # the same draws: the generator is the stacking adapter's only source
+    model = build_clearing(ClearingSpec(
+        coordinates=(ClearingCoordinate(
+            cycle_length=MarginalSpec.exponential(1.0), drift=0.5,
+            jump_rate=1.0, jump_size=MarginalSpec.exponential(2.0)),),
+        dependence=DependenceSpec.independent()))
+    gs = [identity(), indicator_le(0.7), exp_neg()]
+    rewards, lengths = cycle_functionals(model, 0, gs, 5000, substream(16, 0))
+    gen = substream(16, 0)
+    paths = [model.cycle_generator(gen)[0] for _ in range(5000)]
+    assert np.array_equal(lengths, [p.length for p in paths])
+    for j, g in enumerate(gs):
+        want = [path_integral(p, g) for p in paths]
+        assert np.allclose(rewards[:, j], want, rtol=1e-12, atol=1e-12)
 
 
 def test_time_average_rejects_short_horizon():

@@ -9,16 +9,17 @@ import pytest
 from scipy import integrate, stats
 
 from regenverify import (AgeResidualSpec, ArithmeticCyclesWarning,
-                         ClearingCoordinate, ClearingSpec, ConfigurationError,
-                         DependenceSpec, JacksonSpec, LevyQueueCoordinate,
-                         LevyQueueSpec, MarginalSpec, Realization,
-                         StatusSource, StatusSpec, build_age_residual,
-                         build_clearing, build_jackson, build_levy_queue,
-                         build_status, evaluate_at, identity,
-                         jackson_cycle_mean, jackson_utilizations,
-                         pi_closed_form, renewal_reward_estimate,
-                         sample_states, spawn_stream, substream,
-                         traffic_solve)
+                         BudgetExceededError, ClearingCoordinate,
+                         ClearingSpec, ConfigurationError, DependenceSpec,
+                         JacksonSpec, LevyQueueCoordinate, LevyQueueSpec,
+                         MarginalSpec, Realization, StatusSource, StatusSpec,
+                         build_age_residual, build_clearing, build_jackson,
+                         build_levy_queue, build_status, evaluate_at,
+                         exp_neg, identity, jackson_cycle_mean,
+                         jackson_utilizations, path_integral, pi_closed_form,
+                         renewal_reward_estimate, sample_states,
+                         spawn_stream, substream, traffic_solve)
+from regenverify import models
 
 EXP1 = MarginalSpec.exponential(1.0)
 
@@ -100,6 +101,71 @@ def test_levy_comonotone_restarts_couple_cycle_lengths():
     for _ in range(50):
         paths = model.cycle_generator(gen)
         assert paths[0].length == paths[1].length
+
+
+def levy_model(*coords, dependence=None):
+    return build_levy_queue(LevyQueueSpec(
+        coordinates=coords,
+        dependence=dependence or DependenceSpec.independent()))
+
+
+M_G_1_VACATION = LevyQueueCoordinate(restart_level=EXP1, jump_rate=0.5,
+                                     jump_size=EXP1)
+
+
+def test_levy_cycle_batch_matches_cycle_generator():
+    model = levy_model(M_G_1_VACATION)
+    n = 10_000
+    batch = model.cycle_batch(substream(104, 0), n)[0]
+    counts = np.diff(batch.offsets, append=len(batch.starts))
+    seg = batch.segment_lengths()
+    assert batch.count == n and np.all(counts >= 1)
+    assert np.all(batch.starts[batch.offsets] == 0.0)
+    assert np.all(batch.slopes == -1.0)
+    assert np.all(seg > 0.0)
+    # every busy period ends exactly when its level reaches zero
+    ends = batch.values[:, 0] - seg
+    last = batch.offsets + counts - 1
+    assert np.allclose(ends[last], 0.0, atol=1e-9)
+    rewards = np.add.reduceat(
+        exp_neg().segment_integrals(batch.values, batch.slopes, seg),
+        batch.offsets)
+
+    gen = substream(105, 0)
+    paths = [model.cycle_generator(gen)[0] for _ in range(n)]
+    oracle_lengths = np.array([p.length for p in paths])
+    oracle_rewards = np.array([path_integral(p, exp_neg()) for p in paths])
+    oracle_counts = np.array([len(p.values) for p in paths])
+    # two-sample KS 1% critical value at n=10000 per side is ~0.023
+    assert two_sample_ks(batch.lengths, oracle_lengths) < 0.023
+    assert two_sample_ks(rewards, oracle_rewards) < 0.023
+    # the exact KS distribution does not handle ties; counts are discrete
+    ties = stats.ks_2samp(counts, oracle_counts, method="asymp")
+    assert ties.statistic < 0.023
+
+
+def test_levy_batch_event_budget_enforced(monkeypatch):
+    monkeypatch.setattr(models, "MAX_EVENTS_PER_CYCLE", 2)
+    model = levy_model(LevyQueueCoordinate(restart_level=EXP1, jump_rate=0.9,
+                                           jump_size=EXP1))
+    with pytest.raises(BudgetExceededError):
+        model.cycle_batch(substream(106, 0), 1000)
+    with pytest.raises(BudgetExceededError):
+        sample_states(model, [50.0], 1000, seed=106)
+
+
+def test_levy_sampler_is_thread_count_invariant():
+    model = levy_model(M_G_1_VACATION,
+                       LevyQueueCoordinate(
+                           restart_level=MarginalSpec.exponential(0.5),
+                           jump_rate=0.25, jump_size=EXP1),
+                       dependence=DependenceSpec.comonotone())
+    n = models._LEVY_CHUNK + 904
+    one = sample_states(model, [20.0, 30.0], n, seed=107, threads=1)
+    two = sample_states(model, [20.0, 30.0], n, seed=107, threads=2)
+    for a, b in zip(one, two):
+        assert a.shape == (n, 1)
+        assert a.tobytes() == b.tobytes()
 
 
 def test_levy_instability_rejected():
@@ -357,6 +423,11 @@ def test_jackson_cycles_are_stationary_in_index():
         sources=(StatusSource(inter_update=MarginalSpec.gamma(2.0, 2.0),
                               update_size=EXP1),),
         dependence=DependenceSpec.independent())), 0),
+    (lambda: levy_model(M_G_1_VACATION,
+                        LevyQueueCoordinate(
+                            restart_level=MarginalSpec.exponential(0.5),
+                            jump_rate=0.25, jump_size=EXP1),
+                        dependence=DependenceSpec.comonotone()), 0),
 ])
 def test_fast_sampler_matches_generic_engine(make_model, comp):
     model = make_model()
@@ -401,6 +472,16 @@ def test_dependent_cycles_flow_through_fast_sampler():
     model = build_age_residual(AgeResidualSpec(EXP1, copies=2))
     states = sample_states(model, [250.0, 250.0], 3000, seed=121)
     assert np.array_equal(states[0], states[1])
+
+
+def test_dependent_levy_cycles_flow_through_fast_sampler():
+    # pure drift from comonotone equal restart levels: both coordinates
+    # run the same busy periods, so their states coincide at equal times
+    coord = LevyQueueCoordinate(restart_level=MarginalSpec.gamma(2.0, 1.0))
+    model = levy_model(coord, coord, dependence=DependenceSpec.comonotone())
+    states = sample_states(model, [250.0, 250.0], 3000, seed=122)
+    assert np.array_equal(states[0], states[1])
+    assert np.all(states[0] > 0.0)
 
 
 # ---------------------------------------------------------------------------
