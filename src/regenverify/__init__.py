@@ -5,20 +5,15 @@ __version__ = "0.1.0"
 
 from .errors import (ArithmeticCyclesWarning, BudgetExceededError,
                      ConfigurationError, HypothesisError)
-from .randomness import (DependenceSpec, MarginalSpec, RngStream,
-                         effective_cycle_mean, marginal_mean,
-                         sample_cycle_vector, sample_cycle_vectors,
-                         sample_marginal, spawn_stream, substream)
-from .renewal import (AgeResidual, RenewalPath, age_residual_at,
-                      compensated_cumsum, count_at, equilibrium_cdf,
-                      equilibrium_tail, mean_excess, spread_sampler)
-from .engine import (CyclePath, Estimate, Realization, RegenModel,
-                     StateFunction, constant, cycle_functionals,
-                     default_burn_in, evaluate_at, exp_neg, identity,
+from .randomness import (DependenceSpec, MarginalSpec, effective_cycle_mean,
+                         sample_cycle_vector, sample_cycle_vectors, substream)
+from .renewal import equilibrium_cdf, equilibrium_tail, mean_excess
+from .engine import (CyclePath, Estimate, RegenModel, StateFunction, constant,
+                     cycle_functionals, default_burn_in, exp_neg, identity,
                      indicator_gt, indicator_le, linear_path, path_integral,
                      ratio_estimate, renewal_reward_estimate, run_chunked,
-                     sample_states, sample_stationary, thread_count,
-                     time_average_estimate, updated_indicator)
+                     sample_states, thread_count, time_average_estimate,
+                     updated_indicator)
 from .models import (AgeResidualSpec, ClearingCoordinate, ClearingSpec,
                      JacksonSpec, LevyQueueCoordinate, LevyQueueSpec,
                      StatusSource, StatusSpec, build_age_residual,

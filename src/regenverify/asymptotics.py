@@ -216,9 +216,10 @@ def product_form_gap(samples: np.ndarray, *, t: float = math.nan,
     function is ``p - sum_i (prod_{j != i} mean s_j) s_i`` up to a constant,
     so the SE is that quantity's standard deviation over sqrt(n) (van der
     Vaart, Asymptotic Statistics, ch. 3 and 20). The statistic only sees the
-    sample matrix, so it is invariant under permuting replications. A zero
-    SE (e.g. constant columns) is flagged as degenerate rather than treated
-    as infinitely precise.
+    sample matrix, so it is invariant under permuting replications. A
+    tuple with a constant column has gap 0 by construction, so it is flagged
+    as degenerate rather than counted as evidence of independence; its SE is
+    0 up to rounding.
     """
     s = np.asarray(samples, dtype=float)
     if s.ndim != 2:
@@ -241,7 +242,7 @@ def product_form_gap(samples: np.ndarray, *, t: float = math.nan,
         marginal_means=tuple(float(v) for v in col_means),
         marginal_ses=tuple(float(v) for v in s.std(axis=0, ddof=1)
                            / math.sqrt(n)),
-        degenerate=bool(se == 0.0))
+        degenerate=bool((s.min(axis=0) == s.max(axis=0)).any()))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Generic regenerative-process engine.
 
-A model is a recipe for drawing one joint cycle: a tuple of per-coordinate
-piecewise-affine paths whose lengths may be dependent across coordinates but
-are i.i.d. across cycles. On top of that the engine provides pathwise
-evaluation, a cycle-ratio estimator, a long-run time-average estimator, and
-stationary state sampling. Both stationary routes draw cycles in blocks of
-flat segment arrays (:class:`CycleBatch`) and integrate them in closed form.
+A model draws joint cycles: per-coordinate piecewise-affine paths whose
+lengths may be dependent across coordinates but are i.i.d. across cycles.
+On top of that the engine provides exact test-function integrals, a
+cycle-ratio estimator, a long-run time-average estimator, and stationary
+state sampling. Both stationary routes draw cycles in blocks of flat
+segment arrays (:class:`CycleBatch`) and integrate them in closed form.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import BudgetExceededError
-from .randomness import as_generator, substream
+from .randomness import as_generator
 
 DEFAULT_CYCLE_BUDGET = 10_000_000
 
@@ -121,15 +120,6 @@ class CycleBatch:
     slopes: np.ndarray
     offsets: np.ndarray
     lengths: np.ndarray
-
-    @classmethod
-    def from_paths(cls, paths: Sequence[CyclePath]) -> "CycleBatch":
-        counts = np.array([len(p.values) for p in paths], dtype=np.int64)
-        return cls(np.concatenate([p.breaks[:-1] for p in paths]),
-                   np.concatenate([p.values for p in paths]),
-                   np.concatenate([p.slopes for p in paths]),
-                   np.cumsum(counts) - counts,
-                   np.array([p.length for p in paths]))
 
     @property
     def count(self) -> int:
@@ -300,27 +290,9 @@ def updated_indicator() -> StateFunction:
     return StateFunction("indicator_gt", weights=(1.0, -1.0), threshold=0.0)
 
 
-def _segment_integrals(g, values: np.ndarray, slopes: np.ndarray,
-                       lengths: np.ndarray) -> np.ndarray:
-    """Per-segment integrals of ``g``: exact for :class:`StateFunction`,
-    adaptive quadrature per segment for other callables."""
-    if isinstance(g, StateFunction):
-        return g.segment_integrals(values, slopes, lengths)
-    out = np.zeros(len(lengths))
-    for j in np.flatnonzero(lengths > 0.0):
-        v0, sl = values[j], slopes[j]
-        out[j], _ = integrate.quad(lambda u: float(g(v0 + sl * u)),
-                                   0.0, lengths[j], epsabs=1e-10, limit=200)
-    return out
-
-
-def path_integral(path: CyclePath, g, lo: float = 0.0,
+def path_integral(path: CyclePath, g: StateFunction, lo: float = 0.0,
                   hi: float | None = None) -> float:
-    """``int_lo^hi g(X(u)) du`` along one cycle path.
-
-    Exact for :class:`StateFunction`; other callables fall back to adaptive
-    quadrature per segment.
-    """
+    """Exact ``int_lo^hi g(X(u)) du`` along one cycle path."""
     hi = path.length if hi is None else min(float(hi), path.length)
     lo = max(0.0, float(lo))
     if hi <= lo:
@@ -330,8 +302,8 @@ def path_integral(path: CyclePath, g, lo: float = 0.0,
     e = np.minimum(b[1:], hi)
     keep = e > s
     v0 = path.values[keep] + path.slopes[keep] * (s - b[:-1])[keep, None]
-    return float(_segment_integrals(g, v0, path.slopes[keep],
-                                    (e - s)[keep]).sum())
+    return float(g.segment_integrals(v0, path.slopes[keep],
+                                     (e - s)[keep]).sum())
 
 
 class JointStateSampler(Protocol):
@@ -344,12 +316,12 @@ class JointStateSampler(Protocol):
 class RegenModel:
     """A joint regenerative model.
 
-    ``cycle_generator(gen)`` draws one joint cycle as a tuple of per
-    coordinate :class:`CyclePath`. ``joint_state_sampler``, when present, is
-    a vectorised route to i.i.d. stationary-window states, and
-    ``cycle_batch(gen, count)``, when present, draws ``count`` joint cycles
-    as one :class:`CycleBatch` per coordinate; both must agree in law with
-    the generator, and the test suite cross-checks them against it.
+    ``cycle_batch(gen, count)`` draws ``count`` i.i.d. joint cycles as one
+    :class:`CycleBatch` per coordinate; both stationary routes read cycles
+    only through it. ``joint_state_sampler`` draws i.i.d. stationary-window
+    states. ``cycle_generator(gen)`` draws one joint cycle as a tuple of per
+    coordinate :class:`CyclePath`; it is the reference the test suite
+    cross-checks the other two against.
     """
 
     name: str
@@ -357,84 +329,8 @@ class RegenModel:
     state_dims: tuple[int, ...]
     cycle_means: tuple[float, ...]
     cycle_generator: Callable[[np.random.Generator], tuple[CyclePath, ...]]
-    joint_state_sampler: JointStateSampler | None = None
-    cycle_batch: Callable[[np.random.Generator, int],
-                          tuple[CycleBatch, ...]] | None = None
-
-
-def cycle_batches(model: RegenModel, gen: np.random.Generator,
-                  count: int) -> tuple[CycleBatch, ...]:
-    """``count`` fresh joint cycles, one batch per coordinate: the model's
-    native batch when it has one, else ``count`` generator calls stacked."""
-    if model.cycle_batch is not None:
-        return model.cycle_batch(gen, count)
-    cycles = [model.cycle_generator(gen) for _ in range(count)]
-    return tuple(CycleBatch.from_paths([c[i] for c in cycles])
-                 for i in range(model.dimension))
-
-
-class Realization:
-    """Lazily materialised joint cycle sequence for one run of a model."""
-
-    def __init__(self, model: RegenModel, rng,
-                 max_cycles: int = DEFAULT_CYCLE_BUDGET):
-        self.model = model
-        self.max_cycles = int(max_cycles)
-        self._gen = as_generator(rng)
-        self._cycles: list[tuple[CyclePath, ...]] = []
-        m = model.dimension
-        self._epochs: list[list[float]] = [[0.0] for _ in range(m)]
-        self._sums = [0.0] * m
-        self._comp = [0.0] * m
-
-    @property
-    def n_cycles(self) -> int:
-        return len(self._cycles)
-
-    def _extend(self) -> None:
-        if len(self._cycles) >= self.max_cycles:
-            raise BudgetExceededError(
-                f"realization exceeded {self.max_cycles} cycles")
-        paths = self.model.cycle_generator(self._gen)
-        self._cycles.append(paths)
-        for i, p in enumerate(paths):
-            y = p.length - self._comp[i]
-            s = self._sums[i] + y
-            self._comp[i] = (s - self._sums[i]) - y
-            self._sums[i] = s
-            self._epochs[i].append(s)
-
-    def ensure_covers(self, i: int, t: float) -> None:
-        while self._sums[i] <= t:
-            self._extend()
-
-    def epoch(self, i: int, n: int) -> float:
-        while len(self._cycles) < n:
-            self._extend()
-        return self._epochs[i][n]
-
-    def cycle(self, i: int, n: int) -> CyclePath:
-        while len(self._cycles) <= n:
-            self._extend()
-        return self._cycles[n][i]
-
-    def state_at(self, i: int, t: float) -> np.ndarray:
-        if t < 0.0:
-            raise ValueError("t must be nonnegative")
-        self.ensure_covers(i, t)
-        eps = self._epochs[i]
-        n = bisect_right(eps, t) - 1
-        path = self._cycles[n][i]
-        s = t - eps[n]
-        if s >= path.length:
-            # the epoch sum can round a hair past the true cycle end
-            s = np.nextafter(path.length, 0.0)
-        return path.at(s)
-
-
-def evaluate_at(realization: Realization, i: int, t: float) -> np.ndarray:
-    """State of coordinate ``i`` at absolute time ``t``."""
-    return realization.state_at(i, t)
+    joint_state_sampler: JointStateSampler
+    cycle_batch: Callable[[np.random.Generator, int], tuple[CycleBatch, ...]]
 
 
 @dataclass(frozen=True)
@@ -451,13 +347,13 @@ def cycle_functionals(model: RegenModel, i: int, gs: Sequence, n_cycles: int,
     rewards = np.empty((n_cycles, len(gs)))
     lengths = np.empty(n_cycles)
     for lo in range(0, n_cycles, BATCH_CYCLES):
-        batch = cycle_batches(model, gen, min(BATCH_CYCLES, n_cycles - lo))[i]
+        batch = model.cycle_batch(gen, min(BATCH_CYCLES, n_cycles - lo))[i]
         hi = lo + batch.count
         lengths[lo:hi] = batch.lengths
         seg = batch.segment_lengths()
         for j, g in enumerate(gs):
             rewards[lo:hi, j] = np.add.reduceat(
-                _segment_integrals(g, batch.values, batch.slopes, seg),
+                g.segment_integrals(batch.values, batch.slopes, seg),
                 batch.offsets)
     return rewards, lengths
 
@@ -507,11 +403,11 @@ def time_average_estimate(model: RegenModel, i: int, g, horizon: float, rng,
         if drawn >= max_cycles:
             raise BudgetExceededError(
                 f"time average exceeded {max_cycles} cycles")
-        # size the block by the cycles still expected, so models that stack
-        # a slow per-cycle generator do not overdraw past the horizon
+        # size the block by the cycles still expected, so short horizons
+        # do not draw a full block past their end
         want = int(1.05 * (horizon - start) / mu) + 16
         count = min(BATCH_CYCLES, max_cycles - drawn, want)
-        batch = cycle_batches(model, gen, count)[i]
+        batch = model.cycle_batch(gen, count)[i]
         drawn += count
         # cycle epochs inside the block; the block end carries the
         # compensated running sum from one block to the next, and rounding
@@ -541,7 +437,7 @@ def time_average_estimate(model: RegenModel, i: int, g, horizon: float, rng,
         lo = np.where(which == first[seg], seg_lo[seg], edges[which])
         hi = np.where(which == last[seg], seg_hi[seg], edges[which + 1])
         v0 = values[seg] + slopes[seg] * (lo - seg_lo[seg])[:, None]
-        pieces = _segment_integrals(g, v0, slopes[seg], hi - lo)
+        pieces = g.segment_integrals(v0, slopes[seg], hi - lo)
         batches += np.bincount(which, weights=pieces, minlength=n_batches)
         total = math.fsum(pieces)
         partials += [total, math.fsum(np.append(pieces, -total))]
@@ -553,43 +449,22 @@ def time_average_estimate(model: RegenModel, i: int, g, horizon: float, rng,
     return Estimate(value, se)
 
 
-def sample_stationary(model: RegenModel, i: int, t_burn: float, rng,
-                      max_cycles: int = DEFAULT_CYCLE_BUDGET) -> np.ndarray:
-    """One draw of coordinate ``i`` observed at ``t_burn``, which must cover
-    at least 100 mean cycles so the window is effectively stationary."""
-    if not t_burn >= 100.0 * model.cycle_means[i]:
-        raise ValueError("t_burn must cover at least 100 mean cycles")
-    real = Realization(model, rng, max_cycles)
-    return real.state_at(i, t_burn)
-
-
 def default_burn_in(model: RegenModel) -> float:
     return max(1000.0, 100.0 * max(model.cycle_means))
 
 
 def sample_states(model: RegenModel, times, n: int, seed: int, *,
                   base_key: tuple[int, ...] = (1003,),
-                  threads: int | None = None,
-                  max_cycles: int = DEFAULT_CYCLE_BUDGET) -> list[np.ndarray]:
-    """``n`` i.i.d. joint observations, coordinate ``i`` at ``times[i]``.
+                  threads: int | None = None) -> list[np.ndarray]:
+    """``n`` i.i.d. joint observations, coordinate ``i`` at ``times[i]``,
+    from the model's vectorised sampler.
 
-    Returns one (n, state_dim_i) array per coordinate. Uses the model's
-    vectorised sampler when available, else independent realizations, one
-    per replication on its own substream; every bundled family has a
-    sampler, so the realization route serves as the tests' reference.
+    Returns one (n, state_dim_i) array per coordinate.
     """
     times = np.asarray(times, dtype=float)
     if len(times) != model.dimension:
         raise ValueError("one observation time per coordinate is required")
     if np.any(times < 0.0):
         raise ValueError("observation times must be nonnegative")
-    if model.joint_state_sampler is not None:
-        return model.joint_state_sampler(times, int(n), int(seed),
-                                         tuple(base_key),
-                                         thread_count(threads))
-    outs = [np.empty((n, d)) for d in model.state_dims]
-    for r in range(n):
-        real = Realization(model, substream(seed, *base_key, r), max_cycles)
-        for i in range(model.dimension):
-            outs[i][r] = real.state_at(i, float(times[i]))
-    return outs
+    return model.joint_state_sampler(times, int(n), int(seed),
+                                     tuple(base_key), thread_count(threads))

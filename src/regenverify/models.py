@@ -6,10 +6,11 @@
 - status-updating freshness indicators with dependent inter-update times
 - open Jackson networks regenerating at empty-system epochs
 
-Every family provides the per-cycle generator used by the generic engine;
-every family also carries a vectorised stationary-window sampler, and the
-storage/queue family draws its cycles in lockstep batches as well. The tests
-cross-check each fast path against the generator.
+Every family draws its cycles natively in batches of flat segment arrays
+(``cycle_batch``), which both stationary routes integrate, and carries a
+vectorised stationary-window sampler. Every family also keeps a per-cycle
+generator (``cycle_generator``); nothing in the package calls it, it is the
+oracle the tests cross-check the batches and samplers against.
 """
 
 from __future__ import annotations
@@ -48,6 +49,29 @@ def _warn_arithmetic(which: list[int], family: str) -> None:
             f"arithmetic; the product-form limit requires nonarithmetic "
             f"cycles, treat results as a negative control",
             ArithmeticCyclesWarning, stacklevel=3)
+
+
+def _linear_batch(values: np.ndarray, slope, lengths: np.ndarray
+                  ) -> CycleBatch:
+    """One segment per cycle: cycle ``k`` starts at ``values[k]`` and moves
+    with ``slope`` for ``lengths[k]``."""
+    count = len(lengths)
+    return CycleBatch(np.zeros(count), values,
+                      np.tile(np.asarray(slope, dtype=float), (count, 1)),
+                      np.arange(count), lengths)
+
+
+def _by_cycle(rows: list, starts: list, values: list, count: int
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Segment starts, values and per-cycle offsets from lockstep rounds,
+    where round ``r`` opened a segment in each cycle of ``rows[r]``. Rounds
+    are in time order, so a stable sort by cycle keeps each cycle's
+    segments in time order."""
+    cycle = np.concatenate(rows)
+    order = np.argsort(cycle, kind="stable")
+    counts = np.bincount(cycle, minlength=count)
+    return (np.concatenate(starts)[order], np.concatenate(values)[order],
+            np.cumsum(counts) - counts)
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +176,9 @@ def _levy_batch(coord: LevyQueueCoordinate, start_levels: np.ndarray,
     else:
         raise BudgetExceededError(
             f"storage cycle exceeded {MAX_EVENTS_PER_CYCLE} jumps")
-    cycle = np.concatenate(rows)
-    # rounds are in time order, so a stable sort by cycle keeps each
-    # cycle's segments in time order
-    order = np.argsort(cycle, kind="stable")
-    counts = np.bincount(cycle, minlength=count)
-    values = np.concatenate(levels)[order][:, None]
-    return CycleBatch(np.concatenate(times)[order], values,
-                      np.full_like(values, -1.0), np.cumsum(counts) - counts,
+    starts, values, offsets = _by_cycle(rows, times, levels, count)
+    values = values[:, None]
+    return CycleBatch(starts, values, np.full_like(values, -1.0), offsets,
                       lengths)
 
 
@@ -177,7 +196,8 @@ def _levy_state_sampler(coords: tuple[LevyQueueCoordinate, ...],
         epochs = np.zeros((count, m))
         comp = np.zeros((count, m))
         # coordinate i of a replication is pending while its last epoch is
-        # still <= tau_i, as in Realization.ensure_covers
+        # still <= tau_i, so a cycle ending exactly at tau_i is not the
+        # straddling one
         pending = np.ones((count, m), dtype=bool)
         out = np.empty((count, m))
         cycles = 0
@@ -317,6 +337,39 @@ def _subordinator_cycle(coord: ClearingCoordinate, cycle_len: float,
     return CyclePath(breaks, values[:, None], np.full((n_seg, 1), coord.drift))
 
 
+def _clearing_batch(coord: ClearingCoordinate, lengths: np.ndarray,
+                    gen: np.random.Generator) -> CycleBatch:
+    """One cycle of each length: a segment from 0 plus one per jump, with
+    Poisson jump counts, uniform jump times sorted within their cycle and
+    the content restarting from 0 in every cycle."""
+    count = len(lengths)
+    if coord.jump_rate > 0.0:
+        jumps = gen.poisson(coord.jump_rate * lengths)
+        owner = np.repeat(np.arange(count), jumps)
+        times = gen.uniform(0.0, lengths[owner])
+        times = times[np.lexsort((times, owner))]
+        # sizes are i.i.d. and independent of the times: no reordering
+        sizes = np.asarray(coord.jump_size.sample(gen, owner.size),
+                           dtype=float)
+    else:
+        jumps = np.zeros(count, dtype=np.int64)
+        times = sizes = np.empty(0)
+    segs = jumps + 1
+    offsets = np.cumsum(segs) - segs
+    after_jump = np.ones(int(segs.sum()), dtype=bool)
+    after_jump[offsets] = False
+    starts = np.zeros(after_jump.size)
+    starts[after_jump] = times
+    added = np.zeros(after_jump.size)
+    added[after_jump] = sizes
+    # jump content so far in the cycle: a cumsum that restarts per cycle
+    total = np.cumsum(added)
+    values = coord.drift * starts + total - np.repeat(total[offsets], segs)
+    return CycleBatch(starts, values[:, None],
+                      np.full((after_jump.size, 1), coord.drift), offsets,
+                      lengths)
+
+
 def _compound_total(rate: float, jump: MarginalSpec, durations: np.ndarray,
                     gen: np.random.Generator) -> np.ndarray:
     """Sum of a compound-Poisson process over each duration, one draw per
@@ -350,6 +403,12 @@ def build_clearing(spec: ClearingSpec) -> RegenModel:
         return tuple(_subordinator_cycle(coords[i], float(lens[i]), gen)
                      for i in range(len(coords)))
 
+    def batch(gen: np.random.Generator, count: int
+              ) -> tuple[CycleBatch, ...]:
+        lens = sample_cycle_vectors(dep, marginals, gen, count)
+        return tuple(_clearing_batch(coords[i], lens[:, i], gen)
+                     for i in range(len(coords)))
+
     def state(i: int, age: np.ndarray, length: np.ndarray,
               gen: np.random.Generator) -> np.ndarray:
         coord = coords[i]
@@ -361,7 +420,7 @@ def build_clearing(spec: ClearingSpec) -> RegenModel:
 
     sampler = _renewal_state_sampler(dep, marginals, state, (1,) * len(coords))
     return RegenModel("clearing", len(coords), (1,) * len(coords),
-                      means, generate, sampler)
+                      means, generate, sampler, batch)
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +479,18 @@ def build_status(spec: StatusSpec) -> RegenModel:
                                      float(lens[i])))
         return tuple(paths)
 
+    def batch(gen: np.random.Generator, count: int
+              ) -> tuple[CycleBatch, ...]:
+        lens = sample_cycle_vectors(dep, marginals, gen, count)
+        out = []
+        for i, src in enumerate(sources):
+            hurdles = np.asarray(src.update_size.sample(gen, count),
+                                 dtype=float) / src.capacity
+            out.append(_linear_batch(
+                np.column_stack([np.zeros(count), hurdles]), (1.0, 0.0),
+                lens[:, i]))
+        return tuple(out)
+
     def state(i: int, age: np.ndarray, length: np.ndarray,
               gen: np.random.Generator) -> np.ndarray:
         src = sources[i]
@@ -429,7 +500,7 @@ def build_status(spec: StatusSpec) -> RegenModel:
     sampler = _renewal_state_sampler(dep, marginals, state,
                                      (2,) * len(sources))
     return RegenModel("status", len(sources), (2,) * len(sources),
-                      means, generate, sampler)
+                      means, generate, sampler, batch)
 
 
 def _effective_equilibrium_tail(dep: DependenceSpec, marginal: MarginalSpec,
@@ -516,13 +587,21 @@ def build_age_residual(spec: AgeResidualSpec) -> RegenModel:
         path = linear_path((0.0, t_len), (1.0, -1.0), t_len)
         return (path,) * m
 
+    def batch(gen: np.random.Generator, count: int
+              ) -> tuple[CycleBatch, ...]:
+        lens = sample_cycle_vectors(dep, marginals, gen, count)[:, 0]
+        shared = _linear_batch(np.column_stack([np.zeros(count), lens]),
+                               (1.0, -1.0), lens)
+        return (shared,) * m
+
     def state(i: int, age: np.ndarray, length: np.ndarray,
               gen: np.random.Generator) -> np.ndarray:
         return np.column_stack([age, length - age])
 
     sampler = _renewal_state_sampler(dep, marginals, state, (2,) * m)
     return RegenModel("age_residual", m, (2,) * m,
-                      (spec.cycle_length.mean(),) * m, generate, sampler)
+                      (spec.cycle_length.mean(),) * m, generate, sampler,
+                      batch)
 
 
 # ---------------------------------------------------------------------------
@@ -715,6 +794,58 @@ def _jackson_cycle(spec: JacksonSpec, gen: np.random.Generator
                  for i in range(m))
 
 
+def _jackson_batch(spec: JacksonSpec, gen: np.random.Generator,
+                   count: int) -> tuple[CycleBatch, ...]:
+    """``count`` cycles with their embedded jump chains run in lockstep:
+    every round opens a segment at the current state of each live cycle,
+    draws its holding time and next event as :func:`_jackson_cycle` does,
+    and ends the cycles that are empty again. The first segment of every
+    cycle is the idle stretch before the first arrival."""
+    m = len(spec.arrival_rates)
+    services = np.asarray(spec.service_rates, dtype=float)
+    arr_cuts = np.cumsum(np.asarray(spec.arrival_rates, dtype=float))
+    lam_ext = float(arr_cuts[-1])
+    route_cuts = np.cumsum(np.asarray(spec.routing, dtype=float), axis=1)
+    lengths = np.empty(count)
+    live = np.arange(count)
+    t = np.zeros(count)
+    x = np.zeros((count, m), dtype=np.int64)
+    rows, times, states = [], [], []
+    for _ in range(MAX_EVENTS_PER_CYCLE):
+        rows.append(live)
+        times.append(t)
+        states.append(x.copy())
+        cuts = np.cumsum(services * (x > 0), axis=1)
+        rate = lam_ext + cuts[:, -1]
+        t = t + gen.exponential(1.0 / rate)
+        u = gen.random(live.size) * rate
+        arrive = u < lam_ext
+        a = np.flatnonzero(arrive)
+        x[a, np.minimum(np.searchsorted(arr_cuts, u[a], side="right"),
+                        m - 1)] += 1
+        d = np.flatnonzero(~arrive)
+        j = np.minimum((cuts[d] <= (u[d] - lam_ext)[:, None]).sum(axis=1),
+                       m - 1)
+        x[d, j] -= 1
+        k = (route_cuts[j] <= gen.random(d.size)[:, None]).sum(axis=1)
+        moved = k < m
+        x[d[moved], k[moved]] += 1
+        done = ~x.any(axis=1)
+        lengths[live[done]] = t[done]
+        go = ~done
+        live, t, x = live[go], t[go], x[go]
+        if not live.size:
+            break
+    else:
+        raise BudgetExceededError(
+            f"network cycle exceeded {MAX_EVENTS_PER_CYCLE} events")
+    starts, values, offsets = _by_cycle(rows, times, states, count)
+    values = values.astype(float)
+    zero = np.zeros((len(starts), 1))
+    return tuple(CycleBatch(starts, values[:, i:i + 1], zero, offsets,
+                            lengths) for i in range(m))
+
+
 def _make_jackson_sampler(spec: JacksonSpec):
     m = len(spec.arrival_rates)
     arrivals = np.asarray(spec.arrival_rates, dtype=float)
@@ -796,8 +927,12 @@ def build_jackson(spec: JacksonSpec) -> RegenModel:
     def generate(gen: np.random.Generator) -> tuple[CyclePath, ...]:
         return _jackson_cycle(spec, gen)
 
+    def batch(gen: np.random.Generator, count: int
+              ) -> tuple[CycleBatch, ...]:
+        return _jackson_batch(spec, gen, count)
+
     return RegenModel("jackson", m, (1,) * m, (mean,) * m, generate,
-                      _make_jackson_sampler(spec))
+                      _make_jackson_sampler(spec), batch)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Reproducible random streams, marginal laws, and dependent vector samplers.
 
-Streams are keyed by ``(seed, stream_index)`` through ``SeedSequence`` spawn
-keys, so any replication's stream is reachable in O(1) without generating the
-draws of earlier replications.
+Streams are keyed by ``(seed, *key)`` through ``SeedSequence`` spawn keys, so
+any replication's stream is reachable in O(1) without generating the draws of
+earlier replications.
 """
 
 from __future__ import annotations
@@ -21,54 +21,19 @@ DEPENDENCE_KINDS = ("independent", "comonotone", "common_shock",
                     "gaussian_copula")
 
 
-class RngStream:
-    """A named random stream for one replication.
-
-    Streams with distinct ``(seed, stream_index)`` keys are statistically
-    independent. A stream is stateful and must not be shared between
-    concurrent workers.
-    """
-
-    __slots__ = ("seed", "stream_index", "_generator")
-
-    def __init__(self, seed: int, stream_index: int = 0):
-        self.seed = int(seed)
-        self.stream_index = int(stream_index)
-        if self.stream_index < 0:
-            raise ConfigurationError("stream_index must be nonnegative")
-        self._generator = np.random.default_rng(
-            np.random.SeedSequence(self.seed, spawn_key=(self.stream_index,)))
-
-    def generator(self) -> np.random.Generator:
-        return self._generator
-
-    def __repr__(self) -> str:
-        return f"RngStream(seed={self.seed}, stream_index={self.stream_index})"
-
-
-def spawn_stream(seed: int, index: int = 0) -> RngStream:
-    """The reproducible stream for ``(seed, index)``."""
-    return RngStream(seed, index)
-
-
 def substream(seed: int, *key: int) -> np.random.Generator:
-    """Generator for a hierarchical stream key.
-
-    Multi-part keys never collide with the single-part keys handed out by
-    :func:`spawn_stream`, so library internals use them for pipeline stages.
-    """
+    """Generator for a hierarchical stream key: distinct keys give
+    statistically independent streams."""
     return np.random.default_rng(
         np.random.SeedSequence(int(seed),
                                spawn_key=tuple(int(k) for k in key)))
 
 
 def as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
     if isinstance(rng, np.random.Generator):
         return rng
     raise TypeError(
-        f"expected RngStream or numpy Generator, got {type(rng).__name__}")
+        f"expected a numpy Generator, got {type(rng).__name__}")
 
 
 @dataclass(frozen=True)
@@ -291,17 +256,6 @@ def _require_positive(name: str, value) -> None:
     if value is None or not (value > 0.0 and math.isfinite(value)):
         raise ConfigurationError(f"{name} must be positive and finite, "
                                  f"got {value!r}")
-
-
-def sample_marginal(spec: MarginalSpec, rng) -> float:
-    """One draw from a validated marginal."""
-    spec.validate()
-    return float(spec.sample(rng))
-
-
-def marginal_mean(spec: MarginalSpec) -> float:
-    spec.validate()
-    return float(spec.mean())
 
 
 @dataclass(frozen=True)

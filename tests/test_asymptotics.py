@@ -12,7 +12,7 @@ from regenverify import (ClearingCoordinate, ClearingSpec, ConfigurationError,
                          SweepResult, build_clearing, check_hypotheses,
                          constant, convergence_sweep, final_gap_verdict,
                          product_form_gap, quantile_indicator_tuples,
-                         sample_joint, spawn_stream, substream)
+                         sample_joint, substream)
 from regenverify.asymptotics import floored_trend
 
 EXP1 = MarginalSpec.exponential(1.0)
@@ -102,7 +102,7 @@ def test_schedule_must_diverge():
 
 
 def test_relabel_invariance_with_distinct_means():
-    gen = spawn_stream(300).generator()
+    gen = substream(300, 0)
     for _ in range(50):
         m = int(gen.integers(2, 5))
         slopes = gen.uniform(0.2, 3.0, m)
@@ -215,6 +215,16 @@ def test_gap_on_constant_columns_is_degenerate_zero():
     est = product_form_gap(mat)
     assert est.gap == 0.0
     assert est.se == 0.0
+    assert est.degenerate
+
+
+def test_gap_flags_any_constant_column():
+    # one constant column makes the tuple vacuous, and float rounding can
+    # leave its SE a hair above zero
+    gen = substream(309, 0)
+    bern = (gen.random(10_000) < 0.37).astype(float)
+    est = product_form_gap(np.column_stack([np.ones(10_000), bern]))
+    assert est.gap == 0.0
     assert est.degenerate
 
 

@@ -1,21 +1,21 @@
 """Cycle paths, exact test-function integrals, and the two estimation routes."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from oracles import Realization, from_paths
 from regenverify import (AgeResidualSpec, BudgetExceededError,
                          ClearingCoordinate, ClearingSpec, CyclePath,
                          DependenceSpec, LevyQueueCoordinate, LevyQueueSpec,
-                         MarginalSpec, Realization, StateFunction,
-                         build_age_residual, build_clearing, build_levy_queue,
-                         constant, cycle_functionals, evaluate_at, exp_neg,
-                         identity, indicator_gt, indicator_le, linear_path,
-                         path_integral, ratio_estimate,
-                         renewal_reward_estimate, run_chunked,
-                         sample_stationary, sample_states, spawn_stream,
+                         MarginalSpec, StateFunction, build_age_residual,
+                         build_clearing, build_levy_queue, constant,
+                         cycle_functionals, exp_neg, identity, indicator_gt,
+                         indicator_le, path_integral, ratio_estimate,
+                         renewal_reward_estimate, run_chunked, sample_states,
                          substream, time_average_estimate, updated_indicator)
 
 
@@ -133,13 +133,6 @@ def test_path_integral_over_segments():
         0.375, abs=1e-12)
 
 
-def test_path_integral_generic_callable_uses_quadrature():
-    path = linear_path((1.0,), (1.0,), 2.0)
-    got = path_integral(path, lambda x: np.sin(x[..., 0]))
-    want, _ = integrate.quad(lambda u: math.sin(1.0 + u), 0.0, 2.0)
-    assert got == pytest.approx(want, abs=1e-8)
-
-
 def test_updated_indicator_semantics():
     f = updated_indicator()
     assert f(np.array([1.0, 0.5])) == 1.0
@@ -148,13 +141,13 @@ def test_updated_indicator_semantics():
 
 
 # ---------------------------------------------------------------------------
-# evaluate_at
+# the reference realization
 
 
 def test_evaluate_clearing_pure_drift():
     model = pure_drift_clearing(MarginalSpec.deterministic(1.0))
-    real = Realization(model, spawn_stream(1).generator())
-    assert evaluate_at(real, 0, 2.5) == pytest.approx(0.5, abs=1e-12)
+    real = Realization(model, substream(1, 0))
+    assert real.state_at(0, 2.5) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_evaluate_at_epoch_is_fresh_cycle():
@@ -163,33 +156,33 @@ def test_evaluate_at_epoch_is_fresh_cycle():
             restart_level=MarginalSpec.deterministic(1.0)),),
         dependence=DependenceSpec.independent())
     model = build_levy_queue(spec)
-    real = Realization(model, spawn_stream(2).generator())
+    real = Realization(model, substream(2, 0))
     # pure drift from level 1: cycles are exactly unit length
-    assert evaluate_at(real, 0, 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert evaluate_at(real, 0, 0.75) == pytest.approx(0.25, abs=1e-12)
+    assert real.state_at(0, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert real.state_at(0, 0.75) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_evaluate_at_is_deterministic_on_a_realization():
     model = pure_drift_clearing(MarginalSpec.exponential(1.0))
-    real = Realization(model, spawn_stream(3).generator())
-    a = evaluate_at(real, 0, 17.3)
-    b = evaluate_at(real, 0, 17.3)
+    real = Realization(model, substream(3, 0))
+    a = real.state_at(0, 17.3)
+    b = real.state_at(0, 17.3)
     assert np.array_equal(a, b)
 
 
 def test_evaluate_at_epoch_matches_next_cycle_origin():
     model = pure_drift_clearing(MarginalSpec.exponential(1.0))
-    real = Realization(model, spawn_stream(4).generator())
+    real = Realization(model, substream(4, 0))
     real.ensure_covers(0, 50.0)
     for n in (1, 2, 7):
         t = real.epoch(0, n)
         want = real.cycle(0, n).at(0.0)
-        assert np.array_equal(evaluate_at(real, 0, t), want)
+        assert np.array_equal(real.state_at(0, t), want)
 
 
 def test_realization_budget_enforced():
     model = pure_drift_clearing(MarginalSpec.deterministic(1.0))
-    real = Realization(model, spawn_stream(5).generator(), max_cycles=10)
+    real = Realization(model, substream(5, 0), max_cycles=10)
     with pytest.raises(BudgetExceededError):
         real.state_at(0, 50.0)
 
@@ -273,14 +266,21 @@ def test_time_average_budget_enforced():
 
 def test_batched_routes_match_per_cycle_integrals():
     # the batched routes agree with the per-cycle path_integral route on
-    # the same draws: the generator is the stacking adapter's only source
+    # the same draws: the model's batches are the generator's paths stacked
     model = build_clearing(ClearingSpec(
         coordinates=(ClearingCoordinate(
             cycle_length=MarginalSpec.exponential(1.0), drift=0.5,
             jump_rate=1.0, jump_size=MarginalSpec.exponential(2.0)),),
         dependence=DependenceSpec.independent()))
+
+    def stacked(gen, count):
+        return (from_paths([model.cycle_generator(gen)[0]
+                            for _ in range(count)]),)
+
     gs = [identity(), indicator_le(0.7), exp_neg()]
-    rewards, lengths = cycle_functionals(model, 0, gs, 5000, substream(16, 0))
+    rewards, lengths = cycle_functionals(
+        dataclasses.replace(model, cycle_batch=stacked), 0, gs, 5000,
+        substream(16, 0))
     gen = substream(16, 0)
     paths = [model.cycle_generator(gen)[0] for _ in range(5000)]
     assert np.array_equal(lengths, [p.length for p in paths])
@@ -301,7 +301,7 @@ def test_time_average_rejects_short_horizon():
 
 def test_stationary_draw_at_epoch_of_deterministic_cycles():
     model = pure_drift_clearing(MarginalSpec.deterministic(1.0))
-    state = sample_stationary(model, 0, 200.0, substream(14, 0))
+    state = Realization(model, substream(14, 0)).state_at(0, 200.0)
     assert state[0] == pytest.approx(0.0, abs=1e-9)
 
 

@@ -1,24 +1,25 @@
-"""The four model families: cycle structure, closed forms, and agreement
-between the vectorised state samplers and the generic cycle engine."""
+"""The model families: cycle structure, closed forms, and agreement of the
+native cycle batches and vectorised state samplers with the per-cycle
+generator."""
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from oracles import Realization, realization_states
 from regenverify import (AgeResidualSpec, ArithmeticCyclesWarning,
                          BudgetExceededError, ClearingCoordinate,
                          ClearingSpec, ConfigurationError, DependenceSpec,
                          JacksonSpec, LevyQueueCoordinate, LevyQueueSpec,
-                         MarginalSpec, Realization, StatusSource, StatusSpec,
+                         MarginalSpec, StatusSource, StatusSpec,
                          build_age_residual, build_clearing, build_jackson,
-                         build_levy_queue, build_status, evaluate_at,
-                         exp_neg, identity, jackson_cycle_mean,
-                         jackson_utilizations, path_integral, pi_closed_form,
-                         renewal_reward_estimate, sample_states,
-                         spawn_stream, substream, traffic_solve)
+                         build_levy_queue, build_status, exp_neg, identity,
+                         jackson_cycle_mean, jackson_utilizations,
+                         path_integral, pi_closed_form,
+                         renewal_reward_estimate, sample_states, substream,
+                         traffic_solve)
 from regenverify import models
 
 EXP1 = MarginalSpec.exponential(1.0)
@@ -36,11 +37,6 @@ def two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:
     return float(stats.ks_2samp(a, b).statistic)
 
 
-def generic_route(model):
-    """The same model forced through per-replication realizations."""
-    return dataclasses.replace(model, joint_state_sampler=None)
-
-
 # ---------------------------------------------------------------------------
 # Levy queues
 
@@ -51,7 +47,7 @@ def test_levy_pure_drift_unit_cycles():
             restart_level=MarginalSpec.deterministic(1.0)),),
         dependence=DependenceSpec.independent())
     model = build_levy_queue(spec)
-    gen = spawn_stream(100).generator()
+    gen = substream(100, 0)
     for _ in range(20):
         path = model.cycle_generator(gen)[0]
         assert path.length == 1.0
@@ -113,35 +109,90 @@ M_G_1_VACATION = LevyQueueCoordinate(restart_level=EXP1, jump_rate=0.5,
                                      jump_size=EXP1)
 
 
-def test_levy_cycle_batch_matches_cycle_generator():
-    model = levy_model(M_G_1_VACATION)
+TANDEM = JacksonSpec(arrival_rates=(0.5, 0.0), service_rates=(1.0, 1.0),
+                     routing=((0.0, 1.0), (0.0, 0.0)))
+
+BATCH_MODELS = {
+    "levy_queue": lambda: levy_model(M_G_1_VACATION),
+    "clearing_jumps": lambda: build_clearing(ClearingSpec(
+        coordinates=(ClearingCoordinate(
+            cycle_length=EXP1, drift=0.5, jump_rate=1.0,
+            jump_size=MarginalSpec.exponential(2.0)),),
+        dependence=DependenceSpec.independent())),
+    "status": lambda: build_status(StatusSpec(
+        sources=(StatusSource(inter_update=MarginalSpec.gamma(2.0, 2.0),
+                              update_size=EXP1, capacity=2.0),),
+        dependence=DependenceSpec.independent())),
+    "age_residual": lambda: build_age_residual(
+        AgeResidualSpec(MarginalSpec.gamma(2.0, 1.0), copies=2)),
+    "jackson_tandem": lambda: build_jackson(TANDEM),
+}
+
+
+@pytest.mark.parametrize("family", sorted(BATCH_MODELS))
+def test_cycle_batch_matches_cycle_generator(family):
+    model = BATCH_MODELS[family]()
     n = 10_000
-    batch = model.cycle_batch(substream(104, 0), n)[0]
+    batches = model.cycle_batch(substream(104, 0), n)
+    gen = substream(105, 0)
+    cycles = [model.cycle_generator(gen) for _ in range(n)]
+    for i, batch in enumerate(batches):
+        counts = np.diff(batch.offsets, append=len(batch.starts))
+        seg = batch.segment_lengths()
+        assert batch.count == n and np.all(counts >= 1)
+        assert batch.values.shape == (len(batch.starts),
+                                      model.state_dims[i])
+        assert np.all(batch.starts[batch.offsets] == 0.0)
+        assert np.all(seg >= 0.0) and np.all(batch.lengths > 0.0)
+        rewards = np.add.reduceat(
+            exp_neg().segment_integrals(batch.values, batch.slopes, seg),
+            batch.offsets)
+
+        paths = [c[i] for c in cycles]
+        oracle_lengths = np.array([p.length for p in paths])
+        oracle_rewards = np.array([path_integral(p, exp_neg())
+                                   for p in paths])
+        oracle_counts = np.array([len(p.values) for p in paths])
+        # two-sample KS 1% critical value at n=10000 per side is ~0.023
+        assert two_sample_ks(batch.lengths, oracle_lengths) < 0.023
+        assert two_sample_ks(rewards, oracle_rewards) < 0.023
+        # the exact KS distribution does not handle ties; counts are discrete
+        ties = stats.ks_2samp(counts, oracle_counts, method="asymp")
+        assert ties.statistic < 0.023
+
+
+def test_levy_cycle_batch_structure():
+    model = levy_model(M_G_1_VACATION)
+    batch = model.cycle_batch(substream(104, 0), 10_000)[0]
     counts = np.diff(batch.offsets, append=len(batch.starts))
     seg = batch.segment_lengths()
-    assert batch.count == n and np.all(counts >= 1)
-    assert np.all(batch.starts[batch.offsets] == 0.0)
     assert np.all(batch.slopes == -1.0)
     assert np.all(seg > 0.0)
     # every busy period ends exactly when its level reaches zero
     ends = batch.values[:, 0] - seg
     last = batch.offsets + counts - 1
     assert np.allclose(ends[last], 0.0, atol=1e-9)
-    rewards = np.add.reduceat(
-        exp_neg().segment_integrals(batch.values, batch.slopes, seg),
-        batch.offsets)
 
-    gen = substream(105, 0)
-    paths = [model.cycle_generator(gen)[0] for _ in range(n)]
-    oracle_lengths = np.array([p.length for p in paths])
-    oracle_rewards = np.array([path_integral(p, exp_neg()) for p in paths])
-    oracle_counts = np.array([len(p.values) for p in paths])
-    # two-sample KS 1% critical value at n=10000 per side is ~0.023
-    assert two_sample_ks(batch.lengths, oracle_lengths) < 0.023
-    assert two_sample_ks(rewards, oracle_rewards) < 0.023
-    # the exact KS distribution does not handle ties; counts are discrete
-    ties = stats.ks_2samp(counts, oracle_counts, method="asymp")
-    assert ties.statistic < 0.023
+
+def test_cycle_batches_keep_the_cycle_coupling():
+    # comonotone exponential(1) and exponential(1/2) lengths: the second
+    # coordinate's cycle k is exactly twice the first's
+    dep = DependenceSpec.comonotone()
+    laws = (EXP1, MarginalSpec.exponential(0.5))
+    for model in (
+            build_clearing(ClearingSpec(
+                coordinates=tuple(ClearingCoordinate(cycle_length=law)
+                                  for law in laws), dependence=dep)),
+            build_status(StatusSpec(
+                sources=tuple(StatusSource(inter_update=law,
+                                           update_size=EXP1)
+                              for law in laws), dependence=dep))):
+        first, second = model.cycle_batch(substream(108, 0), 5000)
+        assert np.allclose(second.lengths, 2.0 * first.lengths, rtol=1e-12)
+    # the tandem's stations share one cycle, so one set of lengths
+    first, second = build_jackson(TANDEM).cycle_batch(substream(109, 0), 500)
+    assert np.array_equal(first.lengths, second.lengths)
+    assert np.array_equal(first.starts, second.starts)
 
 
 def test_levy_batch_event_budget_enforced(monkeypatch):
@@ -152,6 +203,12 @@ def test_levy_batch_event_budget_enforced(monkeypatch):
         model.cycle_batch(substream(106, 0), 1000)
     with pytest.raises(BudgetExceededError):
         sample_states(model, [50.0], 1000, seed=106)
+
+
+def test_jackson_batch_event_budget_enforced(monkeypatch):
+    monkeypatch.setattr(models, "MAX_EVENTS_PER_CYCLE", 2)
+    with pytest.raises(BudgetExceededError):
+        build_jackson(TANDEM).cycle_batch(substream(106, 0), 1000)
 
 
 def test_levy_sampler_is_thread_count_invariant():
@@ -185,9 +242,9 @@ def test_clearing_sawtooth():
         coordinates=(ClearingCoordinate(
             cycle_length=MarginalSpec.deterministic(1.0)),),
         dependence=DependenceSpec.independent()))
-    real = Realization(model, spawn_stream(104).generator())
+    real = Realization(model, substream(104, 0))
     for t in (0.25, 1.5, 2.75, 7.0):
-        assert evaluate_at(real, 0, t)[0] == pytest.approx(t % 1.0, abs=1e-9)
+        assert real.state_at(0, t)[0] == pytest.approx(t % 1.0, abs=1e-9)
 
 
 def test_clearing_jump_only_stationary_mean():
@@ -382,9 +439,7 @@ def test_jackson_mm1_geometric_marginal():
 
 
 def test_jackson_cycle_starts_and_ends_empty():
-    spec = JacksonSpec(arrival_rates=(0.5, 0.0), service_rates=(1.0, 1.0),
-                       routing=((0.0, 1.0), (0.0, 0.0)))
-    model = build_jackson(spec)
+    model = build_jackson(TANDEM)
     assert model.cycle_means == pytest.approx((8.0, 8.0), abs=1e-12)
     gen = substream(113, 0)
     for _ in range(50):
@@ -435,7 +490,7 @@ def test_fast_sampler_matches_generic_engine(make_model, comp):
     times = [60.0] * model.dimension
     n = 4000
     fast = sample_states(model, times, n, seed=115)
-    slow = sample_states(generic_route(model), times, n, seed=116)
+    slow = realization_states(model, times, n, seed=116)
     stat = two_sample_ks(fast[0][:, comp], slow[0][:, comp])
     # two-sample KS 1% critical value at n=4000 per side is ~0.036
     assert stat < 0.036
@@ -447,7 +502,7 @@ def test_status_fast_sampler_matches_generic_on_marks():
         dependence=DependenceSpec.independent()))
     times = [60.0]
     fast = sample_states(model, times, 4000, seed=117)
-    slow = sample_states(generic_route(model), times, 4000, seed=118)
+    slow = realization_states(model, times, 4000, seed=118)
     assert two_sample_ks(fast[0][:, 1], slow[0][:, 1]) < 0.036
 
 
@@ -458,7 +513,7 @@ def test_jackson_sampler_matches_generic_engine():
     assert model.joint_state_sampler is not None
     n = 3000
     fast = sample_states(model, [30.0], n, seed=119)
-    slow = sample_states(generic_route(model), [30.0], n, seed=120)
+    slow = realization_states(model, [30.0], n, seed=120)
     kmax = 12
     pmf_fast = np.bincount(np.minimum(fast[0][:, 0].astype(int), kmax),
                            minlength=kmax + 1) / n

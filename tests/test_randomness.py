@@ -7,9 +7,7 @@ import pytest
 from scipy import integrate
 
 from regenverify import (ConfigurationError, DependenceSpec, MarginalSpec,
-                         marginal_mean, sample_cycle_vector,
-                         sample_cycle_vectors, sample_marginal, spawn_stream,
-                         substream)
+                         sample_cycle_vector, sample_cycle_vectors, substream)
 
 
 def ks_distance(draws: np.ndarray, cdf) -> float:
@@ -37,19 +35,19 @@ def quadrature_mean(spec: MarginalSpec, upper: float) -> float:
 
 def test_deterministic_marginal_is_point_mass():
     spec = MarginalSpec.deterministic(2.0)
-    gen = spawn_stream(7).generator()
-    assert all(sample_marginal(spec, gen) == 2.0 for _ in range(50))
+    gen = substream(7, 0)
+    assert all(spec.validate().sample(gen) == 2.0 for _ in range(50))
 
 
 def test_exponential_sample_mean():
     spec = MarginalSpec.exponential(1.0)
-    draws = spec.sample(spawn_stream(11).generator(), 1_000_000)
+    draws = spec.sample(substream(11, 0), 1_000_000)
     assert abs(draws.mean() - 1.0) < 0.003
 
 
 def test_gamma_sample_variance():
     spec = MarginalSpec.gamma(2.0, 1.0)
-    draws = spec.sample(spawn_stream(13).generator(), 1_000_000)
+    draws = spec.sample(substream(13, 0), 1_000_000)
     assert abs(draws.var(ddof=1) - 2.0) < 0.02
 
 
@@ -59,7 +57,7 @@ def test_gamma_sample_variance():
     (MarginalSpec.lattice(1.0, {1: 0.5, 2: 0.5}), 1.5),
 ])
 def test_marginal_mean_closed_forms(spec, expected):
-    assert marginal_mean(spec) == pytest.approx(expected, abs=1e-12)
+    assert spec.validate().mean() == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("spec", [
@@ -73,7 +71,7 @@ def test_marginal_mean_matches_tail_quadrature(spec):
     upper = spec.support_upper()
     if not math.isfinite(upper):
         upper = 60.0 / (spec.rate or 1.0)
-    assert marginal_mean(spec) == pytest.approx(
+    assert spec.validate().mean() == pytest.approx(
         quadrature_mean(spec, upper), abs=1e-8)
 
 
@@ -85,7 +83,7 @@ def test_marginal_mean_matches_tail_quadrature(spec):
     MarginalSpec.shifted_uniform(1.0, 3.0),
 ])
 def test_every_kind_ecdf_within_ks_bound(spec):
-    draws = spec.sample(spawn_stream(17).generator(), 100_000)
+    draws = spec.sample(substream(17, 0), 100_000)
     assert ks_distance(draws, spec.cdf) < 0.01
 
 
@@ -110,14 +108,14 @@ def test_invalid_marginals_rejected(bad):
 def test_independent_deterministic_vector():
     dep = DependenceSpec.independent()
     margs = [MarginalSpec.deterministic(1.0), MarginalSpec.deterministic(1.0)]
-    vec = sample_cycle_vector(dep, margs, spawn_stream(0).generator())
+    vec = sample_cycle_vector(dep, margs, substream(0, 0))
     assert vec.tolist() == [1.0, 1.0]
 
 
 def test_comonotone_rank_correlation_is_one():
     dep = DependenceSpec.comonotone()
     margs = [MarginalSpec.exponential(1.0), MarginalSpec.exponential(1.0)]
-    draws = sample_cycle_vectors(dep, margs, spawn_stream(3).generator(),
+    draws = sample_cycle_vectors(dep, margs, substream(3, 0),
                                  100_000)
     r0 = np.argsort(np.argsort(draws[:, 0]))
     r1 = np.argsort(np.argsort(draws[:, 1]))
@@ -129,7 +127,7 @@ def test_comonotone_rank_correlation_is_one():
 def test_comonotone_different_rates_scale_exactly():
     dep = DependenceSpec.comonotone()
     margs = [MarginalSpec.exponential(1.0), MarginalSpec.exponential(0.5)]
-    draws = sample_cycle_vectors(dep, margs, spawn_stream(5).generator(),
+    draws = sample_cycle_vectors(dep, margs, substream(5, 0),
                                  10_000)
     # exponential quantile functions are proportional, so the coupling is a
     # deterministic scaling
@@ -140,7 +138,7 @@ def test_common_shock_correlation():
     shock = MarginalSpec.exponential(1.0)
     dep = DependenceSpec.common_shock(shock)
     margs = [MarginalSpec.exponential(1.0), MarginalSpec.exponential(1.0)]
-    draws = sample_cycle_vectors(dep, margs, spawn_stream(9).generator(),
+    draws = sample_cycle_vectors(dep, margs, substream(9, 0),
                                  100_000)
     # coordinates are Z + E_i with Var Z = Var E_i = 1, so corr = 1/2
     corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
@@ -150,7 +148,7 @@ def test_common_shock_correlation():
 def test_gaussian_copula_identity_behaves_independent():
     dep = DependenceSpec.gaussian_copula(np.eye(2))
     margs = [MarginalSpec.exponential(1.0), MarginalSpec.gamma(2.0, 1.0)]
-    draws = sample_cycle_vectors(dep, margs, spawn_stream(21).generator(),
+    draws = sample_cycle_vectors(dep, margs, substream(21, 0),
                                  100_000)
     u = margs[0].cdf(draws[:, 0])
     v = margs[1].cdf(draws[:, 1])
@@ -167,7 +165,7 @@ def test_gaussian_copula_marginals_preserved():
     corr = np.array([[1.0, 0.7], [0.7, 1.0]])
     dep = DependenceSpec.gaussian_copula(corr)
     margs = [MarginalSpec.exponential(2.0), MarginalSpec.gamma(3.0, 2.0)]
-    draws = sample_cycle_vectors(dep, margs, spawn_stream(23).generator(),
+    draws = sample_cycle_vectors(dep, margs, substream(23, 0),
                                  100_000)
     assert ks_distance(draws[:, 0], margs[0].cdf) < 0.01
     assert ks_distance(draws[:, 1], margs[1].cdf) < 0.01
@@ -177,7 +175,7 @@ def test_common_shock_shifts_marginals_by_shock():
     shock = MarginalSpec.deterministic(1.0)
     dep = DependenceSpec.common_shock(shock)
     margs = [MarginalSpec.exponential(1.0)]
-    draws = sample_cycle_vectors(dep, margs, spawn_stream(25).generator(),
+    draws = sample_cycle_vectors(dep, margs, substream(25, 0),
                                  100_000)
     assert draws.min() >= 1.0
     assert ks_distance(draws[:, 0] - 1.0, margs[0].cdf) < 0.01
@@ -187,7 +185,7 @@ def test_dimension_mismatch_rejected():
     dep = DependenceSpec.gaussian_copula(np.eye(3))
     margs = [MarginalSpec.exponential(1.0), MarginalSpec.exponential(1.0)]
     with pytest.raises(ConfigurationError):
-        sample_cycle_vectors(dep, margs, spawn_stream(1).generator(), 10)
+        sample_cycle_vectors(dep, margs, substream(1, 0), 10)
 
 
 def test_invalid_copula_matrices_rejected():
@@ -209,21 +207,30 @@ def test_invalid_copula_matrices_rejected():
 
 
 def test_same_stream_is_reproducible():
-    a = spawn_stream(42, 0).generator().random(100)
-    b = spawn_stream(42, 0).generator().random(100)
+    a = substream(42, 0).random(100)
+    b = substream(42, 0).random(100)
     assert np.array_equal(a, b)
 
 
 def test_distinct_indices_differ():
-    a = spawn_stream(42, 0).generator().random(100)
-    b = spawn_stream(42, 1).generator().random(100)
+    a = substream(42, 0).random(100)
+    b = substream(42, 1).random(100)
     assert not np.array_equal(a, b)
 
 
 def test_distinct_seeds_differ():
-    a = spawn_stream(42, 0).generator().random(100)
-    b = spawn_stream(43, 0).generator().random(100)
+    a = substream(42, 0).random(100)
+    b = substream(43, 0).random(100)
     assert not np.array_equal(a, b)
+
+
+def test_samplers_reject_anything_but_a_generator():
+    with pytest.raises(TypeError):
+        MarginalSpec.exponential(1.0).sample(42, 10)
+    with pytest.raises(TypeError):
+        sample_cycle_vectors(DependenceSpec.independent(),
+                             [MarginalSpec.exponential(1.0)],
+                             np.random.SeedSequence(42), 10)
 
 
 def test_substream_keys_are_distinct():

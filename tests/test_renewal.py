@@ -1,18 +1,15 @@
-"""Renewal counting, age/residual extraction, and equilibrium laws."""
+"""Equilibrium laws of a renewal process and the stationary age/residual
+states that should follow them."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from regenverify import (AgeResidualSpec, MarginalSpec, RenewalPath,
-                         age_residual_at, build_age_residual,
-                         compensated_cumsum, count_at, equilibrium_cdf,
-                         equilibrium_tail, sample_states, spawn_stream,
-                         spread_sampler)
+from regenverify import (AgeResidualSpec, MarginalSpec, build_age_residual,
+                         equilibrium_cdf, equilibrium_tail, sample_states,
+                         substream)
 
 
 def fe_quadrature(spec: MarginalSpec, x: float) -> float:
@@ -25,75 +22,8 @@ def fe_quadrature(spec: MarginalSpec, x: float) -> float:
     return min(val / spec.mean(), 1.0)
 
 
-PATH_0123 = RenewalPath(epochs=np.array([0.0, 1.0, 2.0, 3.0]), horizon=3.0)
-PATH_012 = RenewalPath(epochs=np.array([0.0, 1.0, 2.0]), horizon=1.5)
-
-
 # ---------------------------------------------------------------------------
-# counting and age/residual
-
-
-@pytest.mark.parametrize("t, expected", [(0.0, 0), (2.0, 2), (1.5, 1)])
-def test_count_at_boundaries(t, expected):
-    assert count_at(PATH_0123, t) == expected
-
-
-def test_count_beyond_horizon_rejected():
-    with pytest.raises(ValueError):
-        count_at(PATH_0123, 3.5)
-    with pytest.raises(ValueError):
-        count_at(PATH_0123, -0.1)
-
-
-def test_age_residual_right_continuous_at_epoch():
-    ar = age_residual_at(PATH_012, 1.0)
-    assert ar.age == 0.0
-    assert ar.residual == 1.0
-    assert ar.spread == 1.0
-
-
-def test_age_residual_mid_cycle():
-    ar = age_residual_at(PATH_012, 1.25)
-    assert ar.age == 0.25
-    assert ar.residual == 0.75
-
-
-@given(st.lists(st.floats(0.05, 4.0), min_size=1, max_size=60),
-       st.floats(0.0, 1.0))
-@settings(max_examples=200, deadline=None)
-def test_count_sandwich_property(lengths, frac):
-    path = RenewalPath.from_lengths(lengths)
-    t = frac * float(path.epochs[-1])
-    n = count_at(path, t)
-    assert path.epochs[n] <= t
-    assert t < path.epochs[n + 1] if n + 1 < len(path.epochs) else True
-
-
-@given(st.lists(st.floats(0.05, 4.0), min_size=2, max_size=60),
-       st.floats(0.0, 0.999))
-@settings(max_examples=200, deadline=None)
-def test_spread_is_exact_cycle_length(lengths, frac):
-    path = RenewalPath.from_lengths(lengths)
-    t = frac * float(path.epochs[-2])
-    ar = age_residual_at(path, t)
-    n = count_at(path, t)
-    straddle = float(path.epochs[n + 1] - path.epochs[n])
-    assert ar.spread == pytest.approx(straddle, abs=1e-12)
-    assert ar.age + ar.residual == ar.spread
-
-
-def test_compensated_cumsum_tracks_exact_sums():
-    lengths = np.full(10 ** 6, 0.1)
-    epochs = compensated_cumsum(lengths)
-    assert abs(epochs[-1] - 100_000.0) < 1e-6
-
-
-def test_generated_path_covers_horizon():
-    spec = MarginalSpec.exponential(1.0)
-    path = RenewalPath.generate(spec, 500.0, spawn_stream(3).generator())
-    assert path.epochs[0] == 0.0
-    assert path.epochs[-1] >= 500.0
-    assert np.all(np.diff(path.epochs) > 0.0)
+# stationary age and residual
 
 
 def test_stationary_age_matches_equilibrium_law():
@@ -189,9 +119,34 @@ def test_equilibrium_tail_midpoint_convex(spec):
 # spread sampling and the uniform split
 
 
+def spread_sampler(spec: MarginalSpec, rng, size=None):
+    """Draws from the length-biased cycle law (the stationary spread),
+    with density ``x P(T in dx) / mean``."""
+    spec.validate()
+    k = spec.kind
+    if k == "exponential":
+        out = rng.gamma(2.0, 1.0 / spec.rate, size)
+    elif k == "gamma":
+        out = rng.gamma(spec.shape + 1.0, 1.0 / spec.rate, size)
+    elif k == "deterministic":
+        out = spec.value if size is None else np.full(size, spec.value)
+    elif k == "lattice":
+        locs = np.array([n * spec.span for n, _ in spec.weights])
+        biased = np.array([n * w for n, w in spec.weights])
+        cumw = np.cumsum(biased / biased.sum())
+        idx = np.minimum(np.searchsorted(cumw, rng.random(size), side="left"),
+                         len(locs) - 1)
+        out = locs[idx]
+    else:
+        # size-biased uniform on [lo, hi]: CDF (x^2 - lo^2)/(hi^2 - lo^2)
+        u = rng.random(size)
+        out = np.sqrt(spec.lo ** 2 + u * (spec.hi ** 2 - spec.lo ** 2))
+    return float(out) if size is None else out
+
+
 def test_spread_of_exponential_is_gamma21():
     spec = MarginalSpec.exponential(1.0)
-    draws = spread_sampler(spec, spawn_stream(41).generator(), 100_000)
+    draws = spread_sampler(spec, substream(41, 0), 100_000)
     assert abs(draws.mean() - 2.0) < 0.01
     ks = stats.kstest(draws, stats.gamma(2.0).cdf).statistic
     assert ks < 0.01
@@ -199,20 +154,20 @@ def test_spread_of_exponential_is_gamma21():
 
 def test_spread_of_deterministic_is_constant():
     spec = MarginalSpec.deterministic(1.5)
-    draws = spread_sampler(spec, spawn_stream(43).generator(), 1000)
+    draws = spread_sampler(spec, substream(43, 0), 1000)
     assert np.all(draws == 1.5)
 
 
 def test_spread_of_gamma_mean():
     spec = MarginalSpec.gamma(2.0, 1.0)
-    draws = spread_sampler(spec, spawn_stream(47).generator(), 100_000)
+    draws = spread_sampler(spec, substream(47, 0), 100_000)
     # E T^2 / E T = 6 / 2
     assert abs(draws.mean() - 3.0) < 0.02
 
 
 def test_spread_of_lattice_is_size_biased():
     spec = MarginalSpec.lattice(1.0, {1: 0.5, 2: 0.5})
-    draws = spread_sampler(spec, spawn_stream(53).generator(), 100_000)
+    draws = spread_sampler(spec, substream(53, 0), 100_000)
     # size-biased weights: (1*0.5, 2*0.5) / 1.5 -> P(2) = 2/3
     assert abs(np.mean(draws == 2.0) - 2.0 / 3.0) < 0.01
 
@@ -237,14 +192,14 @@ def uniform_split_check(spec: MarginalSpec, rng, n: int
 
 def test_uniform_split_exponential():
     ks_lo, ks_hi = uniform_split_check(MarginalSpec.exponential(1.0),
-                                       spawn_stream(59).generator(), 100_000)
+                                       substream(59, 0), 100_000)
     assert ks_lo < 0.01
     assert ks_hi < 0.01
 
 
 def test_uniform_split_deterministic():
     ks_lo, ks_hi = uniform_split_check(MarginalSpec.deterministic(1.0),
-                                       spawn_stream(61).generator(), 100_000)
+                                       substream(61, 0), 100_000)
     assert ks_lo < 0.01
     assert ks_hi < 0.01
 
@@ -252,4 +207,4 @@ def test_uniform_split_deterministic():
 def test_uniform_split_rejects_tiny_n():
     with pytest.raises(ValueError):
         uniform_split_check(MarginalSpec.exponential(1.0),
-                            spawn_stream(1).generator(), 0)
+                            substream(1, 0), 0)
