@@ -23,8 +23,7 @@ from .models import (AgeResidualSpec, ClearingCoordinate, ClearingSpec,
 from .asymptotics import (GapEstimate, HypothesisVerdict, ScheduleCoordinate,
                           ScheduleSpec, SweepResult, check_hypotheses,
                           convergence_sweep, final_gap_verdict,
-                          product_form_gap, quantile_indicator_tuples,
-                          sample_joint)
+                          product_form_gap, quantile_indicator_tuples)
 from .config import (ScenarioConfig, load_scenario, loads_scenario,
                      parse_scenario, scenario_to_json)
 

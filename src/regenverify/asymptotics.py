@@ -160,27 +160,6 @@ def check_hypotheses(schedule: ScheduleSpec, cycle_means) -> HypothesisVerdict:
                              witness=witness)
 
 
-def sample_joint(model: RegenModel, schedule: ScheduleSpec, t: float, fs,
-                 replications: int, seed: int, *,
-                 allow_hypothesis_fail: bool = False,
-                 threads: int | None = None,
-                 base_key: tuple[int, ...] = (101, 0)) -> np.ndarray:
-    """(replications, m) matrix of f_i applied to coordinate i observed at
-    v_i(t), joint across coordinates within a row, i.i.d. across rows."""
-    verdict = check_hypotheses(schedule, model.cycle_means)
-    if not verdict.passed and not allow_hypothesis_fail:
-        raise HypothesisError(verdict)
-    times = schedule.values(t)
-    if np.any(times <= 0.0):
-        raise ValueError(f"schedule times at t={t} are not all positive")
-    if len(fs) != model.dimension:
-        raise ValueError("one test function per coordinate is required")
-    states = sample_states(model, times, replications, seed,
-                           base_key=base_key, threads=threads)
-    return np.column_stack([np.asarray(fs[i](states[i]), dtype=float)
-                            for i in range(model.dimension)])
-
-
 @dataclass(frozen=True)
 class GapEstimate:
     """Empirical departure from the product form for one (t, f-tuple)."""
@@ -251,13 +230,6 @@ class SweepResult:
     gaps: tuple[GapEstimate, ...]
     trend: float
 
-    def worst_gaps(self) -> np.ndarray:
-        """Largest gap across f-tuples at each grid time."""
-        out = []
-        for t in self.t_grid:
-            out.append(max(g.gap for g in self.gaps if g.t == t))
-        return np.array(out)
-
     def at_final_t(self) -> tuple[GapEstimate, ...]:
         return tuple(g for g in self.gaps if g.t == self.t_grid[-1])
 
@@ -318,15 +290,18 @@ def final_gap_verdict(sweep: SweepResult, gap_floor: float = 0.02,
                       z_limit: float = 3.0) -> tuple[bool, list[dict]]:
     """Pass/fail rule at the last grid time, shared by the CLI and the
     calibration checks: every f-tuple's gap must stay below
-    ``max(gap_floor, z_limit * SE)``."""
+    ``max(gap_floor, z_limit * SE)``. Each row names the term that set its
+    threshold: ``"floor"`` or ``"se"``."""
     per_tuple = []
     passed = True
     for g in sweep.at_final_t():
-        threshold = max(gap_floor, z_limit * g.se)
+        by_se = z_limit * g.se > gap_floor
+        threshold = z_limit * g.se if by_se else gap_floor
         ok = bool(g.gap <= threshold)
         passed = passed and ok
         per_tuple.append({"f_id": g.f_id, "gap": g.gap, "se": g.se,
                           "threshold": threshold,
+                          "threshold_by": "se" if by_se else "floor",
                           "degenerate": g.degenerate, "ok": ok})
     return passed, per_tuple
 

@@ -5,7 +5,8 @@ lengths may be dependent across coordinates but are i.i.d. across cycles.
 On top of that the engine provides exact test-function integrals, a
 cycle-ratio estimator, a long-run time-average estimator, and stationary
 state sampling. Both stationary routes draw cycles in blocks of flat
-segment arrays (:class:`CycleBatch`) and integrate them in closed form.
+segment arrays (:class:`CycleBatch`) and integrate them in closed form;
+the window sampler reads each coordinate in its straddling cycle.
 """
 
 from __future__ import annotations
@@ -20,13 +21,18 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-from .randomness import as_generator
+from .randomness import as_generator, sample_cycle_vectors, substream
 
 DEFAULT_CYCLE_BUDGET = 10_000_000
 
 # cycles per block in the stationary routes; fixed so peak memory and the
 # draw order do not depend on the run length or the thread count
 BATCH_CYCLES = 4096
+
+# replications per chunk of the window sampler, and the most entries (rows
+# x cycles x coordinates) one of its rounds draws; fixed for the same reasons
+WINDOW_CHUNK = 4096
+WINDOW_ELEMENTS = 1 << 20
 
 
 def thread_count(explicit: int | None = None) -> int:
@@ -92,10 +98,6 @@ class CyclePath:
     def length(self) -> float:
         return float(self.breaks[-1])
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
     def at(self, s: float) -> np.ndarray:
         """State at elapsed cycle time ``s`` in [0, length)."""
         if not 0.0 <= s < self.length:
@@ -136,12 +138,15 @@ class CycleBatch:
         ends[-1] = self.lengths[-1]
         return ends - self.starts
 
-    def at(self, s: np.ndarray) -> np.ndarray:
-        """State of each cycle ``k`` at elapsed time ``s[k]`` in
-        [0, lengths[k])."""
-        s = np.asarray(s, dtype=float)
-        reached = (self.starts <= s[self.cycle_index()]).astype(np.int64)
-        j = self.offsets + np.add.reduceat(reached, self.offsets) - 1
+    def at(self, k: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """State of each selected cycle ``k[j]`` at elapsed time ``s[j]`` in
+        [0, lengths[k[j]]), reading only the selected cycles' segments."""
+        first = self.offsets[k]
+        counts = np.append(self.offsets[1:], len(self.starts))[k] - first
+        head = np.cumsum(counts) - counts
+        seg = np.repeat(first - head, counts) + np.arange(int(counts.sum()))
+        reached = (self.starts[seg] <= np.repeat(s, counts)).astype(np.int64)
+        j = first + np.add.reduceat(reached, head) - 1
         return self.values[j] + self.slopes[j] * (s - self.starts[j])[:, None]
 
 
@@ -216,14 +221,6 @@ class StateFunction:
             else:
                 raise ValueError(f"unknown state function kind {self.kind!r}")
         return float(out[0]) if squeeze else out
-
-    def segment_integral(self, value0: np.ndarray, slope: np.ndarray,
-                         length: float) -> float:
-        """Exact ``int_0^length f(value0 + u * slope) du``: the one-row case
-        of :meth:`segment_integrals`."""
-        row = lambda x: np.asarray(x, dtype=float).reshape(1, -1)
-        return float(self.segment_integrals(row(value0), row(slope),
-                                            np.array([float(length)]))[0])
 
     def segment_integrals(self, values: np.ndarray, slopes: np.ndarray,
                           lengths: np.ndarray) -> np.ndarray:
@@ -319,9 +316,10 @@ class RegenModel:
     ``cycle_batch(gen, count)`` draws ``count`` i.i.d. joint cycles as one
     :class:`CycleBatch` per coordinate; both stationary routes read cycles
     only through it. ``joint_state_sampler`` draws i.i.d. stationary-window
-    states. ``cycle_generator(gen)`` draws one joint cycle as a tuple of per
-    coordinate :class:`CyclePath`; it is the reference the test suite
-    cross-checks the other two against.
+    states, through :func:`window_sampler` where one i.i.d. vector drives
+    each joint cycle. ``cycle_generator(gen)`` draws one joint cycle as a
+    tuple of per coordinate :class:`CyclePath`; it is the reference the
+    test suite cross-checks the other two against.
     """
 
     name: str
@@ -447,6 +445,93 @@ def time_average_estimate(model: RegenModel, i: int, g, horizon: float, rng,
     means = batches / width
     se = float(means.std(ddof=1)) / math.sqrt(n_batches)
     return Estimate(value, se)
+
+
+def chunked_sampler(chunk_states, chunk: int) -> JointStateSampler:
+    """A joint state sampler running ``chunk_states(gen, count, taus)`` on
+    fixed chunks of replications, chunk ``k`` on substream ``(seed,
+    *base_key, k)``, with the results concatenated in chunk order."""
+
+    def sampler(times: np.ndarray, n: int, seed: int,
+                base_key: tuple[int, ...], threads: int) -> list[np.ndarray]:
+        taus = np.asarray(times, dtype=float)
+
+        def work(start: int, count: int, k: int) -> list[np.ndarray]:
+            return chunk_states(substream(seed, *base_key, k), count, taus)
+
+        parts = run_chunked(n, chunk, work, threads)
+        return [np.concatenate(cols) for cols in zip(*parts)]
+
+    return sampler
+
+
+def window_sampler(dep, laws, expand, cycle_means,
+                   state_dims) -> JointStateSampler:
+    """Stationary-window sampler for models whose joint cycle ``n`` is
+    driven by the ``n``-th i.i.d. vector drawn from ``laws`` under ``dep``.
+
+    Each round draws ``b`` vectors per row with a pending coordinate in one
+    call, cycle ``j`` of row ``r`` at index ``r * b + j``: the most cycles a
+    pending coordinate still expects plus a margin, capped at
+    ``WINDOW_ELEMENTS`` entries per round. ``expand(i, column, gen)`` turns
+    coordinate ``i``'s entries for its pending rows into cycle lengths and
+    ``fill(k, s)``, the states ``s`` into cycles ``k``. Epochs are
+    compensated sums; each coordinate is read in its straddling cycle.
+    """
+    m = len(laws)
+    mu = np.asarray(cycle_means, dtype=float)
+
+    def chunk_states(gen: np.random.Generator, count: int,
+                     taus: np.ndarray) -> list[np.ndarray]:
+        epochs = np.zeros((count, m))
+        comp = np.zeros((count, m))
+        # coordinate i of a row is pending while its last epoch is still
+        # <= tau_i, so a cycle ending exactly at tau_i is not the
+        # straddling one
+        pending = np.ones((count, m), dtype=bool)
+        out = [np.empty((count, d)) for d in state_dims]
+        drawn = 0
+        while pending.any():
+            rows = np.flatnonzero(pending.any(axis=1))
+            left = float(np.max(np.where(pending[rows],
+                                         (taus - epochs[rows]) / mu, 0.0)))
+            budget = DEFAULT_CYCLE_BUDGET
+            if drawn + int(left) >= budget:
+                raise BudgetExceededError(f"stationary window exceeded "
+                                          f"{budget} cycles")
+            b = max(1, min(int(left + math.sqrt(left)) + 2, budget - drawn,
+                           WINDOW_ELEMENTS // (rows.size * m)))
+            drawn += b
+            draws = sample_cycle_vectors(dep, laws, gen, rows.size * b
+                                         ).reshape(rows.size, b, m)
+            for i in range(m):
+                sel = pending[rows, i]
+                r = rows[sel]
+                if not r.size:
+                    continue
+                # one coordinate's cycles at a time, released before the next
+                lengths, fill = expand(i, draws[sel, :, i].ravel(), gen)
+                lengths = lengths.reshape(r.size, b)
+                pos = np.cumsum(lengths, axis=1)
+                base = epochs[r, i]
+                y = pos[:, -1] - comp[r, i]
+                epochs[r, i] = top = base + y
+                comp[r, i] = (top - base) - y
+                pos += base[:, None]
+                pos[:, -1] = top  # the round ends at the compensated sum
+                hit = np.flatnonzero(top > taus[i])
+                if hit.size:
+                    j = np.argmax(pos[hit] > taus[i], axis=1)
+                    before = np.where(j > 0, pos[hit, j - 1], base[hit])
+                    # the epoch sum can round a hair past the true cycle end
+                    s = np.minimum(taus[i] - before,
+                                   np.nextafter(lengths[hit, j], 0.0))
+                    out[i][r[hit]] = fill(hit * b + j, s)
+                    pending[r[hit], i] = False
+                del lengths, fill, pos
+        return out
+
+    return chunked_sampler(chunk_states, WINDOW_CHUNK)
 
 
 def default_burn_in(model: RegenModel) -> float:

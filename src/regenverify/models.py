@@ -8,9 +8,10 @@
 
 Every family draws its cycles natively in batches of flat segment arrays
 (``cycle_batch``), which both stationary routes integrate, and carries a
-vectorised stationary-window sampler. Every family also keeps a per-cycle
-generator (``cycle_generator``); nothing in the package calls it, it is the
-oracle the tests cross-check the batches and samplers against.
+vectorised stationary-window sampler: :func:`engine.window_sampler` for all
+but Jackson networks, which run a uniformised chain. Every family also keeps
+a per-cycle generator (``cycle_generator``); nothing in the package calls
+it, it is the oracle the tests cross-check the batches and samplers against.
 """
 
 from __future__ import annotations
@@ -24,21 +25,14 @@ from scipy import integrate
 
 from .errors import (ArithmeticCyclesWarning, BudgetExceededError,
                      ConfigurationError)
-from .engine import (DEFAULT_CYCLE_BUDGET, CycleBatch, CyclePath,
-                     RegenModel, linear_path, run_chunked)
+from .engine import (CycleBatch, CyclePath, RegenModel, chunked_sampler,
+                     linear_path, window_sampler)
 from .randomness import (DependenceSpec, MarginalSpec, effective_arithmetic,
                          effective_cycle_mean, sample_cycle_vector,
-                         sample_cycle_vectors, substream)
+                         sample_cycle_vectors)
 from .renewal import equilibrium_tail, mean_excess
 
 MAX_EVENTS_PER_CYCLE = 10_000_000
-
-# target element count per temporary block in the vectorised samplers;
-# block geometry depends only on the scenario, never on thread count
-_BLOCK_TARGET = 4_000_000
-
-# replications per chunk of the lockstep storage/queue sampler
-_LEVY_CHUNK = 4096
 
 
 def _warn_arithmetic(which: list[int], family: str) -> None:
@@ -72,6 +66,18 @@ def _by_cycle(rows: list, starts: list, values: list, count: int
     counts = np.bincount(cycle, minlength=count)
     return (np.concatenate(starts)[order], np.concatenate(values)[order],
             np.cumsum(counts) - counts)
+
+
+def _renewal_window(dep: DependenceSpec, marginals, state, means,
+                    state_dims: tuple[int, ...]):
+    """Stationary-window sampler of a renewal-driven family: the drawn
+    entries are the cycle lengths, and ``state(i, age, length, gen)`` fills
+    only the straddling cycle."""
+
+    def expand(i: int, lengths: np.ndarray, gen: np.random.Generator):
+        return lengths, lambda k, s: state(i, s, lengths[k], gen)
+
+    return window_sampler(dep, marginals, expand, means, state_dims)
 
 
 # ---------------------------------------------------------------------------
@@ -182,65 +188,6 @@ def _levy_batch(coord: LevyQueueCoordinate, start_levels: np.ndarray,
                       lengths)
 
 
-def _levy_state_sampler(coords: tuple[LevyQueueCoordinate, ...],
-                        dep: DependenceSpec, restarts):
-    """Stationary-window sampler run in lockstep by cycle index across
-    replications: each round draws one restart vector per live replication,
-    extends every coordinate that has not yet reached its observation time
-    by one busy period, and records the level at that time inside the
-    straddling cycle."""
-    m = len(coords)
-
-    def chunk_states(gen: np.random.Generator, count: int,
-                     taus: np.ndarray) -> list[np.ndarray]:
-        epochs = np.zeros((count, m))
-        comp = np.zeros((count, m))
-        # coordinate i of a replication is pending while its last epoch is
-        # still <= tau_i, so a cycle ending exactly at tau_i is not the
-        # straddling one
-        pending = np.ones((count, m), dtype=bool)
-        out = np.empty((count, m))
-        cycles = 0
-        while pending.any():
-            if cycles >= DEFAULT_CYCLE_BUDGET:
-                raise BudgetExceededError(
-                    f"realization exceeded {DEFAULT_CYCLE_BUDGET} cycles")
-            cycles += 1
-            rows = np.flatnonzero(pending.any(axis=1))
-            levels = sample_cycle_vectors(dep, restarts, gen, rows.size)
-            for i in range(m):
-                sel = pending[rows, i]
-                r = rows[sel]
-                if not r.size:
-                    continue
-                batch = _levy_batch(coords[i], levels[sel, i], gen)
-                s0 = epochs[r, i]
-                y = batch.lengths - comp[r, i]
-                s1 = s0 + y
-                comp[r, i] = (s1 - s0) - y
-                epochs[r, i] = s1
-                hit = s1 > taus[i]
-                if hit.any():
-                    # the epoch sum can round a hair past the true cycle end
-                    s = np.minimum(np.where(hit, taus[i] - s0, 0.0),
-                                   np.nextafter(batch.lengths, 0.0))
-                    out[r[hit], i] = batch.at(s)[hit, 0]
-                    pending[r[hit], i] = False
-        return [out[:, i:i + 1] for i in range(m)]
-
-    def sampler(times: np.ndarray, n: int, seed: int,
-                base_key: tuple[int, ...], threads: int) -> list[np.ndarray]:
-        taus = np.asarray(times, dtype=float)
-
-        def work(start: int, count: int, k: int) -> list[np.ndarray]:
-            return chunk_states(substream(seed, *base_key, k), count, taus)
-
-        parts = run_chunked(n, _LEVY_CHUNK, work, threads)
-        return [np.concatenate([p[i] for p in parts]) for i in range(m)]
-
-    return sampler
-
-
 def build_levy_queue(spec: LevyQueueSpec) -> RegenModel:
     spec.validate()
     coords = spec.coordinates
@@ -267,9 +214,14 @@ def build_levy_queue(spec: LevyQueueSpec) -> RegenModel:
         return tuple(_levy_batch(coords[i], levels[:, i], gen)
                      for i in range(len(coords)))
 
+    def expand(i: int, levels: np.ndarray, gen: np.random.Generator):
+        cycles = _levy_batch(coords[i], levels, gen)
+        return cycles.lengths, cycles.at
+
+    sampler = window_sampler(dep, restarts, expand, means,
+                             (1,) * len(coords))
     return RegenModel("levy_queue", len(coords), (1,) * len(coords),
-                      means, generate,
-                      _levy_state_sampler(coords, dep, restarts), batch)
+                      means, generate, sampler, batch)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +370,8 @@ def build_clearing(spec: ClearingSpec) -> RegenModel:
                                         age, gen)
         return out[:, None]
 
-    sampler = _renewal_state_sampler(dep, marginals, state, (1,) * len(coords))
+    sampler = _renewal_window(dep, marginals, state, means,
+                              (1,) * len(coords))
     return RegenModel("clearing", len(coords), (1,) * len(coords),
                       means, generate, sampler, batch)
 
@@ -497,8 +450,8 @@ def build_status(spec: StatusSpec) -> RegenModel:
         marks = np.asarray(src.update_size.sample(gen, len(age)))
         return np.column_stack([age, marks / src.capacity])
 
-    sampler = _renewal_state_sampler(dep, marginals, state,
-                                     (2,) * len(sources))
+    sampler = _renewal_window(dep, marginals, state, means,
+                              (2,) * len(sources))
     return RegenModel("status", len(sources), (2,) * len(sources),
                       means, generate, sampler, batch)
 
@@ -598,71 +551,10 @@ def build_age_residual(spec: AgeResidualSpec) -> RegenModel:
               gen: np.random.Generator) -> np.ndarray:
         return np.column_stack([age, length - age])
 
-    sampler = _renewal_state_sampler(dep, marginals, state, (2,) * m)
-    return RegenModel("age_residual", m, (2,) * m,
-                      (spec.cycle_length.mean(),) * m, generate, sampler,
+    means = (spec.cycle_length.mean(),) * m
+    sampler = _renewal_window(dep, marginals, state, means, (2,) * m)
+    return RegenModel("age_residual", m, (2,) * m, means, generate, sampler,
                       batch)
-
-
-# ---------------------------------------------------------------------------
-# vectorised straddling-cycle machinery shared by the renewal-driven models
-
-
-def _straddling_cycles(dep: DependenceSpec, marginals, taus: np.ndarray,
-                       count: int, gen: np.random.Generator,
-                       block: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ages and straddling-cycle lengths of each coordinate's renewal
-    sequence at its own observation time, for ``count`` independent joint
-    sequences."""
-    m = len(marginals)
-    lengths = sample_cycle_vectors(dep, marginals, gen,
-                                   count * block).reshape(count, block, m)
-    cum = np.cumsum(lengths, axis=1)
-    ext = max(32, block // 8)
-    while any((cum[:, -1, i] <= taus[i]).any() for i in range(m)):
-        extra = sample_cycle_vectors(dep, marginals, gen,
-                                     count * ext).reshape(count, ext, m)
-        cum = np.concatenate([cum, cum[:, -1:, :] + np.cumsum(extra, axis=1)],
-                             axis=1)
-        lengths = np.concatenate([lengths, extra], axis=1)
-    ages = np.empty((count, m))
-    lens = np.empty((count, m))
-    for i in range(m):
-        ci = cum[:, :, i]
-        n_i = (ci <= taus[i]).sum(axis=1)
-        s_n = np.take_along_axis(ci, np.maximum(n_i - 1, 0)[:, None],
-                                 axis=1)[:, 0]
-        s_n = np.where(n_i > 0, s_n, 0.0)
-        ages[:, i] = taus[i] - s_n
-        lens[:, i] = np.take_along_axis(lengths[:, :, i], n_i[:, None],
-                                        axis=1)[:, 0]
-    return ages, lens
-
-
-def _renewal_state_sampler(dep: DependenceSpec, marginals, state_fn,
-                           state_dims: tuple[int, ...]):
-    marginals = tuple(marginals)
-    m = len(marginals)
-    means = np.array([effective_cycle_mean(dep, sp) for sp in marginals])
-
-    def sampler(times: np.ndarray, n: int, seed: int,
-                base_key: tuple[int, ...], threads: int) -> list[np.ndarray]:
-        taus = np.asarray(times, dtype=float)
-        expected = float(np.max(taus / means))
-        block = int(expected + 8.0 * math.sqrt(expected + 1.0) + 32.0)
-        chunk = int(min(max(_BLOCK_TARGET // (block * m), 128), 8192))
-
-        def work(start: int, count: int, k: int) -> list[np.ndarray]:
-            gen = substream(seed, *base_key, k)
-            ages, lens = _straddling_cycles(dep, marginals, taus, count,
-                                            gen, block)
-            return [state_fn(i, ages[:, i], lens[:, i], gen)
-                    for i in range(m)]
-
-        parts = run_chunked(n, chunk, work, threads)
-        return [np.concatenate([p[i] for p in parts]) for i in range(m)]
-
-    return sampler
 
 
 # ---------------------------------------------------------------------------
@@ -904,19 +796,7 @@ def _make_jackson_sampler(spec: JacksonSpec):
             active &= t <= tau_max
         return [o[:, None].astype(float) for o in out]
 
-    def sampler(times: np.ndarray, n: int, seed: int,
-                base_key: tuple[int, ...], threads: int) -> list[np.ndarray]:
-        taus = np.asarray(times, dtype=float)
-        chunk = 16384
-
-        def work(start: int, count: int, k: int) -> list[np.ndarray]:
-            gen = substream(seed, *base_key, k)
-            return chunk_states(gen, count, taus)
-
-        parts = run_chunked(n, chunk, work, threads)
-        return [np.concatenate([p[i] for p in parts]) for i in range(m)]
-
-    return sampler
+    return chunked_sampler(chunk_states, 16384)
 
 
 def build_jackson(spec: JacksonSpec) -> RegenModel:

@@ -12,7 +12,7 @@ from regenverify import (ClearingCoordinate, ClearingSpec, ConfigurationError,
                          SweepResult, build_clearing, check_hypotheses,
                          constant, convergence_sweep, final_gap_verdict,
                          product_form_gap, quantile_indicator_tuples,
-                         sample_joint, substream)
+                         substream)
 from regenverify.asymptotics import floored_trend
 
 EXP1 = MarginalSpec.exponential(1.0)
@@ -146,51 +146,6 @@ def test_check_hypotheses_input_errors():
 
 
 # ---------------------------------------------------------------------------
-# joint sampling
-
-
-def test_sample_joint_constant_functions():
-    model = drift_clearing([1.0, 0.5], DependenceSpec.comonotone())
-    mat = sample_joint(model, affine([(1, 0), (1, 0)]), 50.0,
-                       (constant(1.0), constant(1.0)), 1000, seed=301)
-    assert mat.shape == (1000, 2)
-    assert np.all(mat == 1.0)
-
-
-def test_sample_joint_gate_and_override():
-    model = drift_clearing([1.0, 1.0], DependenceSpec.comonotone())
-    sched = affine([(1, 0), (1, 0)])
-    fs = (constant(1.0), constant(1.0))
-    with pytest.raises(HypothesisError):
-        sample_joint(model, sched, 50.0, fs, 1000, seed=302)
-    mat = sample_joint(model, sched, 50.0, fs, 1000, seed=302,
-                       allow_hypothesis_fail=True)
-    assert mat.shape == (1000, 2)
-
-
-def test_sample_joint_rejects_nonpositive_times_and_bad_fs():
-    model = drift_clearing([1.0, 0.5], DependenceSpec.comonotone())
-    fs = (constant(1.0), constant(1.0))
-    with pytest.raises(ValueError):
-        sample_joint(model, affine([(1, 0), (1, 0)]), 0.0, fs, 1000, seed=303)
-    with pytest.raises(ValueError):
-        sample_joint(model, affine([(1, 0), (1, 0)]), 50.0,
-                     (constant(1.0),), 1000, seed=303)
-
-
-def test_sample_joint_median_indicators_near_half():
-    # comonotone clearing with separated means: each median indicator
-    # averages to ~1/2 once thresholds sit at the stationary medians
-    model = drift_clearing([1.0, 0.5], DependenceSpec.comonotone())
-    fs = quantile_indicator_tuples(model, 1000.0, seed=304,
-                                   prepass=10_000)[1][1]
-    mat = sample_joint(model, affine([(1, 0), (1, 0)]), 1000.0, fs,
-                      100_000, seed=304)
-    for col in range(2):
-        assert abs(mat[:, col].mean() - 0.5) <= 0.005
-
-
-# ---------------------------------------------------------------------------
 # product-form gap
 
 
@@ -282,7 +237,8 @@ def test_sweep_negative_control_gap_large_at_every_time():
                           seed=311)
     sweep = convergence_sweep(model, sched, (10.0, 50.0, 200.0), fs, 5000,
                               seed=311, allow_hypothesis_fail=True)
-    assert np.all(sweep.worst_gaps() >= 0.1)
+    worst = [max(g.gap for g in sweep.gaps if g.t == t) for t in sweep.t_grid]
+    assert np.all(np.array(worst) >= 0.1)
 
 
 def test_sweep_validation():
@@ -333,11 +289,13 @@ def test_final_gap_verdict_thresholds():
     assert [r["f_id"] for r in rows] == ["small", "wide_se", "flagged"]
     assert rows[1]["threshold"] == pytest.approx(0.06)
     assert rows[2]["degenerate"]
+    assert [r["threshold_by"] for r in rows] == ["floor", "se", "floor"]
 
     sweep_bad = SweepResult(t_grid=(10.0, 100.0),
                             gaps=(gap("big", 0.5, 0.001),), trend=0.0)
     passed, rows = final_gap_verdict(sweep_bad)
     assert not passed and not rows[0]["ok"]
+    assert rows[0]["threshold"] == 0.02 and rows[0]["threshold_by"] == "floor"
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,16 @@ def test_stationary_event_budget_exits_5(tmp_path, capsys, monkeypatch):
     assert "2 jumps" in capsys.readouterr().err
 
 
+def test_verify_independence_cycle_budget_exits_5(tmp_path, capsys,
+                                                  monkeypatch):
+    from regenverify import engine
+    monkeypatch.setattr(engine, "DEFAULT_CYCLE_BUDGET", 100)
+    obj = small_sweep_scenario(out=str(tmp_path / "res"))
+    path = write_config(tmp_path, obj)
+    assert main(["verify-independence", "--config", str(path)]) == EXIT_BUDGET
+    assert "100 cycles" in capsys.readouterr().err
+
+
 def test_stationary_requires_g(tmp_path, capsys):
     obj = small_sweep_scenario(out=str(tmp_path))
     path = write_config(tmp_path, obj)

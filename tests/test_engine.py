@@ -28,6 +28,14 @@ def segment_quadrature(g: StateFunction, value0, slope, length) -> float:
     return val
 
 
+def segment_integral(g: StateFunction, value0, slope, length) -> float:
+    """Exact int_0^L g(v0 + u*s) du: the one-row case of
+    ``StateFunction.segment_integrals``."""
+    row = lambda x: np.asarray(x, dtype=float).reshape(1, -1)
+    return float(g.segment_integrals(row(value0), row(slope),
+                                     np.array([float(length)]))[0])
+
+
 def pure_drift_clearing(marginal: MarginalSpec):
     return build_clearing(ClearingSpec(
         coordinates=(ClearingCoordinate(cycle_length=marginal),),
@@ -84,7 +92,7 @@ def test_cycle_path_validation():
 def test_segment_integral_matches_quadrature(g, value0, slope, length):
     v0 = np.array(value0)
     sl = np.array(slope)
-    exact = g.segment_integral(v0, sl, length)
+    exact = segment_integral(g, v0, sl, length)
     assert exact == pytest.approx(segment_quadrature(g, v0, sl, length),
                                   abs=1e-8)
 
@@ -114,7 +122,7 @@ def test_segment_integrals_array_form_matches_scalar(g):
     rows = g.segment_integrals(values, slopes, lengths)
     assert rows.shape == (len(SEGMENT_CASES),)
     for j, (v0, sl, length) in enumerate(SEGMENT_CASES):
-        scalar = g.segment_integral(np.array(v0), np.array(sl), length)
+        scalar = segment_integral(g, np.array(v0), np.array(sl), length)
         assert rows[j] == scalar
         want = (0.0 if length == 0.0
                 else segment_quadrature(g, v0, sl, length))

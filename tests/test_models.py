@@ -20,7 +20,7 @@ from regenverify import (AgeResidualSpec, ArithmeticCyclesWarning,
                          path_integral, pi_closed_form,
                          renewal_reward_estimate, sample_states, substream,
                          traffic_solve)
-from regenverify import models
+from regenverify import engine, models
 
 EXP1 = MarginalSpec.exponential(1.0)
 
@@ -209,20 +209,6 @@ def test_jackson_batch_event_budget_enforced(monkeypatch):
     monkeypatch.setattr(models, "MAX_EVENTS_PER_CYCLE", 2)
     with pytest.raises(BudgetExceededError):
         build_jackson(TANDEM).cycle_batch(substream(106, 0), 1000)
-
-
-def test_levy_sampler_is_thread_count_invariant():
-    model = levy_model(M_G_1_VACATION,
-                       LevyQueueCoordinate(
-                           restart_level=MarginalSpec.exponential(0.5),
-                           jump_rate=0.25, jump_size=EXP1),
-                       dependence=DependenceSpec.comonotone())
-    n = models._LEVY_CHUNK + 904
-    one = sample_states(model, [20.0, 30.0], n, seed=107, threads=1)
-    two = sample_states(model, [20.0, 30.0], n, seed=107, threads=2)
-    for a, b in zip(one, two):
-        assert a.shape == (n, 1)
-        assert a.tobytes() == b.tobytes()
 
 
 def test_levy_instability_rejected():
@@ -537,6 +523,104 @@ def test_dependent_levy_cycles_flow_through_fast_sampler():
     states = sample_states(model, [250.0, 250.0], 3000, seed=122)
     assert np.array_equal(states[0], states[1])
     assert np.all(states[0] > 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the shared stationary-window sampler
+
+
+WINDOW_MODELS = {
+    "levy_queue": lambda: levy_model(
+        M_G_1_VACATION,
+        LevyQueueCoordinate(restart_level=MarginalSpec.exponential(0.5),
+                            jump_rate=0.25, jump_size=EXP1),
+        dependence=DependenceSpec.comonotone()),
+    "clearing_jumps": lambda: build_clearing(ClearingSpec(
+        coordinates=(ClearingCoordinate(cycle_length=EXP1, drift=1.0,
+                                        jump_rate=0.7, jump_size=EXP1),
+                     ClearingCoordinate(
+                         cycle_length=MarginalSpec.exponential(0.5))),
+        dependence=DependenceSpec.comonotone())),
+    "status": lambda: build_status(StatusSpec(
+        sources=(StatusSource(inter_update=EXP1, update_size=EXP1),
+                 StatusSource(inter_update=MarginalSpec.gamma(2.0, 2.0),
+                              update_size=EXP1)),
+        dependence=DependenceSpec.independent())),
+    "age_residual": lambda: build_age_residual(
+        AgeResidualSpec(MarginalSpec.gamma(2.0, 1.0), copies=2)),
+}
+
+
+def spy_on_draws(monkeypatch) -> list[tuple[int, int]]:
+    """Record (rows, coordinates) of every draw the window sampler makes."""
+    calls = []
+    draw = engine.sample_cycle_vectors
+
+    def spy(dep, marginals, rng, size):
+        calls.append((int(size), len(marginals)))
+        return draw(dep, marginals, rng, size)
+
+    monkeypatch.setattr(engine, "sample_cycle_vectors", spy)
+    return calls
+
+
+@pytest.mark.parametrize("family", sorted(WINDOW_MODELS))
+def test_window_sampler_is_thread_count_invariant(family):
+    model = WINDOW_MODELS[family]()
+    n = engine.WINDOW_CHUNK + 904
+    one = sample_states(model, [20.0, 30.0], n, seed=107, threads=1)
+    two = sample_states(model, [20.0, 30.0], n, seed=107, threads=2)
+    for a, b, d in zip(one, two, model.state_dims):
+        assert a.shape == (n, d)
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("make_model", [
+    lambda: build_clearing(ClearingSpec(
+        coordinates=(ClearingCoordinate(
+            cycle_length=EXP1, drift=1.0, jump_rate=0.7, jump_size=EXP1),),
+        dependence=DependenceSpec.independent())),
+    WINDOW_MODELS["levy_queue"],
+], ids=["clearing_jumps", "levy_queue"])
+def test_multi_round_window_matches_generic_engine(make_model, monkeypatch):
+    model = make_model()
+    # a round holds at most 8 cycles per replication, so every chunk walks
+    # to t=60 in many rounds
+    monkeypatch.setattr(engine, "WINDOW_ELEMENTS", 4000 * model.dimension * 8)
+    calls = spy_on_draws(monkeypatch)
+    times = [60.0] * model.dimension
+    fast = sample_states(model, times, 4000, seed=115)
+    assert len(calls) >= 5
+    slow = realization_states(model, times, 4000, seed=116)
+    # two-sample KS 1% critical value at n=4000 per side is ~0.036
+    assert two_sample_ks(fast[0][:, 0], slow[0][:, 0]) < 0.036
+
+
+def test_window_draws_stay_within_the_element_bound(monkeypatch):
+    calls = spy_on_draws(monkeypatch)
+    model = build_clearing(ClearingSpec(
+        coordinates=(ClearingCoordinate(cycle_length=EXP1),),
+        dependence=DependenceSpec.independent()))
+    n = 256
+    ages = sample_states(model, [1e5], n, seed=123)[0][:, 0]
+    assert calls and all(size * m <= engine.WINDOW_ELEMENTS
+                         for size, m in calls)
+    # the age at a large time is exp(1), the equilibrium law of exp(1)
+    assert abs(ages.mean() - 1.0) <= 4.0 / math.sqrt(n)
+
+
+def test_window_budget_enforced_before_drawing(monkeypatch):
+    monkeypatch.setattr(engine, "DEFAULT_CYCLE_BUDGET", 100)
+    calls = spy_on_draws(monkeypatch)
+    model = WINDOW_MODELS["clearing_jumps"]()
+    with pytest.raises(BudgetExceededError, match="100 cycles"):
+        sample_states(model, [1000.0, 1000.0], 1000, seed=124)
+    assert calls == []
+    # t=90 needs about 91 unit-mean cycles, more than 100 for some of the
+    # 1000 replications: the budget stops the walk in a later round
+    with pytest.raises(BudgetExceededError, match="100 cycles"):
+        sample_states(model, [90.0, 90.0], 1000, seed=124)
+    assert calls
 
 
 # ---------------------------------------------------------------------------
