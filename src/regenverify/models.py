@@ -9,9 +9,11 @@
 Every family draws its cycles natively in batches of flat segment arrays
 (``cycle_batch``), which both stationary routes integrate, and carries a
 vectorised stationary-window sampler: :func:`engine.window_sampler` for all
-but Jackson networks, which run a uniformised chain. Every family also keeps
-a per-cycle generator (``cycle_generator``); nothing in the package calls
-it, it is the oracle the tests cross-check the batches and samplers against.
+but Jackson networks, whose batch and sampler fire one table of uniformised
+transitions (:func:`_jackson_events`), the sampler after Poisson step counts
+with no clock. Every family also keeps a per-cycle generator
+(``cycle_generator``); nothing in the package calls it, it is the oracle
+the tests cross-check the batches and samplers against.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import integrate
@@ -686,43 +689,68 @@ def _jackson_cycle(spec: JacksonSpec, gen: np.random.Generator
                  for i in range(m))
 
 
-def _jackson_batch(spec: JacksonSpec, gen: np.random.Generator,
-                   count: int) -> tuple[CycleBatch, ...]:
-    """``count`` cycles with their embedded jump chains run in lockstep:
-    every round opens a segment at the current state of each live cycle,
-    draws its holding time and next event as :func:`_jackson_cycle` does,
-    and ends the cycles that are empty again. The first segment of every
-    cycle is the idle stretch before the first arrival."""
+def _jackson_events(spec: JacksonSpec):
+    """The network's transitions, uniformised at ``total`` = all arrival
+    plus all service rates. States carry an extra column ``m`` for the
+    outside world, started at the int64 maximum so it never empties; event
+    ``e`` moves one customer from column ``src[e]`` to ``dst[e]``, and is a
+    self-loop when its source is empty. Returns ``(total, fire)``, where
+    ``fire(x, gen)`` steps every row of ``x`` in place and returns the rows
+    whose state changed."""
     m = len(spec.arrival_rates)
     services = np.asarray(spec.service_rates, dtype=float)
-    arr_cuts = np.cumsum(np.asarray(spec.arrival_rates, dtype=float))
-    lam_ext = float(arr_cuts[-1])
-    route_cuts = np.cumsum(np.asarray(spec.routing, dtype=float), axis=1)
+    routing = np.asarray(spec.routing, dtype=float)
+    # row j of the service block routes station j to each station or out
+    targets = np.column_stack([routing, 1.0 - routing.sum(axis=1)])
+    src = np.concatenate([np.full(m, m), np.repeat(np.arange(m), m + 1)])
+    dst = np.concatenate([np.arange(m), np.tile(np.arange(m + 1), m)])
+    rate = np.concatenate([spec.arrival_rates,
+                           (services[:, None] * targets).ravel()])
+    keep = rate > 0.0
+    src, dst = src[keep], dst[keep]
+    total = float(sum(spec.arrival_rates) + services.sum())
+    # inner cut points only: the last event takes the rest of [0, 1), so
+    # no uniform falls past the table however the cumsum rounds
+    cuts = np.cumsum(rate[keep])[:-1] / total
+
+    def fire(x: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+        e = np.searchsorted(cuts, gen.random(len(x)), side="right")
+        base = np.arange(len(x)) * (m + 1)
+        flat = x.reshape(-1)
+        origin = base + src[e]
+        held = flat[origin]
+        changed = held > 0
+        flat[origin] = held - changed
+        flat[base + dst[e]] += changed
+        return changed
+
+    return total, fire
+
+
+def _jackson_batch(spec: JacksonSpec, gen: np.random.Generator,
+                   count: int) -> tuple[CycleBatch, ...]:
+    """``count`` cycles of the uniformised chain of :func:`_jackson_events`
+    run in lockstep with an exponential clock at its total rate: the first
+    segment of every cycle is the idle stretch from 0, each step that
+    changes a cycle's state opens a segment, and a change that empties the
+    network ends the cycle."""
+    m = len(spec.arrival_rates)
+    total, fire = _jackson_events(spec)
     lengths = np.empty(count)
     live = np.arange(count)
     t = np.zeros(count)
-    x = np.zeros((count, m), dtype=np.int64)
-    rows, times, states = [], [], []
+    x = np.zeros((count, m + 1), dtype=np.int64)
+    x[:, m] = np.iinfo(np.int64).max
+    rows, times, states = [live], [t], [x[:, :m].copy()]
     for _ in range(MAX_EVENTS_PER_CYCLE):
-        rows.append(live)
-        times.append(t)
-        states.append(x.copy())
-        cuts = np.cumsum(services * (x > 0), axis=1)
-        rate = lam_ext + cuts[:, -1]
-        t = t + gen.exponential(1.0 / rate)
-        u = gen.random(live.size) * rate
-        arrive = u < lam_ext
-        a = np.flatnonzero(arrive)
-        x[a, np.minimum(np.searchsorted(arr_cuts, u[a], side="right"),
-                        m - 1)] += 1
-        d = np.flatnonzero(~arrive)
-        j = np.minimum((cuts[d] <= (u[d] - lam_ext)[:, None]).sum(axis=1),
-                       m - 1)
-        x[d, j] -= 1
-        k = (route_cuts[j] <= gen.random(d.size)[:, None]).sum(axis=1)
-        moved = k < m
-        x[d[moved], k[moved]] += 1
-        done = ~x.any(axis=1)
+        t = t + gen.exponential(1.0 / total, live.size)
+        changed = fire(x, gen)
+        busy = x[:, :m].any(axis=1)
+        opened = changed & busy
+        rows.append(live[opened])
+        times.append(t[opened])
+        states.append(x[opened, :m])
+        done = changed & ~busy
         lengths[live[done]] = t[done]
         go = ~done
         live, t, x = live[go], t[go], x[go]
@@ -739,62 +767,35 @@ def _jackson_batch(spec: JacksonSpec, gen: np.random.Generator,
 
 
 def _make_jackson_sampler(spec: JacksonSpec):
+    """Uniformisation without a clock: the state at time tau is the jump
+    chain of :func:`_jackson_events` after N(tau) steps, where N is a
+    Poisson process at the total rate independent of the chain."""
     m = len(spec.arrival_rates)
-    arrivals = np.asarray(spec.arrival_rates, dtype=float)
-    services = np.asarray(spec.service_rates, dtype=float)
-    routing = np.asarray(spec.routing, dtype=float)
-    # uniformisation: one exponential clock at the total rate, with fixed
-    # event categories; service events at empty stations are self-loops
-    cats: list[tuple[str, int, int]] = []
-    probs: list[float] = []
-    for j in range(m):
-        if arrivals[j] > 0.0:
-            cats.append(("arrive", j, -1))
-            probs.append(float(arrivals[j]))
-    for j in range(m):
-        exit_p = 1.0 - float(routing[j].sum())
-        for k in range(m):
-            if routing[j, k] > 0.0:
-                cats.append(("move", j, k))
-                probs.append(float(services[j] * routing[j, k]))
-        if exit_p > 0.0:
-            cats.append(("exit", j, -1))
-            probs.append(float(services[j] * exit_p))
-    total = float(arrivals.sum() + services.sum())
-    cuts = np.cumsum(probs) / total
+    total, fire = _jackson_events(spec)
 
     def chunk_states(gen: np.random.Generator, count: int,
                      taus: np.ndarray) -> list[np.ndarray]:
-        t = np.zeros(count)
-        x = np.zeros((count, m), dtype=np.int64)
-        out = [np.full(count, -1, dtype=np.int64) for _ in range(len(taus))]
-        tau_max = float(taus.max())
-        active = np.ones(count, dtype=bool)
-        while active.any():
-            t_new = t + gen.exponential(1.0 / total, count)
-            u = gen.random(count)
-            for i in range(len(taus)):
-                rec = active & (t <= taus[i]) & (taus[i] < t_new)
-                if rec.any():
-                    out[i][rec] = x[rec, i]
-            step = active & (t_new <= tau_max)
-            if step.any():
-                cat = np.minimum(np.searchsorted(cuts, u, side="right"),
-                                 len(cats) - 1)
-                for c, (kind, j, k) in enumerate(cats):
-                    mask = step & (cat == c)
-                    if not mask.any():
-                        continue
-                    if kind == "arrive":
-                        x[mask, j] += 1
-                    else:
-                        busy = mask & (x[:, j] > 0)
-                        x[busy, j] -= 1
-                        if kind == "move":
-                            x[busy, k] += 1
-            t = np.where(active, t_new, t)
-            active &= t <= tau_max
-        return [o[:, None].astype(float) for o in out]
+        if total * float(taus.max()) >= MAX_EVENTS_PER_CYCLE:
+            raise BudgetExceededError(
+                f"network sampler would exceed {MAX_EVENTS_PER_CYCLE} events")
+        # step counts at the sorted taus, as increments of one process
+        order = np.argsort(taus, kind="stable")
+        gaps = np.diff(taus[order], prepend=0.0)
+        steps = np.empty((count, m), dtype=np.int64)
+        steps[:, order] = np.cumsum(gen.poisson(total * gaps, (count, m)),
+                                    axis=1)
+        x = np.zeros((count, m + 1), dtype=np.int64)
+        x[:, m] = np.iinfo(np.int64).max
+        # visit the (row, coordinate) pairs in step order; the ones with no
+        # step read the empty start
+        due = np.argsort(steps, axis=None, kind="stable")
+        ready = np.cumsum(np.bincount(steps.ravel()))
+        out = np.zeros(count * m)
+        for step in range(1, len(ready)):
+            fire(x, gen)
+            k = due[ready[step - 1]:ready[step]]
+            out[k] = x[k // m, k % m]
+        return [out[i::m, None] for i in range(m)]
 
     return chunked_sampler(chunk_states, 16384)
 
@@ -803,16 +804,10 @@ def build_jackson(spec: JacksonSpec) -> RegenModel:
     spec.validate()
     m = len(spec.arrival_rates)
     mean = jackson_cycle_mean(spec)
-
-    def generate(gen: np.random.Generator) -> tuple[CyclePath, ...]:
-        return _jackson_cycle(spec, gen)
-
-    def batch(gen: np.random.Generator, count: int
-              ) -> tuple[CycleBatch, ...]:
-        return _jackson_batch(spec, gen, count)
-
-    return RegenModel("jackson", m, (1,) * m, (mean,) * m, generate,
-                      _make_jackson_sampler(spec), batch)
+    return RegenModel("jackson", m, (1,) * m, (mean,) * m,
+                      partial(_jackson_cycle, spec),
+                      _make_jackson_sampler(spec),
+                      partial(_jackson_batch, spec))
 
 
 # ---------------------------------------------------------------------------

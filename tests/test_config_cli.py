@@ -314,6 +314,25 @@ def test_verify_independence_cycle_budget_exits_5(tmp_path, capsys,
     assert "100 cycles" in capsys.readouterr().err
 
 
+def test_verify_independence_jackson_event_budget_exits_5(tmp_path, capsys,
+                                                        monkeypatch):
+    from regenverify import models
+    monkeypatch.setattr(models, "MAX_EVENTS_PER_CYCLE", 1000)
+    # the tandem steps at total rate 2.5 and is read at t^3 = 1000
+    path = write_config(tmp_path, {
+        "model": {"kind": "jackson", "arrival_rates": [0.5, 0.0],
+                  "service_rates": [1.0, 1.0],
+                  "routing": [[0.0, 1.0], [0.0, 0.0]]},
+        "schedule": {"coordinates": [{"family": "power", "a": 1.0, "p": 3.0},
+                                     {"family": "power", "a": 1.0, "p": 2.0}]},
+        "run": {"seed": 7, "replications": 1000, "t_grid": [2.0, 3.0, 10.0],
+                "quantile_prepass": 1000, "burn_in": 20.0},
+        "output": {"directory": str(tmp_path / "res")},
+    })
+    assert main(["verify-independence", "--config", str(path)]) == EXIT_BUDGET
+    assert "1000 events" in capsys.readouterr().err
+
+
 def test_stationary_requires_g(tmp_path, capsys):
     obj = small_sweep_scenario(out=str(tmp_path))
     path = write_config(tmp_path, obj)

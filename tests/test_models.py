@@ -492,6 +492,11 @@ def test_status_fast_sampler_matches_generic_on_marks():
     assert two_sample_ks(fast[0][:, 1], slow[0][:, 1]) < 0.036
 
 
+def jackson_pmf(column: np.ndarray, kmax: int = 12) -> np.ndarray:
+    counts = np.minimum(column.astype(int), kmax)
+    return np.bincount(counts, minlength=kmax + 1) / len(column)
+
+
 def test_jackson_sampler_matches_generic_engine():
     spec = JacksonSpec(arrival_rates=(0.5,), service_rates=(1.0,),
                        routing=((0.0,),))
@@ -500,12 +505,36 @@ def test_jackson_sampler_matches_generic_engine():
     n = 3000
     fast = sample_states(model, [30.0], n, seed=119)
     slow = realization_states(model, [30.0], n, seed=120)
-    kmax = 12
-    pmf_fast = np.bincount(np.minimum(fast[0][:, 0].astype(int), kmax),
-                           minlength=kmax + 1) / n
-    pmf_slow = np.bincount(np.minimum(slow[0][:, 0].astype(int), kmax),
-                           minlength=kmax + 1) / n
+    pmf_fast = jackson_pmf(fast[0][:, 0])
+    pmf_slow = jackson_pmf(slow[0][:, 0])
     assert 0.5 * np.abs(pmf_fast - pmf_slow).sum() < 0.05
+
+    # move events couple the stations: the tandem and a feedback network,
+    # each station read at its own time
+    feedback = JacksonSpec(arrival_rates=(0.3, 0.2), service_rates=(1.0, 1.0),
+                           routing=((0.0, 0.5), (0.3, 0.0)))
+    for spec, seeds in ((TANDEM, (123, 124)), (feedback, (125, 126))):
+        model = build_jackson(spec)
+        fast = sample_states(model, [20.0, 30.0], n, seed=seeds[0])
+        slow = realization_states(model, [20.0, 30.0], n, seed=seeds[1])
+        for a, b in zip(fast, slow):
+            tv = 0.5 * np.abs(jackson_pmf(a[:, 0]) - jackson_pmf(b[:, 0]))
+            assert tv.sum() < 0.05
+        low_fast = np.mean((fast[0][:, 0] <= 1) & (fast[1][:, 0] <= 1))
+        low_slow = np.mean((slow[0][:, 0] <= 1) & (slow[1][:, 0] <= 1))
+        se = math.sqrt((low_fast * (1.0 - low_fast)
+                        + low_slow * (1.0 - low_slow)) / n)
+        assert abs(low_fast - low_slow) <= 4.0 * se
+
+
+def test_jackson_sampler_event_budget_enforced(monkeypatch):
+    monkeypatch.setattr(models, "MAX_EVENTS_PER_CYCLE", 1000)
+    model = build_jackson(TANDEM)
+    # the tandem steps at total rate 2.5: 2500 expected steps by t=1000
+    with pytest.raises(BudgetExceededError, match="1000 events"):
+        sample_states(model, [1000.0, 10.0], 100, seed=127)
+    states = sample_states(model, [300.0, 10.0], 100, seed=127)
+    assert states[0].shape == (100, 1)
 
 
 def test_dependent_cycles_flow_through_fast_sampler():
@@ -572,6 +601,17 @@ def test_window_sampler_is_thread_count_invariant(family):
     two = sample_states(model, [20.0, 30.0], n, seed=107, threads=2)
     for a, b, d in zip(one, two, model.state_dims):
         assert a.shape == (n, d)
+        assert a.tobytes() == b.tobytes()
+
+
+def test_jackson_sampler_is_thread_count_invariant():
+    model = build_jackson(TANDEM)
+    # the Jackson sampler runs chunks of 16384 replications
+    n = 16384 + 904
+    one = sample_states(model, [20.0, 30.0], n, seed=128, threads=1)
+    two = sample_states(model, [20.0, 30.0], n, seed=128, threads=2)
+    for a, b in zip(one, two):
+        assert a.shape == (n, 1)
         assert a.tobytes() == b.tobytes()
 
 
