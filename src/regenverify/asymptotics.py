@@ -18,7 +18,10 @@ import numpy as np
 from .engine import RegenModel, StateFunction, indicator_le, sample_states
 from .errors import ConfigurationError, HypothesisError
 
-SCHEDULE_FAMILIES = ("affine", "power")
+# each family and the fields it reads
+SCHEDULE_FAMILIES = {"affine": ("a", "b"), "power": ("a", "p")}
+GAP_FLOOR = 0.02
+QUANTILE_PREPASS = 10_000
 
 
 @dataclass(frozen=True)
@@ -256,7 +259,7 @@ def floored_trend(t_grid, worst, gap_floor: float) -> float:
 def convergence_sweep(model: RegenModel, schedule: ScheduleSpec, t_grid,
                       f_tuples, replications: int, seed: int, *,
                       allow_hypothesis_fail: bool = False,
-                      gap_floor: float = 0.02,
+                      gap_floor: float = GAP_FLOOR,
                       threads: int | None = None) -> SweepResult:
     """Gap estimates over an increasing time grid plus the floored Spearman
     trend of the worst gap against t (negative means the gap is
@@ -286,7 +289,7 @@ def convergence_sweep(model: RegenModel, schedule: ScheduleSpec, t_grid,
                        trend=floored_trend(grid, worst, gap_floor))
 
 
-def final_gap_verdict(sweep: SweepResult, gap_floor: float = 0.02,
+def final_gap_verdict(sweep: SweepResult, gap_floor: float = GAP_FLOOR,
                       z_limit: float = 3.0) -> tuple[bool, list[dict]]:
     """Pass/fail rule at the last grid time, shared by the CLI and the
     calibration checks: every f-tuple's gap must stay below
@@ -308,7 +311,7 @@ def final_gap_verdict(sweep: SweepResult, gap_floor: float = 0.02,
 
 def quantile_indicator_tuples(model: RegenModel, burn_in: float, seed: int, *,
                               levels: tuple[float, ...] = (0.25, 0.5, 0.75),
-                              prepass: int = 10_000,
+                              prepass: int = QUANTILE_PREPASS,
                               threads: int | None = None
                               ) -> list[tuple[str, tuple[StateFunction, ...]]]:
     """Default test-function bank: per-coordinate threshold indicators at

@@ -21,8 +21,9 @@ from .asymptotics import (check_hypotheses, convergence_sweep,
                           final_gap_verdict, quantile_indicator_tuples)
 from .config import (ScenarioConfig, canonical_json, load_scenario,
                      scenario_to_json)
-from .engine import (default_burn_in, exp_neg, renewal_reward_estimate,
-                     sample_states, thread_count, time_average_estimate)
+from .engine import (RegenModel, default_burn_in, exp_neg,
+                     renewal_reward_estimate, sample_states, thread_count,
+                     time_average_estimate)
 from .errors import (ArithmeticCyclesWarning, BudgetExceededError,
                      ConfigurationError)
 from .models import StatusSpec, build_model, pi_closed_form
@@ -65,14 +66,15 @@ def _write_json(path: Path, payload: dict, seed: int) -> None:
 
 
 def _load(args) -> ScenarioConfig:
-    # overrides bypass the file parser, so re-check them here
-    if args.seed is not None and args.seed < 0:
-        raise ConfigurationError("seed must be >= 0", "--seed")
-    if args.reps is not None and args.reps < 1:
-        raise ConfigurationError("replications must be >= 1", "--reps")
-    cfg = load_scenario(args.config)
-    return cfg.with_overrides(seed=args.seed, replications=args.reps,
-                              directory=args.out)
+    cfg = load_scenario(args.config).with_overrides(
+        seed=args.seed, replications=args.reps, directory=args.out)
+    try:
+        cfg.run.validate()
+    except ConfigurationError as exc:
+        # the file's run section passed, so an override is at fault
+        flag = {"seed": "--seed", "replications": "--reps"}[exc.path]
+        raise ConfigurationError(exc.message, flag) from exc
+    return cfg
 
 
 def _out_dir(cfg: ScenarioConfig) -> Path:
@@ -81,20 +83,28 @@ def _out_dir(cfg: ScenarioConfig) -> Path:
     return path
 
 
-def _collect_warnings(caught) -> list[str]:
-    return [str(w.message) for w in caught
-            if issubclass(w.category, ArithmeticCyclesWarning)]
+def _build(spec) -> RegenModel:
+    """The scenario's model; its arithmetic-cycle warnings become ``WARN:``
+    lines on stdout."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ArithmeticCyclesWarning)
+        model = build_model(spec)
+    for w in caught:
+        if issubclass(w.category, ArithmeticCyclesWarning):
+            print(f"WARN: {w.message}")
+    return model
+
+
+def _z(diff: float, se: float) -> float:
+    """``diff / se``, reading 0/0 as 0 and x/0 as infinite."""
+    if diff == 0.0:
+        return 0.0
+    return math.inf if se == 0.0 else diff / se
 
 
 def cmd_validate(args) -> int:
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ArithmeticCyclesWarning)
-        cfg = _load(args)
-        build_model(cfg.model)
-        if cfg.schedule is not None:
-            cfg.schedule.validate()
-    for msg in _collect_warnings(caught):
-        print(f"WARN: {msg}")
+    cfg = _load(args)
+    _build(cfg.model)
     print(canonical_json(scenario_to_json(cfg)))
     return EXIT_OK
 
@@ -104,11 +114,7 @@ def cmd_verify_independence(args) -> int:
     if cfg.schedule is None:
         raise ConfigurationError("verify-independence needs a schedule "
                                  "section", "schedule")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ArithmeticCyclesWarning)
-        model = build_model(cfg.model)
-    for msg in _collect_warnings(caught):
-        print(f"WARN: {msg}")
+    model = _build(cfg.model)
     run = cfg.run
     seed = run.seed
     out = _out_dir(cfg)
@@ -167,12 +173,8 @@ def cmd_status_pi(args) -> int:
     if not isinstance(cfg.model, StatusSpec):
         raise ConfigurationError("status-pi needs a status model",
                                  "model.kind")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ArithmeticCyclesWarning)
-        model = build_model(cfg.model)
-        pi = pi_closed_form(cfg.model)
-    for msg in _collect_warnings(caught):
-        print(f"WARN: {msg}")
+    model = _build(cfg.model)
+    pi = pi_closed_form(cfg.model)
     run = cfg.run
     seed = run.seed
     burn = run.burn_in if run.burn_in is not None else default_burn_in(model)
@@ -185,13 +187,7 @@ def cmd_status_pi(args) -> int:
     pi_hat = float(joint.mean())
     # the null value is known, so the z-score uses the exact binomial SE
     se = math.sqrt(pi * (1.0 - pi) / n)
-    diff = pi_hat - pi
-    if diff == 0.0:
-        z = 0.0
-    elif se == 0.0:
-        z = math.inf
-    else:
-        z = diff / se
+    z = _z(pi_hat - pi, se)
     payload = {"pi_closed_form": pi, "pi_simulated": pi_hat, "se": se,
                "z_score": z if math.isfinite(z) else "inf",
                "replications": n, "burn_in": burn,
@@ -215,11 +211,7 @@ def cmd_stationary(args) -> int:
     if run.g is None:
         raise ConfigurationError("stationary needs run.g naming a test "
                                  "function", "run.g")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ArithmeticCyclesWarning)
-        model = build_model(cfg.model)
-    for msg in _collect_warnings(caught):
-        print(f"WARN: {msg}")
+    model = _build(cfg.model)
     if run.coordinate >= model.dimension:
         raise ConfigurationError(
             f"coordinate {run.coordinate} out of range for a "
@@ -233,14 +225,7 @@ def cmd_stationary(args) -> int:
     rr = renewal_reward_estimate(model, i, g, run.n_cycles,
                                  substream(seed, 11))
     ta = time_average_estimate(model, i, g, horizon, substream(seed, 13))
-    diff = abs(rr.value - ta.value)
-    spread = math.sqrt(rr.se ** 2 + ta.se ** 2)
-    if diff == 0.0:
-        z = 0.0
-    elif spread == 0.0:
-        z = math.inf
-    else:
-        z = diff / spread
+    z = _z(abs(rr.value - ta.value), math.sqrt(rr.se ** 2 + ta.se ** 2))
     out = _out_dir(cfg)
     if "csv" in cfg.output.formats:
         _write_csv(out / "stationary.csv",

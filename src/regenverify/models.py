@@ -22,12 +22,13 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Union
 
 import numpy as np
 from scipy import integrate
 
 from .errors import (ArithmeticCyclesWarning, BudgetExceededError,
-                     ConfigurationError)
+                     ConfigurationError, error_path)
 from .engine import (CycleBatch, CyclePath, RegenModel, chunked_sampler,
                      linear_path, window_sampler)
 from .randomness import (DependenceSpec, MarginalSpec, effective_arithmetic,
@@ -129,7 +130,8 @@ class LevyQueueSpec:
                 raise ConfigurationError(
                     f"coordinate {k} is unstable: jump_rate * mean jump size "
                     f"= {coord.load():g} >= 1")
-        self.dependence.validate(len(self.coordinates))
+        with error_path("dependence"):
+            self.dependence.validate(len(self.coordinates))
         return self
 
 
@@ -269,7 +271,8 @@ class ClearingSpec:
             raise ConfigurationError("at least one coordinate is required")
         for coord in self.coordinates:
             coord.validate()
-        self.dependence.validate(len(self.coordinates))
+        with error_path("dependence"):
+            self.dependence.validate(len(self.coordinates))
         return self
 
 
@@ -412,7 +415,8 @@ class StatusSpec:
             raise ConfigurationError("at least one source is required")
         for src in self.sources:
             src.validate()
-        self.dependence.validate(len(self.sources))
+        with error_path("dependence"):
+            self.dependence.validate(len(self.sources))
         return self
 
 
@@ -473,7 +477,7 @@ def _effective_equilibrium_tail(dep: DependenceSpec, marginal: MarginalSpec,
             return marginal.mean() - w
         return float(mean_excess(marginal, w))
 
-    if shock.is_discrete:
+    if shock.arithmetic:
         val = sum(w * excess(x - z) for z, w in shock.atoms())
     else:
         f = lambda z: excess(x - z) * float(shock.pdf(z))
@@ -490,7 +494,7 @@ def _effective_equilibrium_tail(dep: DependenceSpec, marginal: MarginalSpec,
 def _expected_equilibrium_tail(dep: DependenceSpec, inter: MarginalSpec,
                                mark: MarginalSpec, capacity: float) -> float:
     tail = lambda x: _effective_equilibrium_tail(dep, inter, x)
-    if mark.is_discrete:
+    if mark.arithmetic:
         return sum(w * tail(v / capacity) for v, w in mark.atoms())
     hi = mark.support_upper()
     lo = mark.lo if mark.kind == "shifted_uniform" else 0.0
@@ -813,8 +817,11 @@ def build_jackson(spec: JacksonSpec) -> RegenModel:
 # ---------------------------------------------------------------------------
 
 
-ModelSpec = (LevyQueueSpec | ClearingSpec | StatusSpec | JacksonSpec
-             | AgeResidualSpec)
+# each model kind a scenario file names, and its spec
+MODEL_KINDS = {"levy_queue": LevyQueueSpec, "clearing": ClearingSpec,
+               "status": StatusSpec, "jackson": JacksonSpec,
+               "age_residual": AgeResidualSpec}
+ModelSpec = Union[tuple(MODEL_KINDS.values())]
 
 
 def build_model(spec) -> RegenModel:

@@ -15,10 +15,13 @@ from scipy import special
 
 from .errors import ConfigurationError
 
-MARGINAL_KINDS = ("exponential", "gamma", "deterministic", "lattice",
-                  "shifted_uniform")
-DEPENDENCE_KINDS = ("independent", "comonotone", "common_shock",
-                    "gaussian_copula")
+# each kind and the fields it reads
+MARGINAL_KINDS = {"exponential": ("rate",), "gamma": ("shape", "rate"),
+                  "deterministic": ("value",), "lattice": ("span", "weights"),
+                  "shifted_uniform": ("lo", "hi")}
+DEPENDENCE_KINDS = {"independent": (), "comonotone": (),
+                    "common_shock": ("shock",),
+                    "gaussian_copula": ("correlation",)}
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -102,6 +105,7 @@ class MarginalSpec:
             _require_positive("value", self.value)
         elif k == "lattice":
             _require_positive("span", self.span)
+            _require_present("weights", self.weights)
             if not self.weights:
                 raise ConfigurationError("lattice needs at least one atom")
             total = 0.0
@@ -117,8 +121,8 @@ class MarginalSpec:
                 raise ConfigurationError(
                     f"lattice weights sum to {total!r}, expected 1")
         else:
-            if self.lo is None or self.hi is None:
-                raise ConfigurationError("shifted_uniform needs lo and hi")
+            _require_present("lo", self.lo)
+            _require_present("hi", self.hi)
             if not (0.0 <= self.lo < self.hi and math.isfinite(self.hi)):
                 raise ConfigurationError(
                     "shifted_uniform needs 0 <= lo < hi < inf")
@@ -141,10 +145,6 @@ class MarginalSpec:
     @property
     def arithmetic(self) -> bool:
         """True when all mass sits on a lattice {0, d, 2d, ...}."""
-        return self.kind in ("deterministic", "lattice")
-
-    @property
-    def is_discrete(self) -> bool:
         return self.kind in ("deterministic", "lattice")
 
     def atoms(self) -> tuple[tuple[float, float], ...]:
@@ -252,8 +252,14 @@ class MarginalSpec:
         return float(out) if size is None else out
 
 
+def _require_present(name: str, value) -> None:
+    if value is None:
+        raise ConfigurationError("missing required field", name)
+
+
 def _require_positive(name: str, value) -> None:
-    if value is None or not (value > 0.0 and math.isfinite(value)):
+    _require_present(name, value)
+    if not (value > 0.0 and math.isfinite(value)):
         raise ConfigurationError(f"{name} must be positive and finite, "
                                  f"got {value!r}")
 
@@ -297,16 +303,14 @@ class DependenceSpec:
         if self.kind not in DEPENDENCE_KINDS:
             raise ConfigurationError(f"unknown dependence kind {self.kind!r}")
         if self.kind == "common_shock":
-            if self.shock is None:
-                raise ConfigurationError("common_shock needs a shock marginal")
+            _require_present("shock", self.shock)
             self.shock.validate()
         if self.kind == "gaussian_copula":
-            if self.correlation is None:
-                raise ConfigurationError(
-                    "gaussian_copula needs a correlation matrix")
-            mat = np.asarray(self.correlation, dtype=float)
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            _require_present("correlation", self.correlation)
+            rows = self.correlation
+            if not len(rows) or any(len(row) != len(rows) for row in rows):
                 raise ConfigurationError("correlation matrix must be square")
+            mat = np.asarray(rows, dtype=float)
             if dimension is not None and mat.shape[0] != dimension:
                 raise ConfigurationError(
                     f"correlation matrix is {mat.shape[0]}x{mat.shape[0]} "

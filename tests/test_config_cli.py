@@ -157,6 +157,22 @@ def test_null_values_match_omitted_fields():
     (lambda o: o["schedule"]["coordinates"].pop(), "schedule.coordinates"),
     (lambda o: o["model"].update(dependence={
         "kind": "gaussian_copula", "correlation": [[1.0]]}), "dependence"),
+    # spec-level checks name the coordinate, not just the section
+    (lambda o: o["model"]["coordinates"][1].update(drift=-1.0),
+     "model.coordinates[1]: drift"),
+    (lambda o: o["schedule"]["coordinates"][0].update(a=0.0),
+     "schedule.coordinates[0]: schedule slope"),
+    (lambda o: o["model"].update(dependence={
+        "kind": "gaussian_copula",
+        "correlation": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}),
+     "model.dependence: correlation matrix is 3x3"),
+    (lambda o: o["model"].update(dependence={
+        "kind": "gaussian_copula", "correlation": [[1.0, 0.5], [0.5]]}),
+     "model.dependence: correlation matrix must be square"),
+    (lambda o: o["model"]["coordinates"][0]["cycle_length"].pop("rate"),
+     "model.coordinates[0].cycle_length.rate: missing required field"),
+    (lambda o: o["model"]["dependence"].update(kind="common_shock"),
+     "model.dependence.shock: missing required field"),
 ])
 def test_errors_name_the_offending_path(mutate, fragment):
     obj = small_sweep_scenario()
@@ -164,6 +180,61 @@ def test_errors_name_the_offending_path(mutate, fragment):
     with pytest.raises(ConfigurationError) as err:
         parse_scenario(obj)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_t_grid_entries_must_be_finite(literal, tmp_path, capsys):
+    text = json.dumps(small_sweep_scenario(out=str(tmp_path / "res")))
+    path = tmp_path / "cfg.json"
+    path.write_text(text.replace("25.0", literal), encoding="utf-8")
+    for command in ("validate", "verify-independence"):
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        assert ("run.t_grid[1]: expected a finite number"
+                in capsys.readouterr().err)
+
+
+MUTANTS = (None, "x", True, [], {}, -1, 0, float("nan"), float("inf"))
+
+
+def _mutants(obj):
+    """Copies of ``obj`` with one change each: a key or array entry deleted
+    or set to each of MUTANTS, or an unknown key added to an object."""
+    if isinstance(obj, dict):
+        yield {**obj, "zz_unknown": 1}
+        slots = list(obj)
+    else:
+        slots = range(len(obj)) if isinstance(obj, list) else ()
+    for key in slots:
+        def put(value, drop=False):
+            if isinstance(obj, dict):
+                out = {k: v for k, v in obj.items() if k != key}
+                if not drop:
+                    out[key] = value
+                return out
+            return obj[:key] + ([] if drop else [value]) + obj[key + 1:]
+        yield put(None, drop=True)
+        for value in MUTANTS:
+            yield put(value)
+        for inner in _mutants(obj[key]):
+            yield put(inner)
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("name", sorted(p.name
+                                        for p in CONFIG_DIR.glob("*.json")))
+def test_mutated_configs_reject_or_echo_strict_json(name):
+    base = json.loads((CONFIG_DIR / name).read_text())
+    for mutant in _mutants(base):
+        try:
+            cfg = parse_scenario(mutant)
+        except ConfigurationError:
+            continue
+        echo = canonical_json(scenario_to_json(cfg))
+        json.loads(echo, parse_constant=_no_constant)
+        assert canonical_json(scenario_to_json(loads_scenario(echo))) == echo
 
 
 def test_unknown_g_kind_lists_choices():
