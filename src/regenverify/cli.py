@@ -102,9 +102,26 @@ def _z(diff: float, se: float) -> float:
     return math.inf if se == 0.0 else diff / se
 
 
+def _check_observed(run, model: RegenModel) -> None:
+    """Reject a ``run.coordinate`` the model lacks, or a ``run.g`` reading
+    a component past that coordinate's state."""
+    if run.coordinate >= model.dimension:
+        raise ConfigurationError(
+            f"coordinate {run.coordinate} out of range for a "
+            f"{model.dimension}-coordinate model", "run.coordinate")
+    width = model.state_dims[run.coordinate]
+    if run.g.component >= width:
+        raise ConfigurationError(
+            f"component {run.g.component} out of range for coordinate "
+            f"{run.coordinate}, whose state has {width} component(s)",
+            "run.g.component")
+
+
 def cmd_validate(args) -> int:
     cfg = _load(args)
-    _build(cfg.model)
+    model = _build(cfg.model)
+    if cfg.run.g is not None:
+        _check_observed(cfg.run, model)
     print(canonical_json(scenario_to_json(cfg)))
     return EXIT_OK
 
@@ -212,10 +229,7 @@ def cmd_stationary(args) -> int:
         raise ConfigurationError("stationary needs run.g naming a test "
                                  "function", "run.g")
     model = _build(cfg.model)
-    if run.coordinate >= model.dimension:
-        raise ConfigurationError(
-            f"coordinate {run.coordinate} out of range for a "
-            f"{model.dimension}-coordinate model", "run.coordinate")
+    _check_observed(run, model)
     g = run.g.realize()
     seed = run.seed
     i = run.coordinate

@@ -9,9 +9,12 @@
 Every family draws its cycles natively in batches of flat segment arrays
 (``cycle_batch``), which both stationary routes integrate, and carries a
 vectorised stationary-window sampler: :func:`engine.window_sampler` for all
-but Jackson networks, whose batch and sampler fire one table of uniformised
-transitions (:func:`_jackson_events`), the sampler after Poisson step counts
-with no clock. Every family also keeps a per-cycle generator
+but Jackson networks. Their batch and sampler drive one step of uniformised
+transitions (:func:`_jackson_events`): masked updates of a station-major
+state, one uniform per chain picking its event. The batch draws its clock
+and event uniforms step by step; the sampler has no clock, runs to Poisson
+step counts and draws its uniforms a block of steps at a time, the same
+stream as one draw per step. Every family also keeps a per-cycle generator
 (``cycle_generator``); nothing in the package calls it, it is the oracle
 the tests cross-check the batches and samplers against.
 """
@@ -37,6 +40,8 @@ from .randomness import (DependenceSpec, MarginalSpec, effective_arithmetic,
 from .renewal import equilibrium_tail, mean_excess
 
 MAX_EVENTS_PER_CYCLE = 10_000_000
+# most uniforms the Jackson sampler draws at once
+JACKSON_BLOCK = 1 << 16
 
 
 def _warn_arithmetic(which: list[int], family: str) -> None:
@@ -695,12 +700,20 @@ def _jackson_cycle(spec: JacksonSpec, gen: np.random.Generator
 
 def _jackson_events(spec: JacksonSpec):
     """The network's transitions, uniformised at ``total`` = all arrival
-    plus all service rates. States carry an extra column ``m`` for the
-    outside world, started at the int64 maximum so it never empties; event
-    ``e`` moves one customer from column ``src[e]`` to ``dst[e]``, and is a
-    self-loop when its source is empty. Returns ``(total, fire)``, where
-    ``fire(x, gen)`` steps every row of ``x`` in place and returns the rows
-    whose state changed."""
+    plus all service rates, and one step of the chain they drive.
+
+    Event ``e`` moves one customer from station ``src[e]`` to ``dst[e]``;
+    source ``m`` is the outside world, which never empties, and destination
+    ``m`` is the exit. From an empty station an event is a self-loop.
+    Returns ``(total, fire)``. ``fire(x, u)`` steps the station-major state
+    ``x`` (one row per station, one column per chain) in place, column
+    ``r`` by the event whose code is the number of inner cut points
+    ``<= u[r]``, and returns the columns whose event had a nonempty source.
+    Each event adds its mask to its destination and takes it from its
+    source; one event fires per column, so the masks are disjoint and the
+    order of the updates does not matter. States are int32: a station
+    holds at most as many customers as the chain has taken steps, which the
+    event budget keeps far below 2^31."""
     m = len(spec.arrival_rates)
     services = np.asarray(spec.service_rates, dtype=float)
     routing = np.asarray(spec.routing, dtype=float)
@@ -715,17 +728,28 @@ def _jackson_events(spec: JacksonSpec):
     total = float(sum(spec.arrival_rates) + services.sum())
     # inner cut points only: the last event takes the rest of [0, 1), so
     # no uniform falls past the table however the cumsum rounds
-    cuts = np.cumsum(rate[keep])[:-1] / total
+    cuts = np.cumsum(rate[keep])[:-1, None] / total
+    code_type = np.min_scalar_type(len(cuts))
+    # arrivals lead the table, then each station's service events, one
+    # contiguous run per station
+    arrivals = int(np.sum(src == m))
+    services_by_source = [
+        (j, [(e, int(dst[e])) for e in np.flatnonzero(src == j)])
+        for j in range(m)]
 
-    def fire(x: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-        e = np.searchsorted(cuts, gen.random(len(x)), side="right")
-        base = np.arange(len(x)) * (m + 1)
-        flat = x.reshape(-1)
-        origin = base + src[e]
-        held = flat[origin]
-        changed = held > 0
-        flat[origin] = held - changed
-        flat[base + dst[e]] += changed
+    def fire(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        code = (u >= cuts).sum(axis=0, dtype=code_type)
+        changed = code < arrivals
+        for e in range(arrivals):
+            x[dst[e]] += code == e
+        for j, events in services_by_source:
+            busy = x[j] > 0
+            for e, d in events:
+                moved = (code == e) & busy
+                x[j] -= moved
+                if d < m:
+                    x[d] += moved
+                changed |= moved
         return changed
 
     return total, fire
@@ -734,32 +758,33 @@ def _jackson_events(spec: JacksonSpec):
 def _jackson_batch(spec: JacksonSpec, gen: np.random.Generator,
                    count: int) -> tuple[CycleBatch, ...]:
     """``count`` cycles of the uniformised chain of :func:`_jackson_events`
-    run in lockstep with an exponential clock at its total rate: the first
-    segment of every cycle is the idle stretch from 0, each step that
-    changes a cycle's state opens a segment, and a change that empties the
-    network ends the cycle."""
+    run in lockstep with an exponential clock at its total rate. Each step
+    draws the live cycles' clock increments, then one uniform per live
+    cycle for its event. The first segment of every cycle is the idle
+    stretch from 0, each step whose event has a nonempty source opens a
+    segment, and a step that empties the network ends the cycle."""
     m = len(spec.arrival_rates)
     total, fire = _jackson_events(spec)
     lengths = np.empty(count)
     live = np.arange(count)
     t = np.zeros(count)
-    x = np.zeros((count, m + 1), dtype=np.int64)
-    x[:, m] = np.iinfo(np.int64).max
-    rows, times, states = [live], [t], [x[:, :m].copy()]
+    x = np.zeros((m, count), dtype=np.int32)
+    rows, times, states = [live], [t], [x.T.copy()]
     for _ in range(MAX_EVENTS_PER_CYCLE):
         t = t + gen.exponential(1.0 / total, live.size)
-        changed = fire(x, gen)
-        busy = x[:, :m].any(axis=1)
+        changed = fire(x, gen.random(live.size))
+        busy = x.any(axis=0)
         opened = changed & busy
         rows.append(live[opened])
         times.append(t[opened])
-        states.append(x[opened, :m])
+        states.append(x[:, opened].T)
         done = changed & ~busy
-        lengths[live[done]] = t[done]
-        go = ~done
-        live, t, x = live[go], t[go], x[go]
-        if not live.size:
-            break
+        if done.any():
+            lengths[live[done]] = t[done]
+            go = ~done
+            live, t, x = live[go], t[go], x[:, go]
+            if not live.size:
+                break
     else:
         raise BudgetExceededError(
             f"network cycle exceeded {MAX_EVENTS_PER_CYCLE} events")
@@ -773,7 +798,10 @@ def _jackson_batch(spec: JacksonSpec, gen: np.random.Generator,
 def _make_jackson_sampler(spec: JacksonSpec):
     """Uniformisation without a clock: the state at time tau is the jump
     chain of :func:`_jackson_events` after N(tau) steps, where N is a
-    Poisson process at the total rate independent of the chain."""
+    Poisson process at the total rate independent of the chain. A chunk
+    draws its step counts, then the chain's uniforms a block of steps at a
+    time (``JACKSON_BLOCK`` uniforms at most, the same stream as one draw
+    per step), and reads a (row, coordinate) pair at its step count."""
     m = len(spec.arrival_rates)
     total, fire = _jackson_events(spec)
 
@@ -785,21 +813,27 @@ def _make_jackson_sampler(spec: JacksonSpec):
         # step counts at the sorted taus, as increments of one process
         order = np.argsort(taus, kind="stable")
         gaps = np.diff(taus[order], prepend=0.0)
-        steps = np.empty((count, m), dtype=np.int64)
-        steps[:, order] = np.cumsum(gen.poisson(total * gaps, (count, m)),
-                                    axis=1)
-        x = np.zeros((count, m + 1), dtype=np.int64)
-        x[:, m] = np.iinfo(np.int64).max
-        # visit the (row, coordinate) pairs in step order; the ones with no
+        steps = np.empty((m, count), dtype=np.int64)
+        steps[order] = np.cumsum(gen.poisson(total * gaps, (count, m)),
+                                 axis=1).T
+        x = np.zeros((m, count), dtype=np.int32)
+        flat = x.reshape(-1)
+        # visit the (coordinate, row) pairs in step order; the ones with no
         # step read the empty start
         due = np.argsort(steps, axis=None, kind="stable")
-        ready = np.cumsum(np.bincount(steps.ravel()))
-        out = np.zeros(count * m)
-        for step in range(1, len(ready)):
-            fire(x, gen)
-            k = due[ready[step - 1]:ready[step]]
-            out[k] = x[k // m, k % m]
-        return [out[i::m, None] for i in range(m)]
+        ready = np.cumsum(np.bincount(steps.ravel())).tolist()
+        out = np.zeros(m * count)
+        last = len(ready) - 1
+        block = max(1, JACKSON_BLOCK // count)
+        for first in range(1, last + 1, block):
+            uniforms = gen.random((min(block, last + 1 - first), count))
+            for step, u in enumerate(uniforms, first):
+                fire(x, u)
+                lo, hi = ready[step - 1], ready[step]
+                if hi > lo:
+                    k = due[lo:hi]
+                    out[k] = flat[k]
+        return [column[:, None] for column in out.reshape(m, count)]
 
     return chunked_sampler(chunk_states, 16384)
 

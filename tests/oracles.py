@@ -1,7 +1,10 @@
 """Reference implementations the fast paths are cross-checked against.
 
-Everything here is built from a model's per-cycle ``cycle_generator``, one
-Python ``CyclePath`` at a time: slow, but simple enough to trust.
+Most of what is here is built from a model's per-cycle ``cycle_generator``,
+one Python ``CyclePath`` at a time: slow, but simple enough to trust. The
+Jackson references step the uniformised chain one gather/scatter per step on
+row-major state, and consume the generator exactly as the package's
+station-major step does, so the two must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -11,8 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
-from regenverify import BudgetExceededError, CyclePath, RegenModel, substream
+from regenverify import (BudgetExceededError, CyclePath, JacksonSpec,
+                         RegenModel, substream)
 from regenverify.engine import DEFAULT_CYCLE_BUDGET, CycleBatch
+from regenverify.models import _by_cycle
 from regenverify.randomness import as_generator
 
 
@@ -97,3 +102,100 @@ def from_paths(paths: Sequence[CyclePath]) -> CycleBatch:
                       np.concatenate([p.slopes for p in paths]),
                       np.cumsum(counts) - counts,
                       np.array([p.length for p in paths]))
+
+
+def jackson_fire(spec: JacksonSpec):
+    """``(total, fire)``: the network's transitions uniformised at ``total``,
+    with ``fire(x, gen)`` stepping every row of the row-major state ``x`` in
+    place and returning the rows whose source was nonempty. Column ``m`` of
+    ``x`` is the outside world, started at the int64 maximum so it never
+    empties; event ``e`` moves one customer from ``src[e]`` to ``dst[e]``,
+    found by a ``searchsorted`` of one uniform per row."""
+    m = len(spec.arrival_rates)
+    services = np.asarray(spec.service_rates, dtype=float)
+    routing = np.asarray(spec.routing, dtype=float)
+    targets = np.column_stack([routing, 1.0 - routing.sum(axis=1)])
+    src = np.concatenate([np.full(m, m), np.repeat(np.arange(m), m + 1)])
+    dst = np.concatenate([np.arange(m), np.tile(np.arange(m + 1), m)])
+    rate = np.concatenate([spec.arrival_rates,
+                           (services[:, None] * targets).ravel()])
+    keep = rate > 0.0
+    src, dst = src[keep], dst[keep]
+    total = float(sum(spec.arrival_rates) + services.sum())
+    cuts = np.cumsum(rate[keep])[:-1] / total
+
+    def fire(x: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+        e = np.searchsorted(cuts, gen.random(len(x)), side="right")
+        base = np.arange(len(x)) * (m + 1)
+        flat = x.reshape(-1)
+        origin = base + src[e]
+        held = flat[origin]
+        changed = held > 0
+        flat[origin] = held - changed
+        flat[base + dst[e]] += changed
+        return changed
+
+    return total, fire
+
+
+def _empty_network(count: int, m: int) -> np.ndarray:
+    x = np.zeros((count, m + 1), dtype=np.int64)
+    x[:, m] = np.iinfo(np.int64).max
+    return x
+
+
+def jackson_chunk_states(spec: JacksonSpec):
+    """Reference ``chunk_states(gen, count, taus)`` of the Jackson sampler:
+    Poisson step counts at the sorted taus, then one :func:`jackson_fire`
+    step at a time, reading each (row, coordinate) pair at its count."""
+    m = len(spec.arrival_rates)
+    total, fire = jackson_fire(spec)
+
+    def chunk_states(gen: np.random.Generator, count: int,
+                     taus: np.ndarray) -> list[np.ndarray]:
+        order = np.argsort(taus, kind="stable")
+        gaps = np.diff(taus[order], prepend=0.0)
+        steps = np.empty((count, m), dtype=np.int64)
+        steps[:, order] = np.cumsum(gen.poisson(total * gaps, (count, m)),
+                                    axis=1)
+        x = _empty_network(count, m)
+        due = np.argsort(steps, axis=None, kind="stable")
+        ready = np.cumsum(np.bincount(steps.ravel()))
+        out = np.zeros(count * m)
+        for step in range(1, len(ready)):
+            fire(x, gen)
+            k = due[ready[step - 1]:ready[step]]
+            out[k] = x[k // m, k % m]
+        return [out[i::m, None] for i in range(m)]
+
+    return chunk_states
+
+
+def jackson_batch(spec: JacksonSpec, gen: np.random.Generator,
+                  count: int) -> tuple[CycleBatch, ...]:
+    """Reference Jackson ``cycle_batch``: ``count`` cycles in lockstep, an
+    exponential clock step then a :func:`jackson_fire` step per round."""
+    m = len(spec.arrival_rates)
+    total, fire = jackson_fire(spec)
+    lengths = np.empty(count)
+    live = np.arange(count)
+    t = np.zeros(count)
+    x = _empty_network(count, m)
+    rows, times, states = [live], [t], [x[:, :m].copy()]
+    while live.size:
+        t = t + gen.exponential(1.0 / total, live.size)
+        changed = fire(x, gen)
+        busy = x[:, :m].any(axis=1)
+        opened = changed & busy
+        rows.append(live[opened])
+        times.append(t[opened])
+        states.append(x[opened, :m])
+        done = changed & ~busy
+        lengths[live[done]] = t[done]
+        go = ~done
+        live, t, x = live[go], t[go], x[go]
+    starts, values, offsets = _by_cycle(rows, times, states, count)
+    values = values.astype(float)
+    zero = np.zeros((len(starts), 1))
+    return tuple(CycleBatch(starts, values[:, i:i + 1], zero, offsets,
+                            lengths) for i in range(m))

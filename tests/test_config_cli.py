@@ -424,6 +424,45 @@ def test_stationary_coordinate_out_of_range(tmp_path, capsys):
     assert "coordinate" in capsys.readouterr().err
 
 
+def one_coordinate_clearing(tmp_path, **run) -> Path:
+    return write_config(tmp_path, {
+        "model": {"kind": "clearing", "coordinates": [{"cycle_length": EXP}],
+                  "dependence": {"kind": "independent"}},
+        "run": {"seed": 9, **run},
+        "output": {"directory": str(tmp_path / "res")},
+    })
+
+
+def test_stationary_component_out_of_range(tmp_path, capsys):
+    # the clearing state has one component, so x7 would read a constant 0
+    path = one_coordinate_clearing(
+        tmp_path, g={"kind": "identity", "component": 7})
+    rc = main(["stationary", "--config", str(path)])
+    assert rc == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "run.g.component" in captured.err
+    assert "PASS" not in captured.out
+    assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("run, path", [
+    ({"coordinate": 5, "g": {"kind": "identity"}}, "run.coordinate"),
+    ({"g": {"kind": "identity", "component": 1}}, "run.g.component"),
+], ids=["coordinate", "component"])
+def test_validate_checks_what_stationary_reads(tmp_path, capsys, run, path):
+    config = one_coordinate_clearing(tmp_path, **run)
+    assert main(["validate", "--config", str(config)]) == EXIT_CONFIG
+    assert path in capsys.readouterr().err
+
+
+def test_validate_ignores_coordinate_without_g(tmp_path, capsys):
+    # a verify-independence file reads every coordinate and has no run.g
+    obj = small_sweep_scenario(out=str(tmp_path))
+    obj["run"]["coordinate"] = 5
+    path = write_config(tmp_path, obj)
+    assert main(["validate", "--config", str(path)]) == EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # CLI: verify-independence
 

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from oracles import Realization, realization_states
+from oracles import (Realization, jackson_batch, jackson_chunk_states,
+                     realization_states)
 from regenverify import (AgeResidualSpec, ArithmeticCyclesWarning,
                          BudgetExceededError, ClearingCoordinate,
                          ClearingSpec, ConfigurationError, DependenceSpec,
@@ -535,6 +536,40 @@ def test_jackson_sampler_event_budget_enforced(monkeypatch):
         sample_states(model, [1000.0, 10.0], 100, seed=127)
     states = sample_states(model, [300.0, 10.0], 100, seed=127)
     assert states[0].shape == (100, 1)
+
+
+# external arrivals at stations 0 and 2, a three-way split out of station
+# 0, feedback into station 0 and a self-loop at station 1
+FEEDBACK_3 = JacksonSpec(arrival_rates=(0.3, 0.0, 0.2),
+                         service_rates=(1.0, 1.2, 1.0),
+                         routing=((0.0, 0.6, 0.3), (0.2, 0.1, 0.4),
+                                  (0.1, 0.0, 0.0)))
+
+
+@pytest.mark.parametrize("taus", [(20.0, 30.0, 25.0), (60.0, 5.0, 60.0)],
+                         ids=["tau_20_30", "tau_60_5"])
+@pytest.mark.parametrize("spec", [TANDEM, FEEDBACK_3],
+                         ids=["tandem", "feedback_3"])
+def test_jackson_sampler_matches_step_oracle_bit_for_bit(spec, taus):
+    m = len(spec.arrival_rates)
+    taus = np.asarray(taus[:m])
+    n = 3000
+    fast = build_jackson(spec).joint_state_sampler(taus, n, 131, (1003,), 1)
+    slow = engine.chunked_sampler(jackson_chunk_states(spec), 16384)(
+        taus, n, 131, (1003,), 1)
+    for a, b in zip(fast, slow):
+        assert a.shape == b.shape == (n, 1)
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("spec", [TANDEM, FEEDBACK_3],
+                         ids=["tandem", "feedback_3"])
+def test_jackson_batch_matches_step_oracle_bit_for_bit(spec):
+    fast = build_jackson(spec).cycle_batch(substream(132, 0), 2000)
+    slow = jackson_batch(spec, substream(132, 0), 2000)
+    for a, b in zip(fast, slow):
+        for name in ("starts", "values", "slopes", "offsets", "lengths"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 def test_dependent_cycles_flow_through_fast_sampler():
