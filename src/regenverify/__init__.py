@@ -3,6 +3,8 @@ coordinates share dependent cycles, observed at diverging time schedules."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (ArithmeticCyclesWarning, BudgetExceededError,
                      ConfigurationError, HypothesisError)
 from .randomness import (DependenceSpec, MarginalSpec, effective_cycle_mean,
@@ -27,4 +29,5 @@ from .asymptotics import (GapEstimate, HypothesisVerdict, ScheduleCoordinate,
 from .config import (ScenarioConfig, load_scenario, loads_scenario,
                      parse_scenario, scenario_to_json)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)]

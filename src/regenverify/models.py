@@ -28,7 +28,6 @@ from functools import partial
 from typing import Union
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (ArithmeticCyclesWarning, BudgetExceededError,
                      ConfigurationError, error_path)
@@ -42,6 +41,10 @@ from .renewal import equilibrium_tail, mean_excess
 MAX_EVENTS_PER_CYCLE = 10_000_000
 # most uniforms the Jackson sampler draws at once
 JACKSON_BLOCK = 1 << 16
+# rows per chunk of the Jackson sampler
+JACKSON_CHUNK = 1 << 14
+# most row-steps (rows times expected steps) one Jackson chunk may take
+MAX_JACKSON_WORK = 10_000_000_000
 
 
 def _warn_arithmetic(which: list[int], family: str) -> None:
@@ -485,6 +488,7 @@ def _effective_equilibrium_tail(dep: DependenceSpec, marginal: MarginalSpec,
     if shock.arithmetic:
         val = sum(w * excess(x - z) for z, w in shock.atoms())
     else:
+        from scipy import integrate
         f = lambda z: excess(x - z) * float(shock.pdf(z))
         hi = shock.support_upper()
         if 0.0 < x < hi:
@@ -501,6 +505,7 @@ def _expected_equilibrium_tail(dep: DependenceSpec, inter: MarginalSpec,
     tail = lambda x: _effective_equilibrium_tail(dep, inter, x)
     if mark.arithmetic:
         return sum(w * tail(v / capacity) for v, w in mark.atoms())
+    from scipy import integrate
     hi = mark.support_upper()
     lo = mark.lo if mark.kind == "shifted_uniform" else 0.0
     val, _ = integrate.quad(lambda y: tail(y / capacity) * float(mark.pdf(y)),
@@ -801,15 +806,15 @@ def _make_jackson_sampler(spec: JacksonSpec):
     Poisson process at the total rate independent of the chain. A chunk
     draws its step counts, then the chain's uniforms a block of steps at a
     time (``JACKSON_BLOCK`` uniforms at most, the same stream as one draw
-    per step), and reads a (row, coordinate) pair at its step count."""
+    per step), and reads a (row, coordinate) pair at its step count.
+    Before any chunk draws, a run is refused when a row's expected steps
+    reach ``MAX_EVENTS_PER_CYCLE`` or its largest chunk's rows times those
+    steps pass ``MAX_JACKSON_WORK``."""
     m = len(spec.arrival_rates)
     total, fire = _jackson_events(spec)
 
     def chunk_states(gen: np.random.Generator, count: int,
                      taus: np.ndarray) -> list[np.ndarray]:
-        if total * float(taus.max()) >= MAX_EVENTS_PER_CYCLE:
-            raise BudgetExceededError(
-                f"network sampler would exceed {MAX_EVENTS_PER_CYCLE} events")
         # step counts at the sorted taus, as increments of one process
         order = np.argsort(taus, kind="stable")
         gaps = np.diff(taus[order], prepend=0.0)
@@ -835,7 +840,23 @@ def _make_jackson_sampler(spec: JacksonSpec):
                     out[k] = flat[k]
         return [column[:, None] for column in out.reshape(m, count)]
 
-    return chunked_sampler(chunk_states, 16384)
+    chunked = chunked_sampler(chunk_states, JACKSON_CHUNK)
+
+    def sampler(times: np.ndarray, n: int, seed: int,
+                base_key: tuple[int, ...], threads: int) -> list[np.ndarray]:
+        # refuse before any chunk draws; the first chunk is the largest
+        steps_due = total * float(np.max(times))
+        if steps_due >= MAX_EVENTS_PER_CYCLE:
+            raise BudgetExceededError(
+                f"network sampler would exceed {MAX_EVENTS_PER_CYCLE} events")
+        rows = min(n, JACKSON_CHUNK)
+        if rows * steps_due > MAX_JACKSON_WORK:
+            raise BudgetExceededError(
+                f"network sampler would exceed {MAX_JACKSON_WORK} row-steps"
+                f" in a chunk of {rows} replications")
+        return chunked(times, n, seed, base_key, threads)
+
+    return sampler
 
 
 def build_jackson(spec: JacksonSpec) -> RegenModel:

@@ -11,7 +11,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+# numpy 2 imports numpy.random on first use; import it with the package so
+# that a run's first draw does not pay for it. scipy is imported inside the
+# gamma branches and the Gaussian copula, the only code here that needs it.
+import numpy.random
 
 from .errors import ConfigurationError
 
@@ -182,6 +185,7 @@ class MarginalSpec:
         if k == "exponential":
             out = -np.expm1(-self.rate * np.maximum(xs, 0.0))
         elif k == "gamma":
+            from scipy import special
             out = special.gammainc(self.shape, self.rate * np.maximum(xs, 0.0))
         elif k == "deterministic":
             out = (xs >= self.value).astype(float)
@@ -203,6 +207,7 @@ class MarginalSpec:
         if k == "exponential":
             out = np.where(xs >= 0.0, self.rate * np.exp(-self.rate * xs), 0.0)
         elif k == "gamma":
+            from scipy import special
             with np.errstate(divide="ignore", invalid="ignore"):
                 logpdf = (self.shape * math.log(self.rate)
                           + (self.shape - 1.0) * np.log(xs)
@@ -223,6 +228,7 @@ class MarginalSpec:
         if k == "exponential":
             out = -np.log1p(-us) / self.rate
         elif k == "gamma":
+            from scipy import special
             out = special.gammaincinv(self.shape, us) / self.rate
         elif k == "deterministic":
             out = np.full_like(us, self.value)
@@ -355,6 +361,7 @@ def sample_cycle_vectors(dep: DependenceSpec, marginals, rng,
     if dep.kind == "common_shock":
         z = np.asarray(dep.shock.sample(gen, size), dtype=float)
         return np.column_stack([z + sp.sample(gen, size) for sp in marginals])
+    from scipy import special
     factor = dep._copula_factor()
     z = gen.standard_normal((size, m)) @ factor.T
     u = special.ndtr(z)

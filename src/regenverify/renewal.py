@@ -8,7 +8,6 @@ adaptive quadrature (absolute tolerance 1e-10) otherwise.
 from __future__ import annotations
 
 import numpy as np
-from scipy import integrate
 
 from .randomness import MarginalSpec
 
@@ -42,6 +41,7 @@ def equilibrium_cdf(spec: MarginalSpec, x):
 
 def _equilibrium_cdf_quadrature(spec: MarginalSpec, xs: np.ndarray
                                 ) -> np.ndarray:
+    from scipy import integrate
     mean = spec.mean()
     bps = spec.quad_breakpoints()
     upper = spec.support_upper()

@@ -404,6 +404,25 @@ def test_verify_independence_jackson_event_budget_exits_5(tmp_path, capsys,
     assert "1000 events" in capsys.readouterr().err
 
 
+def test_verify_independence_jackson_work_budget_exits_5(tmp_path, capsys):
+    # a full chunk of 16384 rows on the tandem (total rate 2.5) read at
+    # t = 244141 takes 16384 * 2.5 * 244141 > 10^10 expected row-steps;
+    # t = 244140 would be admitted and run for minutes
+    path = write_config(tmp_path, {
+        "model": {"kind": "jackson", "arrival_rates": [0.5, 0.0],
+                  "service_rates": [1.0, 1.0],
+                  "routing": [[0.0, 1.0], [0.0, 0.0]]},
+        "schedule": {"coordinates": [{"family": "affine", "a": 1.0},
+                                     {"family": "affine", "a": 0.5}]},
+        "run": {"seed": 7, "replications": 16384,
+                "t_grid": [10.0, 20.0, 244141.0],
+                "quantile_prepass": 1000, "burn_in": 20.0},
+        "output": {"directory": str(tmp_path / "res")},
+    })
+    assert main(["verify-independence", "--config", str(path)]) == EXIT_BUDGET
+    assert "10000000000 row-steps" in capsys.readouterr().err
+
+
 def test_stationary_requires_g(tmp_path, capsys):
     obj = small_sweep_scenario(out=str(tmp_path))
     path = write_config(tmp_path, obj)
@@ -627,3 +646,77 @@ def test_cli_import_leaves_scipy_stats_unloaded(child_env):
         capture_output=True, text=True, env=child_env("1"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# runs argv lists through cli.main in one fresh interpreter and prints the
+# scipy modules loaded before and after them
+COLD_CLI = """\
+import json, sys
+from regenverify import cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+report = {"numpy.random": "numpy.random" in sys.modules,
+          "before": scipy_modules()}
+report["codes"] = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+report["after"] = scipy_modules()
+print(json.dumps(report))
+"""
+
+
+def cold_cli(child_env, *runs: list[str]) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_CLI, json.dumps(runs)],
+        capture_output=True, text=True, env=child_env("1"))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_runs_without_loading_scipy(tmp_path, child_env):
+    report = cold_cli(
+        child_env,
+        ["stationary", "--config", str(CONFIG_DIR / "levy_stationary.json"),
+         "--out", str(tmp_path / "levy")],
+        ["verify-independence", "--config",
+         str(CONFIG_DIR / "clearing_comonotone.json"), "--reps", "1000",
+         "--out", str(tmp_path / "clearing")])
+    assert report == {"numpy.random": True, "before": [],
+                      "codes": [EXIT_OK, EXIT_OK], "after": []}
+
+
+def test_cli_loads_scipy_where_a_run_needs_it(tmp_path, child_env):
+    gamma = small_sweep_scenario(out="unused")
+    gamma["model"]["coordinates"] = [
+        {"cycle_length": {"kind": "gamma", "shape": 2.0, "rate": 2.0}},
+        {"cycle_length": {"kind": "gamma", "shape": 3.0, "rate": 1.0}}]
+    copula = small_sweep_scenario(out="unused")
+    copula["model"]["dependence"] = {"kind": "gaussian_copula",
+                                     "correlation": [[1.0, 0.6], [0.6, 1.0]]}
+    status = {
+        "model": {"kind": "status",
+                  "sources": [{"inter_update": EXP,
+                               "update_size": {"kind": "shifted_uniform",
+                                               "lo": 0.2, "hi": 0.8},
+                               "capacity": 1.0},
+                              {"inter_update": {"kind": "exponential",
+                                                "rate": 0.7},
+                               "update_size": {"kind": "deterministic",
+                                               "value": 1.0},
+                               "capacity": 1.0}],
+                  "dependence": {"kind": "common_shock",
+                                 "shock": {"kind": "exponential",
+                                           "rate": 2.0}}},
+        "run": {"seed": 7, "replications": 500, "burn_in": 50.0},
+        "output": {"directory": "unused"},
+    }
+    # comonotone gamma laws go through the gamma quantile, the copula
+    # through Phi, and pi's closed form through both quadratures
+    for name, command, obj, module in (
+            ("gamma", "verify-independence", gamma, "scipy.special"),
+            ("copula", "verify-independence", copula, "scipy.special"),
+            ("status", "status-pi", status, "scipy.integrate")):
+        path = write_config(tmp_path, obj, f"{name}.json")
+        report = cold_cli(child_env, [command, "--config", str(path),
+                                      "--out", str(tmp_path / name)])
+        assert report["before"] == [], name
+        assert report["codes"] == [EXIT_OK], name
+        assert module in report["after"], name

@@ -538,6 +538,26 @@ def test_jackson_sampler_event_budget_enforced(monkeypatch):
     assert states[0].shape == (100, 1)
 
 
+def test_jackson_sampler_work_budget_bounds_one_chunk(monkeypatch):
+    # the tandem steps at total rate 2.5: 100 rows to t=400 take 100 000
+    # expected row-steps, which the budget still admits
+    monkeypatch.setattr(models, "MAX_JACKSON_WORK", 100_000)
+    model = build_jackson(TANDEM)
+    states = sample_states(model, [400.0, 10.0], 100, seed=127)
+    assert states[0].shape == (100, 1)
+    for threads in (1, 2):
+        with pytest.raises(BudgetExceededError, match="100000 row-steps"):
+            sample_states(model, [400.4, 10.0], 100, seed=127,
+                          threads=threads)
+    # the bound is per chunk: rows past the first chunk add no work to it
+    rows = models.JACKSON_CHUNK
+    monkeypatch.setattr(models, "MAX_JACKSON_WORK", rows * 10)
+    states = sample_states(model, [4.0, 1.0], 2 * rows + 1, seed=127)
+    assert states[0].shape == (2 * rows + 1, 1)
+    with pytest.raises(BudgetExceededError, match=f"chunk of {rows} "):
+        sample_states(model, [4.1, 1.0], 2 * rows + 1, seed=127)
+
+
 # external arrivals at stations 0 and 2, a three-way split out of station
 # 0, feedback into station 0 and a self-loop at station 1
 FEEDBACK_3 = JacksonSpec(arrival_rates=(0.3, 0.0, 0.2),
