@@ -21,6 +21,7 @@ from .errors import ConfigurationError, HypothesisError
 # each family and the fields it reads
 SCHEDULE_FAMILIES = {"affine": ("a", "b"), "power": ("a", "p")}
 GAP_FLOOR = 0.02
+Z_LIMIT = 3.0
 QUANTILE_PREPASS = 10_000
 
 
@@ -57,12 +58,6 @@ class ScheduleCoordinate:
     @property
     def growth_exponent(self) -> float:
         return 1.0 if self.family == "affine" else self.p
-
-    def label(self) -> str:
-        if self.family == "affine":
-            return (f"{self.a:g}*t{self.b:+g}" if self.b != 0.0
-                    else f"{self.a:g}*t")
-        return f"{self.a:g}*t^{self.p:g}"
 
 
 @dataclass(frozen=True)
@@ -177,16 +172,6 @@ class GapEstimate:
     marginal_ses: tuple[float, ...]
     degenerate: bool = False
 
-    def to_json_dict(self) -> dict:
-        return {
-            "t": self.t, "f_id": self.f_id, "n": self.n,
-            "gap": self.gap, "se": self.se,
-            "mean_of_products": self.mean_of_products,
-            "marginal_means": list(self.marginal_means),
-            "marginal_ses": list(self.marginal_ses),
-            "degenerate": self.degenerate,
-        }
-
 
 def product_form_gap(samples: np.ndarray, *, t: float = math.nan,
                      f_id: str = "f") -> GapEstimate:
@@ -256,6 +241,12 @@ def floored_trend(t_grid, worst, gap_floor: float) -> float:
     return float(np.corrcoef(ranks_t, _average_ranks(floored))[0, 1])
 
 
+def require_replications(replications: int) -> None:
+    """Reject a sweep with too few replications for a stable gap."""
+    if replications < 1000:
+        raise ValueError("need at least 1000 replications")
+
+
 def convergence_sweep(model: RegenModel, schedule: ScheduleSpec, t_grid,
                       f_tuples, replications: int, seed: int, *,
                       allow_hypothesis_fail: bool = False,
@@ -267,8 +258,7 @@ def convergence_sweep(model: RegenModel, schedule: ScheduleSpec, t_grid,
     grid = tuple(float(t) for t in t_grid)
     if len(grid) < 3 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("t_grid must be strictly increasing with >= 3 points")
-    if replications < 1000:
-        raise ValueError("need at least 1000 replications")
+    require_replications(replications)
     verdict = check_hypotheses(schedule, model.cycle_means)
     if not verdict.passed and not allow_hypothesis_fail:
         raise HypothesisError(verdict)
@@ -289,17 +279,17 @@ def convergence_sweep(model: RegenModel, schedule: ScheduleSpec, t_grid,
                        trend=floored_trend(grid, worst, gap_floor))
 
 
-def final_gap_verdict(sweep: SweepResult, gap_floor: float = GAP_FLOOR,
-                      z_limit: float = 3.0) -> tuple[bool, list[dict]]:
+def final_gap_verdict(sweep: SweepResult, gap_floor: float = GAP_FLOOR
+                      ) -> tuple[bool, list[dict]]:
     """Pass/fail rule at the last grid time, shared by the CLI and the
     calibration checks: every f-tuple's gap must stay below
-    ``max(gap_floor, z_limit * SE)``. Each row names the term that set its
+    ``max(gap_floor, Z_LIMIT * SE)``. Each row names the term that set its
     threshold: ``"floor"`` or ``"se"``."""
     per_tuple = []
     passed = True
     for g in sweep.at_final_t():
-        by_se = z_limit * g.se > gap_floor
-        threshold = z_limit * g.se if by_se else gap_floor
+        by_se = Z_LIMIT * g.se > gap_floor
+        threshold = Z_LIMIT * g.se if by_se else gap_floor
         ok = bool(g.gap <= threshold)
         passed = passed and ok
         per_tuple.append({"f_id": g.f_id, "gap": g.gap, "se": g.se,
@@ -310,16 +300,15 @@ def final_gap_verdict(sweep: SweepResult, gap_floor: float = GAP_FLOOR,
 
 
 def quantile_indicator_tuples(model: RegenModel, burn_in: float, seed: int, *,
-                              levels: tuple[float, ...] = (0.25, 0.5, 0.75),
                               prepass: int = QUANTILE_PREPASS,
                               threads: int | None = None
                               ) -> list[tuple[str, tuple[StateFunction, ...]]]:
     """Default test-function bank: per-coordinate threshold indicators at
-    common stationary quantile levels, thresholds fixed by a pre-pass."""
+    the stationary quartiles, thresholds fixed by a pre-pass."""
     states = sample_states(model, [burn_in] * model.dimension, prepass, seed,
                            base_key=(31,), threads=threads)
     tuples = []
-    for q in levels:
+    for q in (0.25, 0.5, 0.75):
         fs = tuple(indicator_le(float(np.quantile(states[i][:, 0], q)))
                    for i in range(model.dimension))
         tuples.append((f"q{int(round(q * 100))}", fs))

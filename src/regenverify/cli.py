@@ -17,13 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .asymptotics import (check_hypotheses, convergence_sweep,
-                          final_gap_verdict, quantile_indicator_tuples)
+from .asymptotics import (Z_LIMIT, check_hypotheses, convergence_sweep,
+                          final_gap_verdict, quantile_indicator_tuples,
+                          require_replications)
 from .config import (ScenarioConfig, canonical_json, load_scenario,
                      scenario_to_json)
 from .engine import (RegenModel, default_burn_in, exp_neg,
-                     renewal_reward_estimate, sample_states, thread_count,
-                     time_average_estimate)
+                     renewal_reward_estimate, require_horizon, sample_states,
+                     thread_count, time_average_estimate)
 from .errors import (ArithmeticCyclesWarning, BudgetExceededError,
                      ConfigurationError)
 from .models import StatusSpec, build_model, pi_closed_form
@@ -35,8 +36,6 @@ EXIT_CONFIG = 2
 EXIT_STATISTICAL = 3
 EXIT_HYPOTHESIS = 4
 EXIT_BUDGET = 5
-
-Z_LIMIT = 3.0
 
 
 def _fmt(x: float) -> str:
@@ -147,6 +146,8 @@ def cmd_verify_independence(args) -> int:
               "(rerun with allow_hypothesis_fail for a negative control)")
         return EXIT_HYPOTHESIS
 
+    # reject a short run before the quantile pre-pass pays for it
+    require_replications(run.replications)
     burn = run.burn_in if run.burn_in is not None else default_burn_in(model)
     if run.test_functions == "exp_decay":
         f_tuples = [("exp", tuple(exp_neg() for _ in range(model.dimension)))]
@@ -163,7 +164,7 @@ def cmd_verify_independence(args) -> int:
                    rows, seed)
 
     finals = sweep.at_final_t()
-    passed, per_tuple = final_gap_verdict(sweep, run.gap_floor, Z_LIMIT)
+    passed, per_tuple = final_gap_verdict(sweep, run.gap_floor)
     trend_ok = not sweep.trend > 0.0
     payload = {
         "passed": bool(passed),
@@ -236,6 +237,8 @@ def cmd_stationary(args) -> int:
     mu = model.cycle_means[i]
     horizon = (run.horizon if run.horizon is not None
                else max(10_000.0, 200.0 * mu))
+    # reject a short horizon before the cycle route pays for it
+    require_horizon(model, i, horizon)
     rr = renewal_reward_estimate(model, i, g, run.n_cycles,
                                  substream(seed, 11))
     ta = time_average_estimate(model, i, g, horizon, substream(seed, 13))

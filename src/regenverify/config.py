@@ -86,10 +86,10 @@ class RunConfig:
             if getattr(self, name) < floor:
                 raise ConfigurationError(f"{name} must be >= {floor}", name)
         grid = self.t_grid
-        if (not grid or grid[0] <= 0.0
+        if (len(grid) < 3 or grid[0] <= 0.0
                 or any(b <= a for a, b in zip(grid, grid[1:]))):
             raise ConfigurationError("t_grid must be positive and strictly "
-                                     "increasing", "t_grid")
+                                     "increasing with >= 3 points", "t_grid")
         for name in ("horizon", "burn_in"):
             value = getattr(self, name)
             if value is not None and value <= 0.0:

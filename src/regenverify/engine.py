@@ -24,6 +24,7 @@ from .errors import BudgetExceededError
 from .randomness import as_generator, sample_cycle_vectors, substream
 
 DEFAULT_CYCLE_BUDGET = 10_000_000
+TIME_AVERAGE_BATCHES = 32
 
 # cycles per block in the stationary routes; fixed so peak memory and the
 # draw order do not depend on the run length or the thread count
@@ -282,11 +283,6 @@ def exp_neg(component: int = 0) -> StateFunction:
     return StateFunction("exp_neg", weights=_unit_weights(component))
 
 
-def updated_indicator() -> StateFunction:
-    """1{x0 > x1}: for status models, 1{age > scaled threshold}, strict."""
-    return StateFunction("indicator_gt", weights=(1.0, -1.0), threshold=0.0)
-
-
 def path_integral(path: CyclePath, g: StateFunction, lo: float = 0.0,
                   hi: float | None = None) -> float:
     """Exact ``int_lo^hi g(X(u)) du`` along one cycle path."""
@@ -322,13 +318,15 @@ class RegenModel:
     test suite cross-checks the other two against.
     """
 
-    name: str
-    dimension: int
     state_dims: tuple[int, ...]
     cycle_means: tuple[float, ...]
     cycle_generator: Callable[[np.random.Generator], tuple[CyclePath, ...]]
     joint_state_sampler: JointStateSampler
     cycle_batch: Callable[[np.random.Generator, int], tuple[CycleBatch, ...]]
+
+    @property
+    def dimension(self) -> int:
+        return len(self.cycle_means)
 
 
 @dataclass(frozen=True)
@@ -380,15 +378,22 @@ def renewal_reward_estimate(model: RegenModel, i: int, g, n_cycles: int,
     return ratio_estimate(rewards[:, 0], lengths)
 
 
-def time_average_estimate(model: RegenModel, i: int, g, horizon: float, rng,
-                          n_batches: int = 32,
-                          max_cycles: int = DEFAULT_CYCLE_BUDGET) -> Estimate:
-    """Pathwise time average ``horizon^{-1} int_0^horizon g(X_i(s)) ds``
-    from a single long run, with a batch-means SE."""
+def require_horizon(model: RegenModel, i: int, horizon: float) -> None:
+    """Reject a time-average horizon shorter than 100 mean cycles."""
     mu = model.cycle_means[i]
     if not horizon >= 100.0 * mu:
         raise ValueError(f"horizon must cover at least 100 mean cycles "
                          f"({100.0 * mu:g})")
+
+
+def time_average_estimate(model: RegenModel, i: int, g, horizon: float,
+                          rng) -> Estimate:
+    """Pathwise time average ``horizon^{-1} int_0^horizon g(X_i(s)) ds``
+    from a single long run, with a batch-means SE."""
+    require_horizon(model, i, horizon)
+    mu = model.cycle_means[i]
+    n_batches = TIME_AVERAGE_BATCHES
+    max_cycles = DEFAULT_CYCLE_BUDGET
     gen = as_generator(rng)
     edges = np.linspace(0.0, horizon, n_batches + 1)
     batches = np.zeros(n_batches)

@@ -34,8 +34,7 @@ from .errors import (ArithmeticCyclesWarning, BudgetExceededError,
 from .engine import (CycleBatch, CyclePath, RegenModel, chunked_sampler,
                      linear_path, window_sampler)
 from .randomness import (DependenceSpec, MarginalSpec, effective_arithmetic,
-                         effective_cycle_mean, sample_cycle_vector,
-                         sample_cycle_vectors)
+                         effective_cycle_mean, sample_cycle_vectors)
 from .renewal import equilibrium_tail, mean_excess
 
 MAX_EVENTS_PER_CYCLE = 10_000_000
@@ -217,7 +216,7 @@ def build_levy_queue(spec: LevyQueueSpec) -> RegenModel:
                   / (1.0 - c.load()) for c in coords)
 
     def generate(gen: np.random.Generator) -> tuple[CyclePath, ...]:
-        levels = sample_cycle_vector(dep, restarts, gen)
+        levels = sample_cycle_vectors(dep, restarts, gen, 1)[0]
         return tuple(_levy_cycle(coords[i], float(levels[i]), gen)
                      for i in range(len(coords)))
 
@@ -233,8 +232,7 @@ def build_levy_queue(spec: LevyQueueSpec) -> RegenModel:
 
     sampler = window_sampler(dep, restarts, expand, means,
                              (1,) * len(coords))
-    return RegenModel("levy_queue", len(coords), (1,) * len(coords),
-                      means, generate, sampler, batch)
+    return RegenModel((1,) * len(coords), means, generate, sampler, batch)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +363,7 @@ def build_clearing(spec: ClearingSpec) -> RegenModel:
     means = tuple(effective_cycle_mean(dep, sp) for sp in marginals)
 
     def generate(gen: np.random.Generator) -> tuple[CyclePath, ...]:
-        lens = sample_cycle_vector(dep, marginals, gen)
+        lens = sample_cycle_vectors(dep, marginals, gen, 1)[0]
         return tuple(_subordinator_cycle(coords[i], float(lens[i]), gen)
                      for i in range(len(coords)))
 
@@ -386,8 +384,7 @@ def build_clearing(spec: ClearingSpec) -> RegenModel:
 
     sampler = _renewal_window(dep, marginals, state, means,
                               (1,) * len(coords))
-    return RegenModel("clearing", len(coords), (1,) * len(coords),
-                      means, generate, sampler, batch)
+    return RegenModel((1,) * len(coords), means, generate, sampler, batch)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +436,7 @@ def build_status(spec: StatusSpec) -> RegenModel:
     means = tuple(effective_cycle_mean(dep, sp) for sp in marginals)
 
     def generate(gen: np.random.Generator) -> tuple[CyclePath, ...]:
-        lens = sample_cycle_vector(dep, marginals, gen)
+        lens = sample_cycle_vectors(dep, marginals, gen, 1)[0]
         paths = []
         for i, src in enumerate(sources):
             hurdle = src.update_size.sample(gen) / src.capacity
@@ -467,8 +464,7 @@ def build_status(spec: StatusSpec) -> RegenModel:
 
     sampler = _renewal_window(dep, marginals, state, means,
                               (2,) * len(sources))
-    return RegenModel("status", len(sources), (2,) * len(sources),
-                      means, generate, sampler, batch)
+    return RegenModel((2,) * len(sources), means, generate, sampler, batch)
 
 
 def _effective_equilibrium_tail(dep: DependenceSpec, marginal: MarginalSpec,
@@ -570,8 +566,7 @@ def build_age_residual(spec: AgeResidualSpec) -> RegenModel:
 
     means = (spec.cycle_length.mean(),) * m
     sampler = _renewal_window(dep, marginals, state, means, (2,) * m)
-    return RegenModel("age_residual", m, (2,) * m, means, generate, sampler,
-                      batch)
+    return RegenModel((2,) * m, means, generate, sampler, batch)
 
 
 # ---------------------------------------------------------------------------
@@ -863,8 +858,7 @@ def build_jackson(spec: JacksonSpec) -> RegenModel:
     spec.validate()
     m = len(spec.arrival_rates)
     mean = jackson_cycle_mean(spec)
-    return RegenModel("jackson", m, (1,) * m, (mean,) * m,
-                      partial(_jackson_cycle, spec),
+    return RegenModel((1,) * m, (mean,) * m, partial(_jackson_cycle, spec),
                       _make_jackson_sampler(spec),
                       partial(_jackson_batch, spec))
 

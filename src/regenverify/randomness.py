@@ -368,11 +368,6 @@ def sample_cycle_vectors(dep: DependenceSpec, marginals, rng,
     return np.column_stack([marginals[i].ppf(u[:, i]) for i in range(m)])
 
 
-def sample_cycle_vector(dep: DependenceSpec, marginals, rng) -> np.ndarray:
-    """One cycle vector, shape (m,)."""
-    return sample_cycle_vectors(dep, marginals, rng, 1)[0]
-
-
 def effective_cycle_mean(dep: DependenceSpec, marginal: MarginalSpec) -> float:
     """Mean of one coordinate after the dependence transform."""
     if dep.kind == "common_shock":

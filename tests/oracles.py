@@ -14,11 +14,11 @@ from typing import Sequence
 
 import numpy as np
 
-from regenverify import (BudgetExceededError, CyclePath, JacksonSpec,
-                         RegenModel, substream)
-from regenverify.engine import DEFAULT_CYCLE_BUDGET, CycleBatch
-from regenverify.models import _by_cycle
-from regenverify.randomness import as_generator
+from regenverify import BudgetExceededError
+from regenverify.engine import (DEFAULT_CYCLE_BUDGET, CycleBatch, CyclePath,
+                                RegenModel)
+from regenverify.models import JacksonSpec, _by_cycle
+from regenverify.randomness import as_generator, substream
 
 
 class Realization:

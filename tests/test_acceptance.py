@@ -18,17 +18,20 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, stats
 
-from regenverify import (AgeResidualSpec, ClearingCoordinate, ClearingSpec,
-                         DependenceSpec, JacksonSpec, LevyQueueCoordinate,
-                         LevyQueueSpec, MarginalSpec, ScheduleSpec,
-                         StatusSource, StatusSpec, build_age_residual,
-                         build_clearing, build_jackson, build_levy_queue,
-                         build_status, check_hypotheses, convergence_sweep,
-                         cycle_functionals, equilibrium_cdf, exp_neg,
-                         final_gap_verdict, identity, indicator_le,
-                         product_form_gap, quantile_indicator_tuples,
-                         ratio_estimate, sample_states, substream,
-                         time_average_estimate)
+from regenverify import (ClearingCoordinate, ClearingSpec, DependenceSpec,
+                         MarginalSpec, ScheduleSpec, build_clearing,
+                         check_hypotheses, convergence_sweep,
+                         final_gap_verdict, quantile_indicator_tuples)
+from regenverify.engine import (cycle_functionals, exp_neg, identity,
+                                indicator_le, ratio_estimate, sample_states,
+                                time_average_estimate)
+from regenverify.models import (AgeResidualSpec, JacksonSpec,
+                                LevyQueueCoordinate, LevyQueueSpec,
+                                StatusSource, StatusSpec, build_age_residual,
+                                build_jackson, build_levy_queue, build_status)
+from regenverify.randomness import substream
+from regenverify.renewal import equilibrium_cdf
+from regenverify.asymptotics import product_form_gap
 from regenverify.cli import (EXIT_HYPOTHESIS, EXIT_OK, EXIT_STATISTICAL,
                              main)
 

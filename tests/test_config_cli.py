@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from regenverify import cli
 from regenverify.cli import (EXIT_BUDGET, EXIT_CONFIG, EXIT_HYPOTHESIS,
                              EXIT_OK, EXIT_STATISTICAL, main)
 from regenverify.config import (canonical_json, load_scenario, loads_scenario,
@@ -25,6 +26,11 @@ def roundtrip(obj: dict) -> str:
     second = canonical_json(scenario_to_json(loads_scenario(first)))
     assert first == second
     return first
+
+
+def refuse(*args, **kwargs):
+    """Stands in for a stage that must not run before a rejection."""
+    raise AssertionError("a stage ran before the run was rejected")
 
 
 def write_config(tmp_path: Path, obj: dict, name: str = "cfg.json") -> Path:
@@ -423,6 +429,18 @@ def test_verify_independence_jackson_work_budget_exits_5(tmp_path, capsys):
     assert "10000000000 row-steps" in capsys.readouterr().err
 
 
+def test_stationary_short_horizon_rejected_before_cycle_route(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "renewal_reward_estimate", refuse)
+    obj = json.loads((CONFIG_DIR / "levy_stationary.json").read_text())
+    obj["run"].update(horizon=5.0, n_cycles=1_000_000)
+    obj["output"]["directory"] = str(tmp_path / "res")
+    rc = main(["stationary", "--config", str(write_config(tmp_path, obj))])
+    assert rc == EXIT_CONFIG
+    assert ("horizon must cover at least 100 mean cycles"
+            in capsys.readouterr().err)
+
+
 def test_stationary_requires_g(tmp_path, capsys):
     obj = small_sweep_scenario(out=str(tmp_path))
     path = write_config(tmp_path, obj)
@@ -570,6 +588,27 @@ def test_verify_independence_requires_schedule(tmp_path, capsys):
     rc = main(["verify-independence", "--config", str(path)])
     assert rc == EXIT_CONFIG
     assert "schedule" in capsys.readouterr().err
+
+
+def test_short_run_rejected_before_prepass(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "quantile_indicator_tuples", refuse)
+    path = CONFIG_DIR / "clearing_comonotone.json"
+    rc = main(["verify-independence", "--config", str(path), "--reps", "500",
+               "--out", str(tmp_path / "res")])
+    assert rc == EXIT_CONFIG
+    assert ("ERROR config: need at least 1000 replications"
+            in capsys.readouterr().err)
+
+
+def test_two_point_grid_rejected_before_prepass(tmp_path, capsys,
+                                                monkeypatch):
+    monkeypatch.setattr(cli, "quantile_indicator_tuples", refuse)
+    obj = small_sweep_scenario(out=str(tmp_path / "res"))
+    obj["run"]["t_grid"] = [5.0, 25.0]
+    path = write_config(tmp_path, obj)
+    for command in ("validate", "verify-independence"):
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        assert "run.t_grid" in capsys.readouterr().err
 
 
 def test_seed_override_changes_results(tmp_path, capsys):

@@ -8,15 +8,19 @@ import pytest
 from scipy import integrate
 
 from oracles import Realization, from_paths
-from regenverify import (AgeResidualSpec, BudgetExceededError,
-                         ClearingCoordinate, ClearingSpec, CyclePath,
-                         DependenceSpec, LevyQueueCoordinate, LevyQueueSpec,
-                         MarginalSpec, StateFunction, build_age_residual,
-                         build_clearing, build_levy_queue, constant,
-                         cycle_functionals, exp_neg, identity, indicator_gt,
-                         indicator_le, path_integral, ratio_estimate,
-                         renewal_reward_estimate, run_chunked, sample_states,
-                         substream, time_average_estimate, updated_indicator)
+from regenverify import (BudgetExceededError, ClearingCoordinate, ClearingSpec,
+                         DependenceSpec, MarginalSpec, build_clearing)
+from regenverify.engine import (CyclePath, StateFunction, constant,
+                                cycle_functionals, exp_neg, identity,
+                                indicator_gt, indicator_le, path_integral,
+                                ratio_estimate, renewal_reward_estimate,
+                                run_chunked, sample_states,
+                                time_average_estimate)
+from regenverify.models import (AgeResidualSpec, LevyQueueCoordinate,
+                                LevyQueueSpec, build_age_residual,
+                                build_levy_queue)
+from regenverify.randomness import substream
+from regenverify import engine
 
 
 def segment_quadrature(g: StateFunction, value0, slope, length) -> float:
@@ -142,7 +146,7 @@ def test_path_integral_over_segments():
 
 
 def test_updated_indicator_semantics():
-    f = updated_indicator()
+    f = StateFunction("indicator_gt", weights=(1.0, -1.0), threshold=0.0)
     assert f(np.array([1.0, 0.5])) == 1.0
     assert f(np.array([0.5, 1.0])) == 0.0
     assert f(np.array([0.5, 0.5])) == 0.0  # tie counts as not updated
@@ -265,11 +269,11 @@ def test_time_average_identity_long_run():
     assert abs(est.value - 1.0) < 0.02
 
 
-def test_time_average_budget_enforced():
+def test_time_average_budget_enforced(monkeypatch):
     model = pure_drift_clearing(MarginalSpec.exponential(1.0))
+    monkeypatch.setattr(engine, "DEFAULT_CYCLE_BUDGET", 10)
     with pytest.raises(BudgetExceededError):
-        time_average_estimate(model, 0, identity(), 1000.0, substream(13, 1),
-                              max_cycles=10)
+        time_average_estimate(model, 0, identity(), 1000.0, substream(13, 1))
 
 
 def test_batched_routes_match_per_cycle_integrals():

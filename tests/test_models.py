@@ -10,17 +10,18 @@ from scipy import integrate, stats
 
 from oracles import (Realization, jackson_batch, jackson_chunk_states,
                      realization_states)
-from regenverify import (AgeResidualSpec, ArithmeticCyclesWarning,
-                         BudgetExceededError, ClearingCoordinate,
-                         ClearingSpec, ConfigurationError, DependenceSpec,
-                         JacksonSpec, LevyQueueCoordinate, LevyQueueSpec,
-                         MarginalSpec, StatusSource, StatusSpec,
-                         build_age_residual, build_clearing, build_jackson,
-                         build_levy_queue, build_status, exp_neg, identity,
-                         jackson_cycle_mean, jackson_utilizations,
-                         path_integral, pi_closed_form,
-                         renewal_reward_estimate, sample_states, substream,
-                         traffic_solve)
+from regenverify import (ArithmeticCyclesWarning, BudgetExceededError,
+                         ClearingCoordinate, ClearingSpec, ConfigurationError,
+                         DependenceSpec, MarginalSpec, build_clearing)
+from regenverify.engine import (exp_neg, identity, path_integral,
+                                renewal_reward_estimate, sample_states)
+from regenverify.models import (AgeResidualSpec, JacksonSpec,
+                                LevyQueueCoordinate, LevyQueueSpec,
+                                StatusSource, StatusSpec, build_age_residual,
+                                build_jackson, build_levy_queue, build_status,
+                                jackson_cycle_mean, jackson_utilizations,
+                                pi_closed_form, traffic_solve)
+from regenverify.randomness import substream
 from regenverify import engine, models
 
 EXP1 = MarginalSpec.exponential(1.0)

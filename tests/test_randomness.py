@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from regenverify import (ConfigurationError, DependenceSpec, MarginalSpec,
-                         sample_cycle_vector, sample_cycle_vectors, substream)
+from regenverify import ConfigurationError, DependenceSpec, MarginalSpec
+from regenverify.randomness import sample_cycle_vectors, substream
 
 
 def ks_distance(draws: np.ndarray, cdf) -> float:
@@ -108,7 +108,7 @@ def test_invalid_marginals_rejected(bad):
 def test_independent_deterministic_vector():
     dep = DependenceSpec.independent()
     margs = [MarginalSpec.deterministic(1.0), MarginalSpec.deterministic(1.0)]
-    vec = sample_cycle_vector(dep, margs, substream(0, 0))
+    vec = sample_cycle_vectors(dep, margs, substream(0, 0), 1)[0]
     assert vec.tolist() == [1.0, 1.0]
 
 

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from regenverify import (AgeResidualSpec, MarginalSpec, build_age_residual,
-                         equilibrium_cdf, equilibrium_tail, sample_states,
-                         substream)
+from regenverify import MarginalSpec
+from regenverify.engine import sample_states
+from regenverify.models import AgeResidualSpec, build_age_residual
+from regenverify.randomness import substream
+from regenverify.renewal import equilibrium_cdf, equilibrium_tail
 
 
 def fe_quadrature(spec: MarginalSpec, x: float) -> float:
