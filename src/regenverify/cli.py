@@ -119,8 +119,13 @@ def _check_observed(run, model: RegenModel) -> None:
 def cmd_validate(args) -> int:
     cfg = _load(args)
     model = _build(cfg.model)
+    # the run checks verify-independence and stationary make before drawing
+    if cfg.schedule is not None:
+        require_replications(cfg.run.replications)
     if cfg.run.g is not None:
         _check_observed(cfg.run, model)
+        i = cfg.run.coordinate
+        require_horizon(model, i, _horizon(cfg.run, model.cycle_means[i]))
     print(canonical_json(scenario_to_json(cfg)))
     return EXIT_OK
 
@@ -223,6 +228,14 @@ def cmd_status_pi(args) -> int:
     return EXIT_OK if abs(z) <= Z_LIMIT else EXIT_STATISTICAL
 
 
+def _horizon(run, mu: float) -> float:
+    """The time-average horizon: ``run.horizon``, or 200 mean cycles and at
+    least 10 000."""
+    if run.horizon is not None:
+        return run.horizon
+    return max(10_000.0, 200.0 * mu)
+
+
 def cmd_stationary(args) -> int:
     cfg = _load(args)
     run = cfg.run
@@ -234,9 +247,7 @@ def cmd_stationary(args) -> int:
     g = run.g.realize()
     seed = run.seed
     i = run.coordinate
-    mu = model.cycle_means[i]
-    horizon = (run.horizon if run.horizon is not None
-               else max(10_000.0, 200.0 * mu))
+    horizon = _horizon(run, model.cycle_means[i])
     # reject a short horizon before the cycle route pays for it
     require_horizon(model, i, horizon)
     rr = renewal_reward_estimate(model, i, g, run.n_cycles,

@@ -507,15 +507,18 @@ def window_sampler(dep, laws, expand, cycle_means,
             b = max(1, min(int(left + math.sqrt(left)) + 2, budget - drawn,
                            WINDOW_ELEMENTS // (rows.size * m)))
             drawn += b
+            # coordinate i's entries as a (rows, b) block, contiguous when
+            # the draw is stored coordinate-major
             draws = sample_cycle_vectors(dep, laws, gen, rows.size * b
-                                         ).reshape(rows.size, b, m)
+                                         ).T.reshape(m, rows.size, b)
             for i in range(m):
                 sel = pending[rows, i]
                 r = rows[sel]
                 if not r.size:
                     continue
+                column = draws[i] if r.size == rows.size else draws[i, sel]
                 # one coordinate's cycles at a time, released before the next
-                lengths, fill = expand(i, draws[sel, :, i].ravel(), gen)
+                lengths, fill = expand(i, column.ravel(), gen)
                 lengths = lengths.reshape(r.size, b)
                 pos = np.cumsum(lengths, axis=1)
                 base = epochs[r, i]
@@ -533,7 +536,7 @@ def window_sampler(dep, laws, expand, cycle_means,
                                    np.nextafter(lengths[hit, j], 0.0))
                     out[i][r[hit]] = fill(hit * b + j, s)
                     pending[r[hit], i] = False
-                del lengths, fill, pos
+                del column, lengths, fill, pos
         return out
 
     return chunked_sampler(chunk_states, WINDOW_CHUNK)

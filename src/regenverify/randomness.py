@@ -25,6 +25,8 @@ MARGINAL_KINDS = {"exponential": ("rate",), "gamma": ("shape", "rate"),
 DEPENDENCE_KINDS = {"independent": (), "comonotone": (),
                     "common_shock": ("shock",),
                     "gaussian_copula": ("correlation",)}
+# laws whose quantile is a unit-rate quantile divided by the rate
+UNIT_RATE_KINDS = ("exponential", "gamma")
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -222,25 +224,36 @@ class MarginalSpec:
 
     def ppf(self, u):
         us = np.asarray(u, dtype=float)
-        if np.any((us < 0.0) | (us > 1.0)):
+        # written so that NaN fails the check too
+        if not np.all((us >= 0.0) & (us <= 1.0)):
             raise ValueError("quantile levels must lie in [0, 1]")
+        out = self._quantile(us)
+        return out if np.ndim(u) else float(out)
+
+    def _quantile(self, us: np.ndarray) -> np.ndarray:
+        """``ppf`` without the range check, for uniforms a generator drew."""
         k = self.kind
-        if k == "exponential":
-            out = -np.log1p(-us) / self.rate
-        elif k == "gamma":
-            from scipy import special
-            out = special.gammaincinv(self.shape, us) / self.rate
-        elif k == "deterministic":
-            out = np.full_like(us, self.value)
-        elif k == "lattice":
+        if k in UNIT_RATE_KINDS:
+            return self._unit_quantile(us, np.empty_like(us)) / self.rate
+        if k == "deterministic":
+            return np.full_like(us, self.value)
+        if k == "lattice":
             locs = np.array([n * self.span for n, _ in self.weights])
             cumw = np.cumsum([w for _, w in self.weights])
             idx = np.minimum(np.searchsorted(cumw, us, side="left"),
                              len(locs) - 1)
-            out = locs[idx]
-        else:
-            out = self.lo + us * (self.hi - self.lo)
-        return out if np.ndim(u) else float(out)
+            return locs[idx]
+        return self.lo + us * (self.hi - self.lo)
+
+    def _unit_quantile(self, us: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Quantiles of this law at rate 1, written to ``out``, which may
+        be ``us``; the law's own quantile is this divided by its rate."""
+        if self.kind == "exponential":
+            np.negative(us, out=out)
+            np.log1p(out, out=out)
+            return np.negative(out, out=out)
+        from scipy import special
+        return special.gammaincinv(self.shape, us, out=out)
 
     def sample(self, rng, size=None):
         gen = as_generator(rng)
@@ -252,7 +265,7 @@ class MarginalSpec:
         elif k == "deterministic":
             out = self.value if size is None else np.full(size, self.value)
         elif k == "lattice":
-            out = self.ppf(gen.random(size))
+            out = self._quantile(gen.random(size))
         else:
             out = gen.uniform(self.lo, self.hi, size)
         return float(out) if size is None else out
@@ -339,7 +352,11 @@ class DependenceSpec:
 
 def sample_cycle_vectors(dep: DependenceSpec, marginals, rng,
                          size: int) -> np.ndarray:
-    """``size`` i.i.d. cycle vectors as a (size, m) array."""
+    """``size`` i.i.d. cycle vectors as a (size, m) array.
+
+    The array is the transpose of a coordinate-major (m, size) buffer, so
+    each coordinate's column is contiguous.
+    """
     gen = as_generator(rng)
     marginals = tuple(marginals)
     m = len(marginals)
@@ -348,24 +365,65 @@ def sample_cycle_vectors(dep: DependenceSpec, marginals, rng,
     dep.validate(m)
     for sp in marginals:
         sp.validate()
+    out = np.empty((m, size))
     if dep.kind == "independent":
-        return np.column_stack([sp.sample(gen, size) for sp in marginals])
-    if dep.kind == "comonotone":
+        for i, sp in enumerate(marginals):
+            out[i] = sp.sample(gen, size)
+    elif dep.kind == "comonotone":
         if all(sp == marginals[0] for sp in marginals):
             # identical marginals: one shared draw per row realises the
             # same coupling as the inverse-CDF route without quantile cost
-            base = np.asarray(marginals[0].sample(gen, size), dtype=float)
-            return np.repeat(base[:, None], m, axis=1)
-        u = gen.random(size)
-        return np.column_stack([sp.ppf(u) for sp in marginals])
-    if dep.kind == "common_shock":
+            out[0] = marginals[0].sample(gen, size)
+            out[1:] = out[0]
+        else:
+            groups = _quantile_groups(marginals)
+            gen.random(out=out[groups[-1][0]])
+            _invert(marginals, out, groups)
+    elif dep.kind == "common_shock":
         z = np.asarray(dep.shock.sample(gen, size), dtype=float)
-        return np.column_stack([z + sp.sample(gen, size) for sp in marginals])
-    from scipy import special
-    factor = dep._copula_factor()
-    z = gen.standard_normal((size, m)) @ factor.T
-    u = special.ndtr(z)
-    return np.column_stack([marginals[i].ppf(u[:, i]) for i in range(m)])
+        for i, sp in enumerate(marginals):
+            np.add(z, sp.sample(gen, size), out=out[i])
+    else:
+        from scipy import special
+        factor = dep._copula_factor()
+        z = gen.standard_normal((size, m)) @ factor.T
+        special.ndtr(z, out=out.T)
+        for i in range(m):
+            _invert(marginals[i:i + 1], out[i:i + 1], [[0]])
+    return out.T
+
+
+def _quantile_groups(laws) -> list[list[int]]:
+    """Indices of ``laws`` grouped by shared quantile, in the order
+    :func:`_invert` takes them: each law outside the rate families alone,
+    then one group per rate family and shape."""
+    groups: dict = {}
+    for i, sp in enumerate(laws):
+        key = (sp.kind, sp.shape) if sp.kind in UNIT_RATE_KINDS else i
+        groups.setdefault(key, []).append(i)
+    return sorted(groups.values(),
+                  key=lambda rows: laws[rows[0]].kind in UNIT_RATE_KINDS)
+
+
+def _invert(laws, out: np.ndarray, groups) -> None:
+    """Turn the uniforms held in ``out[groups[-1][0]]`` into each law's
+    quantiles, law ``i``'s in ``out[i]``.
+
+    A group of rate-family laws shares one unit-rate quantile, and each
+    member's row is that divided by its rate (F_rate^-1 = F_1^-1 / rate).
+    Every group but the last reads the uniforms; the last one, which holds
+    them, is inverted in place, so they are never copied.
+    """
+    u = out[groups[-1][0]]
+    for rows in groups:
+        lead = laws[rows[0]]
+        if lead.kind not in UNIT_RATE_KINDS:
+            out[rows[0]] = lead._quantile(u)
+            continue
+        unit = lead._unit_quantile(u, out[rows[0]])
+        for i in rows[1:]:
+            np.divide(unit, laws[i].rate, out=out[i])
+        np.divide(unit, lead.rate, out=unit)
 
 
 def effective_cycle_mean(dep: DependenceSpec, marginal: MarginalSpec) -> float:

@@ -4,7 +4,9 @@ Most of what is here is built from a model's per-cycle ``cycle_generator``,
 one Python ``CyclePath`` at a time: slow, but simple enough to trust. The
 Jackson references step the uniformised chain one gather/scatter per step on
 row-major state, and consume the generator exactly as the package's
-station-major step does, so the two must agree bit for bit.
+station-major step does, so the two must agree bit for bit. The
+cycle-vector reference takes each coordinate's quantile on its own and
+stacks the columns into a row-major array; it too must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from regenverify import BudgetExceededError
 from regenverify.engine import (DEFAULT_CYCLE_BUDGET, CycleBatch, CyclePath,
                                 RegenModel)
 from regenverify.models import JacksonSpec, _by_cycle
-from regenverify.randomness import as_generator, substream
+from regenverify.randomness import (DependenceSpec, MarginalSpec,
+                                    as_generator, substream)
 
 
 class Realization:
@@ -102,6 +105,55 @@ def from_paths(paths: Sequence[CyclePath]) -> CycleBatch:
                       np.concatenate([p.slopes for p in paths]),
                       np.cumsum(counts) - counts,
                       np.array([p.length for p in paths]))
+
+
+def row_major_ppf(sp: MarginalSpec, us: np.ndarray) -> np.ndarray:
+    """One law's quantiles of ``us``, each kind's inverse CDF in one
+    expression, rate-family laws included."""
+    if sp.kind == "exponential":
+        return -np.log1p(-us) / sp.rate
+    if sp.kind == "gamma":
+        from scipy import special
+        return special.gammaincinv(sp.shape, us) / sp.rate
+    if sp.kind == "deterministic":
+        return np.full_like(us, sp.value)
+    if sp.kind == "lattice":
+        locs = np.array([n * sp.span for n, _ in sp.weights])
+        cumw = np.cumsum([w for _, w in sp.weights])
+        return locs[np.minimum(np.searchsorted(cumw, us, side="left"),
+                               len(locs) - 1)]
+    return sp.lo + us * (sp.hi - sp.lo)
+
+
+def row_major_cycle_vectors(dep: DependenceSpec, marginals, rng,
+                            size: int) -> np.ndarray:
+    """Reference ``sample_cycle_vectors``: a C-ordered (size, m) array with
+    one quantile per coordinate, stacked column by column. It consumes the
+    generator exactly as the package does, so the two agree bit for bit."""
+    gen = as_generator(rng)
+    marginals = tuple(marginals)
+    m = len(marginals)
+
+    def sample(sp: MarginalSpec) -> np.ndarray:
+        if sp.kind == "lattice":
+            return row_major_ppf(sp, gen.random(size))
+        return np.asarray(sp.sample(gen, size), dtype=float)
+
+    if dep.kind == "independent":
+        return np.column_stack([sample(sp) for sp in marginals])
+    if dep.kind == "comonotone":
+        if all(sp == marginals[0] for sp in marginals):
+            return np.repeat(sample(marginals[0])[:, None], m, axis=1)
+        u = gen.random(size)
+        return np.column_stack([row_major_ppf(sp, u) for sp in marginals])
+    if dep.kind == "common_shock":
+        z = sample(dep.shock)
+        return np.column_stack([z + sample(sp) for sp in marginals])
+    from scipy import special
+    z = gen.standard_normal((size, m)) @ dep._copula_factor().T
+    u = special.ndtr(z)
+    return np.column_stack([row_major_ppf(marginals[i], u[:, i])
+                            for i in range(m)])
 
 
 def jackson_fire(spec: JacksonSpec):

@@ -500,6 +500,32 @@ def test_validate_ignores_coordinate_without_g(tmp_path, capsys):
     assert main(["validate", "--config", str(path)]) == EXIT_OK
 
 
+def test_validate_rejects_too_few_replications(tmp_path, capsys,
+                                               monkeypatch):
+    monkeypatch.setattr(cli, "quantile_indicator_tuples", refuse)
+    path = CONFIG_DIR / "clearing_comonotone.json"
+    for command in ("validate", "verify-independence"):
+        rc = main([command, "--config", str(path), "--reps", "500",
+                   "--out", str(tmp_path / "res")])
+        assert rc == EXIT_CONFIG, command
+        assert ("ERROR config: need at least 1000 replications"
+                in capsys.readouterr().err), command
+
+
+@pytest.mark.parametrize("horizon, code", [(5.0, EXIT_CONFIG),
+                                           (None, EXIT_OK)],
+                         ids=["short", "default"])
+def test_validate_checks_the_stationary_horizon(tmp_path, capsys, horizon,
+                                                code):
+    obj = json.loads((CONFIG_DIR / "levy_stationary.json").read_text())
+    obj["run"]["horizon"] = horizon
+    path = write_config(tmp_path, obj)
+    assert main(["validate", "--config", str(path)]) == code
+    err = capsys.readouterr().err
+    assert ("horizon must cover at least 100 mean cycles" in err) == (
+        code == EXIT_CONFIG)
+
+
 # ---------------------------------------------------------------------------
 # CLI: verify-independence
 

@@ -9,7 +9,7 @@ import pytest
 from scipy import integrate, stats
 
 from oracles import (Realization, jackson_batch, jackson_chunk_states,
-                     realization_states)
+                     realization_states, row_major_cycle_vectors)
 from regenverify import (ArithmeticCyclesWarning, BudgetExceededError,
                          ClearingCoordinate, ClearingSpec, ConfigurationError,
                          DependenceSpec, MarginalSpec, build_clearing)
@@ -657,6 +657,26 @@ def test_window_sampler_is_thread_count_invariant(family):
     two = sample_states(model, [20.0, 30.0], n, seed=107, threads=2)
     for a, b, d in zip(one, two, model.state_dims):
         assert a.shape == (n, d)
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("family", sorted(WINDOW_MODELS))
+def test_window_sampler_reads_draws_in_either_memory_order(family,
+                                                          monkeypatch):
+    model = WINDOW_MODELS[family]()
+    times = [20.0, 30.0]
+    stored = sample_states(model, times, 1500, seed=125)
+    rows = []
+
+    def row_major(dep, marginals, rng, size):
+        rows.append(size)
+        return row_major_cycle_vectors(dep, marginals, rng, size)
+
+    monkeypatch.setattr(engine, "sample_cycle_vectors", row_major)
+    read = sample_states(model, times, 1500, seed=125)
+    # later rounds draw only for the replications still pending
+    assert len(rows) > 1 and min(rows) < rows[0]
+    for a, b in zip(stored, read):
         assert a.tobytes() == b.tobytes()
 
 

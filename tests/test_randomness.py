@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from oracles import row_major_cycle_vectors
 from regenverify import ConfigurationError, DependenceSpec, MarginalSpec
 from regenverify.randomness import sample_cycle_vectors, substream
 
@@ -85,6 +86,20 @@ def test_marginal_mean_matches_tail_quadrature(spec):
 def test_every_kind_ecdf_within_ks_bound(spec):
     draws = spec.sample(substream(17, 0), 100_000)
     assert ks_distance(draws, spec.cdf) < 0.01
+
+
+@pytest.mark.parametrize("spec", [
+    MarginalSpec.exponential(1.0),
+    MarginalSpec.gamma(2.0, 1.0),
+    MarginalSpec.deterministic(2.0),
+    MarginalSpec.lattice(1.0, {1: 0.5, 2: 0.5}),
+    MarginalSpec.shifted_uniform(1.0, 3.0),
+])
+def test_ppf_rejects_levels_outside_the_unit_interval(spec):
+    assert spec.ppf(0.0) == spec.ppf(np.array([0.0]))[0]
+    for bad in (-0.1, 1.1, math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(ValueError, match="must lie in"):
+            spec.ppf(bad)
 
 
 @pytest.mark.parametrize("bad", [
@@ -179,6 +194,43 @@ def test_common_shock_shifts_marginals_by_shock():
                                  100_000)
     assert draws.min() >= 1.0
     assert ks_distance(draws[:, 0] - 1.0, margs[0].cdf) < 0.01
+
+
+EXP1, EXP_HALF = MarginalSpec.exponential(1.0), MarginalSpec.exponential(0.5)
+ORACLE_CASES = {
+    "independent": (DependenceSpec.independent(),
+                    [EXP1, MarginalSpec.gamma(2.0, 1.0),
+                     MarginalSpec.lattice(0.5, {1: 0.3, 3: 0.7})]),
+    "comonotone_identical": (DependenceSpec.comonotone(), [EXP_HALF] * 3),
+    "comonotone_rates": (DependenceSpec.comonotone(),
+                         [EXP1, EXP_HALF, MarginalSpec.exponential(3.0)]),
+    "comonotone_mixed": (DependenceSpec.comonotone(),
+                         [MarginalSpec.gamma(2.0, 1.5), EXP1,
+                          MarginalSpec.lattice(0.5, {1: 0.3, 3: 0.7}),
+                          MarginalSpec.gamma(3.0, 0.7),
+                          MarginalSpec.shifted_uniform(0.2, 1.9),
+                          MarginalSpec.gamma(2.0, 4.0),
+                          MarginalSpec.deterministic(1.3), EXP_HALF]),
+    "common_shock": (DependenceSpec.common_shock(EXP_HALF),
+                     [EXP1, MarginalSpec.gamma(2.0, 1.0),
+                      MarginalSpec.deterministic(0.5)]),
+    "gaussian_copula": (DependenceSpec.gaussian_copula(
+        [[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]]),
+        [EXP1, MarginalSpec.gamma(2.0, 1.0),
+         MarginalSpec.lattice(1.0, {1: 0.5, 2: 0.5})]),
+}
+
+
+@pytest.mark.parametrize("size", [1, 4097])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_cycle_vectors_match_row_major_oracle(case, size):
+    dep, margs = ORACLE_CASES[case]
+    draws = sample_cycle_vectors(dep, margs, substream(31, size), size)
+    ref = row_major_cycle_vectors(dep, margs, substream(31, size), size)
+    assert draws.shape == ref.shape == (size, len(margs))
+    assert draws.tobytes() == ref.tobytes()
+    # stored coordinate-major: each coordinate's column is contiguous
+    assert all(draws[:, i].flags.c_contiguous for i in range(len(margs)))
 
 
 def test_dimension_mismatch_rejected():
