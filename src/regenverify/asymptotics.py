@@ -299,6 +299,23 @@ def final_gap_verdict(sweep: SweepResult, gap_floor: float = GAP_FLOOR
     return passed, per_tuple
 
 
+def _quantile(sample: np.ndarray, q: float) -> float:
+    """``np.quantile(sample, q)`` bit for bit, by numpy's default "linear"
+    rule on one partition: index ``h = (n - 1) q`` between order statistics
+    ``a`` and ``b``, ``a + (b - a) g`` with ``g`` the fraction of ``h``, or
+    ``b - (b - a) (1 - g)`` when ``g >= 0.5``. ``np.quantile`` itself calls
+    ``np.unique``, which imports ``numpy.ma`` on first use."""
+    n = sample.size
+    h = (n - 1) * q
+    lo = math.floor(h)
+    hi = min(lo + 1, n - 1)
+    part = np.partition(sample, (lo, hi))
+    a, b = part[lo], part[hi]
+    g = h - lo
+    diff = b - a
+    return float(b - diff * (1.0 - g) if g >= 0.5 else a + diff * g)
+
+
 def quantile_indicator_tuples(model: RegenModel, burn_in: float, seed: int, *,
                               prepass: int = QUANTILE_PREPASS,
                               threads: int | None = None
@@ -309,7 +326,7 @@ def quantile_indicator_tuples(model: RegenModel, burn_in: float, seed: int, *,
                            base_key=(31,), threads=threads)
     tuples = []
     for q in (0.25, 0.5, 0.75):
-        fs = tuple(indicator_le(float(np.quantile(states[i][:, 0], q)))
+        fs = tuple(indicator_le(_quantile(states[i][:, 0], q))
                    for i in range(model.dimension))
         tuples.append((f"q{int(round(q * 100))}", fs))
     return tuples

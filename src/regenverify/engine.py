@@ -481,7 +481,9 @@ def window_sampler(dep, laws, expand, cycle_means,
     ``WINDOW_ELEMENTS`` entries per round. ``expand(i, column, gen)`` turns
     coordinate ``i``'s entries for its pending rows into cycle lengths and
     ``fill(k, s)``, the states ``s`` into cycles ``k``. Epochs are
-    compensated sums; each coordinate is read in its straddling cycle.
+    compensated sums of each round's row totals; only the rows whose window
+    closes in a round take running sums, to find the straddling cycle in
+    which the coordinate is read.
     """
     m = len(laws)
     mu = np.asarray(cycle_means, dtype=float)
@@ -520,23 +522,29 @@ def window_sampler(dep, laws, expand, cycle_means,
                 # one coordinate's cycles at a time, released before the next
                 lengths, fill = expand(i, column.ravel(), gen)
                 lengths = lengths.reshape(r.size, b)
-                pos = np.cumsum(lengths, axis=1)
                 base = epochs[r, i]
-                y = pos[:, -1] - comp[r, i]
+                y = lengths.sum(axis=1) - comp[r, i]
                 epochs[r, i] = top = base + y
                 comp[r, i] = (top - base) - y
-                pos += base[:, None]
-                pos[:, -1] = top  # the round ends at the compensated sum
                 hit = np.flatnonzero(top > taus[i])
                 if hit.size:
-                    j = np.argmax(pos[hit] > taus[i], axis=1)
-                    before = np.where(j > 0, pos[hit, j - 1], base[hit])
+                    # running epochs only in the rows whose window closes
+                    steps = lengths[hit]
+                    pos = np.cumsum(steps, axis=1)
+                    pos += base[hit, None]
+                    # the round ends at the compensated sum, so every hit
+                    # row crosses tau_i
+                    pos[:, -1] = top[hit]
+                    j = np.argmax(pos > taus[i], axis=1)
+                    rows_hit = np.arange(hit.size)
+                    before = np.where(j > 0, pos[rows_hit, j - 1], base[hit])
                     # the epoch sum can round a hair past the true cycle end
                     s = np.minimum(taus[i] - before,
-                                   np.nextafter(lengths[hit, j], 0.0))
+                                   np.nextafter(steps[rows_hit, j], 0.0))
                     out[i][r[hit]] = fill(hit * b + j, s)
                     pending[r[hit], i] = False
-                del column, lengths, fill, pos
+                    del steps, pos
+                del column, lengths, fill
         return out
 
     return chunked_sampler(chunk_states, WINDOW_CHUNK)

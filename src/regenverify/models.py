@@ -11,12 +11,14 @@ Every family draws its cycles natively in batches of flat segment arrays
 vectorised stationary-window sampler: :func:`engine.window_sampler` for all
 but Jackson networks. Their batch and sampler drive one step of uniformised
 transitions (:func:`_jackson_events`): masked updates of a station-major
-state, one uniform per chain picking its event. The batch draws its clock
-and event uniforms step by step; the sampler has no clock, runs to Poisson
-step counts and draws its uniforms a block of steps at a time, the same
-stream as one draw per step. Every family also keeps a per-cycle generator
-(``cycle_generator``); nothing in the package calls it, it is the oracle
-the tests cross-check the batches and samplers against.
+state, one uniform per chain picking its event, with a block of uniforms
+classified into event masks before its steps fire. The batch draws its
+clock and event uniforms step by step, a block of one step; the sampler
+has no clock, runs to Poisson step counts and draws its uniforms a block
+of steps at a time, the same stream as one draw per step. Every family
+also keeps a per-cycle generator (``cycle_generator``); nothing in the
+package calls it, it is the oracle the tests cross-check the batches and
+samplers against.
 """
 
 from __future__ import annotations
@@ -705,15 +707,20 @@ def _jackson_events(spec: JacksonSpec):
     Event ``e`` moves one customer from station ``src[e]`` to ``dst[e]``;
     source ``m`` is the outside world, which never empties, and destination
     ``m`` is the exit. From an empty station an event is a self-loop.
-    Returns ``(total, fire)``. ``fire(x, u)`` steps the station-major state
-    ``x`` (one row per station, one column per chain) in place, column
-    ``r`` by the event whose code is the number of inner cut points
-    ``<= u[r]``, and returns the columns whose event had a nonempty source.
-    Each event adds its mask to its destination and takes it from its
-    source; one event fires per column, so the masks are disjoint and the
-    order of the updates does not matter. States are int32: a station
-    holds at most as many customers as the chain has taken steps, which the
-    event budget keeps far below 2^31."""
+    Returns ``(total, src, classify, fire)``. Each step's event is a
+    function of its own uniform alone, so a block of steps is classified
+    before any of them fires: ``classify(u)`` takes uniforms with one row
+    per step and one column per chain and returns their event codes, the
+    number of inner cut points ``<= u``, and int32 masks, ``masks[k, e]``
+    being 1 in the columns where event ``e`` fires at step ``k``.
+    ``fire(x, mask)`` steps the station-major state ``x`` (one row per
+    station, one column per chain) in place by one step's masks. Each event
+    adds its mask to its destination and takes it from its source, capped
+    at the source's count, which for counts >= 0 is the mask where the
+    source is nonempty; one event fires per column, so the masks are
+    disjoint and the order of the updates does not matter. States are
+    int32: a station holds at most as many customers as the chain has taken
+    steps, which the event budget keeps far below 2^31."""
     m = len(spec.arrival_rates)
     services = np.asarray(spec.service_rates, dtype=float)
     routing = np.asarray(spec.routing, dtype=float)
@@ -728,31 +735,36 @@ def _jackson_events(spec: JacksonSpec):
     total = float(sum(spec.arrival_rates) + services.sum())
     # inner cut points only: the last event takes the rest of [0, 1), so
     # no uniform falls past the table however the cumsum rounds
-    cuts = np.cumsum(rate[keep])[:-1, None] / total
+    cuts = np.cumsum(rate[keep])[:-1, None, None] / total
     code_type = np.min_scalar_type(len(cuts))
+    # of the codes' own type, so the comparison runs without a cast
+    events = np.arange(len(src), dtype=code_type)[:, None]
     # arrivals lead the table, then each station's service events, one
-    # contiguous run per station
-    arrivals = int(np.sum(src == m))
+    # contiguous run per station; a self-loop leaves the state as it is
+    arrivals = [(e, int(dst[e])) for e in np.flatnonzero(src == m)]
     services_by_source = [
-        (j, [(e, int(dst[e])) for e in np.flatnonzero(src == j)])
+        (j, [(e, int(dst[e])) for e in np.flatnonzero(src == j)
+             if dst[e] != j])
         for j in range(m)]
 
-    def fire(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def classify(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         code = (u >= cuts).sum(axis=0, dtype=code_type)
-        changed = code < arrivals
-        for e in range(arrivals):
-            x[dst[e]] += code == e
-        for j, events in services_by_source:
-            busy = x[j] > 0
-            for e, d in events:
-                moved = (code == e) & busy
-                x[j] -= moved
+        masks = np.empty((len(u), len(src), u.shape[1]), dtype=np.int32)
+        np.equal(code[:, None], events, out=masks)
+        return code, masks
+
+    def fire(x: np.ndarray, mask: np.ndarray) -> None:
+        for e, d in arrivals:
+            x[d] += mask[e]
+        for j, moves in services_by_source:
+            held = x[j]
+            for e, d in moves:
+                moved = np.minimum(mask[e], held)
+                held -= moved
                 if d < m:
                     x[d] += moved
-                changed |= moved
-        return changed
 
-    return total, fire
+    return total, src, classify, fire
 
 
 def _jackson_batch(spec: JacksonSpec, gen: np.random.Generator,
@@ -760,11 +772,12 @@ def _jackson_batch(spec: JacksonSpec, gen: np.random.Generator,
     """``count`` cycles of the uniformised chain of :func:`_jackson_events`
     run in lockstep with an exponential clock at its total rate. Each step
     draws the live cycles' clock increments, then one uniform per live
-    cycle for its event. The first segment of every cycle is the idle
-    stretch from 0, each step whose event has a nonempty source opens a
-    segment, and a step that empties the network ends the cycle."""
+    cycle for its event, a one-step block. The first segment of every
+    cycle is the idle stretch from 0, each step whose event has a nonempty
+    source opens a segment, and a step that empties the network ends the
+    cycle."""
     m = len(spec.arrival_rates)
-    total, fire = _jackson_events(spec)
+    total, src, classify, fire = _jackson_events(spec)
     lengths = np.empty(count)
     live = np.arange(count)
     t = np.zeros(count)
@@ -772,7 +785,14 @@ def _jackson_batch(spec: JacksonSpec, gen: np.random.Generator,
     rows, times, states = [live], [t], [x.T.copy()]
     for _ in range(MAX_EVENTS_PER_CYCLE):
         t = t + gen.exponential(1.0 / total, live.size)
-        changed = fire(x, gen.random(live.size))
+        code, masks = classify(gen.random((1, live.size)))
+        # a step changes its chain when its event's source is nonempty;
+        # the outside, source m, never empties
+        source = src[code[0]]
+        changed = source == m
+        inner = np.flatnonzero(~changed)
+        changed[inner] = x[source[inner], inner] > 0
+        fire(x, masks[0])
         busy = x.any(axis=0)
         opened = changed & busy
         rows.append(live[opened])
@@ -806,7 +826,7 @@ def _make_jackson_sampler(spec: JacksonSpec):
     reach ``MAX_EVENTS_PER_CYCLE`` or its largest chunk's rows times those
     steps pass ``MAX_JACKSON_WORK``."""
     m = len(spec.arrival_rates)
-    total, fire = _jackson_events(spec)
+    total, _, classify, fire = _jackson_events(spec)
 
     def chunk_states(gen: np.random.Generator, count: int,
                      taus: np.ndarray) -> list[np.ndarray]:
@@ -826,9 +846,10 @@ def _make_jackson_sampler(spec: JacksonSpec):
         last = len(ready) - 1
         block = max(1, JACKSON_BLOCK // count)
         for first in range(1, last + 1, block):
-            uniforms = gen.random((min(block, last + 1 - first), count))
-            for step, u in enumerate(uniforms, first):
-                fire(x, u)
+            _, masks = classify(
+                gen.random((min(block, last + 1 - first), count)))
+            for step, mask in enumerate(masks, first):
+                fire(x, mask)
                 lo, hi = ready[step - 1], ready[step]
                 if hi > lo:
                     k = due[lo:hi]

@@ -7,16 +7,20 @@ row-major state, and consume the generator exactly as the package's
 station-major step does, so the two must agree bit for bit. The
 cycle-vector reference takes each coordinate's quantile on its own and
 stacks the columns into a row-major array; it too must agree bit for bit.
+The window reference takes running sums over every pending row in every
+round; its epochs are sequential sums, so it agrees with the package's
+row-total epochs to rounding.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from typing import Sequence
 
 import numpy as np
 
-from regenverify import BudgetExceededError
+from regenverify import BudgetExceededError, engine
 from regenverify.engine import (DEFAULT_CYCLE_BUDGET, CycleBatch, CyclePath,
                                 RegenModel)
 from regenverify.models import JacksonSpec, _by_cycle
@@ -154,6 +158,61 @@ def row_major_cycle_vectors(dep: DependenceSpec, marginals, rng,
     u = special.ndtr(z)
     return np.column_stack([row_major_ppf(marginals[i], u[:, i])
                             for i in range(m)])
+
+
+def full_cumsum_window_sampler(dep, laws, expand, cycle_means, state_dims):
+    """Reference ``engine.window_sampler``: the same rounds and draws, but
+    every round takes running sums over all its pending rows and ends each
+    row at the compensated sum of the last of them. It reads
+    ``engine.WINDOW_ELEMENTS`` when it runs, so a patched bound applies."""
+    m = len(laws)
+    mu = np.asarray(cycle_means, dtype=float)
+
+    def chunk_states(gen: np.random.Generator, count: int,
+                     taus: np.ndarray) -> list[np.ndarray]:
+        epochs = np.zeros((count, m))
+        comp = np.zeros((count, m))
+        pending = np.ones((count, m), dtype=bool)
+        out = [np.empty((count, d)) for d in state_dims]
+        drawn = 0
+        while pending.any():
+            rows = np.flatnonzero(pending.any(axis=1))
+            left = float(np.max(np.where(pending[rows],
+                                         (taus - epochs[rows]) / mu, 0.0)))
+            budget = engine.DEFAULT_CYCLE_BUDGET
+            if drawn + int(left) >= budget:
+                raise BudgetExceededError(f"stationary window exceeded "
+                                          f"{budget} cycles")
+            b = max(1, min(int(left + math.sqrt(left)) + 2, budget - drawn,
+                           engine.WINDOW_ELEMENTS // (rows.size * m)))
+            drawn += b
+            draws = engine.sample_cycle_vectors(dep, laws, gen, rows.size * b
+                                                ).T.reshape(m, rows.size, b)
+            for i in range(m):
+                sel = pending[rows, i]
+                r = rows[sel]
+                if not r.size:
+                    continue
+                lengths, fill = expand(i, draws[i, sel].ravel(), gen)
+                lengths = lengths.reshape(r.size, b)
+                pos = np.cumsum(lengths, axis=1)
+                base = epochs[r, i]
+                y = pos[:, -1] - comp[r, i]
+                epochs[r, i] = top = base + y
+                comp[r, i] = (top - base) - y
+                pos += base[:, None]
+                pos[:, -1] = top
+                hit = np.flatnonzero(top > taus[i])
+                if hit.size:
+                    j = np.argmax(pos[hit] > taus[i], axis=1)
+                    before = np.where(j > 0, pos[hit, j - 1], base[hit])
+                    s = np.minimum(taus[i] - before,
+                                   np.nextafter(lengths[hit, j], 0.0))
+                    out[i][r[hit]] = fill(hit * b + j, s)
+                    pending[r[hit], i] = False
+        return out
+
+    return engine.chunked_sampler(chunk_states, engine.WINDOW_CHUNK)
 
 
 def jackson_fire(spec: JacksonSpec):

@@ -14,7 +14,7 @@ from regenverify import (ClearingCoordinate, ClearingSpec, ConfigurationError,
 from regenverify.engine import constant
 from regenverify.randomness import substream
 from regenverify.asymptotics import (GapEstimate, ScheduleCoordinate,
-                                     SweepResult, floored_trend,
+                                     SweepResult, _quantile, floored_trend,
                                      product_form_gap)
 
 EXP1 = MarginalSpec.exponential(1.0)
@@ -215,6 +215,19 @@ def test_gap_input_validation():
 
 # ---------------------------------------------------------------------------
 # convergence sweep and verdict rule
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10_000])
+def test_quantile_matches_numpy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    samples = (rng.exponential(size=n), rng.standard_normal(n),
+               rng.integers(0, 3, n).astype(float), np.full(n, 0.7))
+    for sample in samples:
+        kept = sample.copy()
+        for q in (0.25, 0.5, 0.75):
+            ours = np.float64(_quantile(sample, q))
+            assert ours.tobytes() == np.quantile(sample, q).tobytes()
+        assert sample.tobytes() == kept.tobytes()
 
 
 def test_sweep_positive_control_passes_final_gap_rule():

@@ -748,6 +748,28 @@ def test_cli_runs_without_loading_scipy(tmp_path, child_env):
                       "codes": [EXIT_OK, EXIT_OK], "after": []}
 
 
+# runs argv lists through cli.main in one fresh interpreter and prints their
+# exit codes and whether numpy.ma was loaded
+NUMPY_MA_CLI = """\
+import json, sys
+from regenverify import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, "numpy.ma" in sys.modules]))
+"""
+
+
+def test_quantile_runs_leave_numpy_ma_unloaded(tmp_path, child_env):
+    runs = [["verify-independence", "--config", str(CONFIG_DIR / name),
+             "--reps", "1000", "--out", str(tmp_path / name)]
+            for name in ("clearing_comonotone.json", "jackson_tandem.json")]
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_CLI, json.dumps(runs)],
+        capture_output=True, text=True, env=child_env("1"))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[EXIT_OK, EXIT_OK],
+                                                       False]
+
+
 def test_cli_loads_scipy_where_a_run_needs_it(tmp_path, child_env):
     gamma = small_sweep_scenario(out="unused")
     gamma["model"]["coordinates"] = [

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from oracles import (Realization, jackson_batch, jackson_chunk_states,
-                     realization_states, row_major_cycle_vectors)
+from oracles import (Realization, full_cumsum_window_sampler, jackson_batch,
+                     jackson_chunk_states, realization_states,
+                     row_major_cycle_vectors)
 from regenverify import (ArithmeticCyclesWarning, BudgetExceededError,
                          ClearingCoordinate, ClearingSpec, ConfigurationError,
                          DependenceSpec, MarginalSpec, build_clearing)
@@ -593,6 +594,26 @@ def test_jackson_batch_matches_step_oracle_bit_for_bit(spec):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
+@pytest.mark.parametrize("chunk", [None, 1],
+                         ids=["one_chunk", "one_row_chunks"])
+@pytest.mark.parametrize("spec", [TANDEM, FEEDBACK_3],
+                         ids=["tandem", "feedback_3"])
+def test_jackson_sampler_states_do_not_depend_on_block_edges(spec, chunk,
+                                                              monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(models, "JACKSON_CHUNK", chunk)
+    n = 600 if chunk is None else 40
+    taus = np.array([20.0, 30.0, 25.0][:len(spec.arrival_rates)])
+    whole = build_jackson(spec).joint_state_sampler(taus, n, 133, (1003,), 1)
+    # blocks of 5 steps each, where the default holds 100 or more
+    rows = min(n, models.JACKSON_CHUNK)
+    monkeypatch.setattr(models, "JACKSON_BLOCK", 5 * rows)
+    fives = build_jackson(spec).joint_state_sampler(taus, n, 133, (1003,), 1)
+    for a, b in zip(whole, fives):
+        assert a.shape == (n, 1)
+        assert a.tobytes() == b.tobytes()
+
+
 def test_dependent_cycles_flow_through_fast_sampler():
     # comonotone ages with equal marginals coincide at equal times
     model = build_age_residual(AgeResidualSpec(EXP1, copies=2))
@@ -678,6 +699,42 @@ def test_window_sampler_reads_draws_in_either_memory_order(family,
     assert len(rows) > 1 and min(rows) < rows[0]
     for a, b in zip(stored, read):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("family", sorted(WINDOW_MODELS))
+def test_window_sampler_matches_full_cumsum_oracle(family, monkeypatch):
+    n = 1500
+    times = [20.0, 30.0]
+    # the first round holds at most 2 cycles per replication
+    monkeypatch.setattr(engine, "WINDOW_ELEMENTS", n * 2 * 2)
+    calls = spy_on_draws(monkeypatch)
+    fast = sample_states(WINDOW_MODELS[family](), times, n, seed=126)
+    rounds = len(calls)
+    assert rounds >= 5
+    monkeypatch.setattr(models, "window_sampler", full_cumsum_window_sampler)
+    slow = sample_states(WINDOW_MODELS[family](), times, n, seed=126)
+    # the same rounds draw the same number of cycle vectors
+    assert calls[rounds:] == calls[:rounds]
+    for a, b in zip(fast, slow):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+
+
+def test_window_ages_at_exact_epochs(monkeypatch):
+    n = 64
+    # unit cycles put every epoch on an integer, summed exactly over at
+    # most 20 cycles per replication and round
+    monkeypatch.setattr(engine, "WINDOW_ELEMENTS", n * 2 * 20)
+    calls = spy_on_draws(monkeypatch)
+    unit = ClearingCoordinate(cycle_length=MarginalSpec.deterministic(1.0))
+    with pytest.warns(ArithmeticCyclesWarning):
+        model = build_clearing(ClearingSpec(
+            coordinates=(unit, unit),
+            dependence=DependenceSpec.independent()))
+    on, off = sample_states(model, [500.0, 500.25], n, seed=134)
+    assert len(calls) >= 20
+    # the cycle that ends exactly at tau is not the straddling one
+    assert np.all(on == 0.0)
+    assert np.all(off == 0.25)
 
 
 def test_jackson_sampler_is_thread_count_invariant():
