@@ -21,7 +21,8 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-from .randomness import as_generator, sample_cycle_vectors, substream
+from .randomness import (UNIT_RATE_KINDS, as_generator,
+                         sample_cycle_vectors, substream)
 
 DEFAULT_CYCLE_BUDGET = 10_000_000
 TIME_AVERAGE_BATCHES = 32
@@ -34,6 +35,9 @@ BATCH_CYCLES = 4096
 # x cycles x coordinates) one of its rounds draws; fixed for the same reasons
 WINDOW_CHUNK = 4096
 WINDOW_ELEMENTS = 1 << 20
+# cycles past the expected count that a bridge sampler's first block sum
+# spans, in square roots of that count
+BRIDGE_SPREAD = 4.0
 
 
 def thread_count(explicit: int | None = None) -> int:
@@ -550,6 +554,136 @@ def window_sampler(dep, laws, expand, cycle_means,
     return chunked_sampler(chunk_states, WINDOW_CHUNK)
 
 
+def bridge_processes(dep, laws) -> list[list[int]] | None:
+    """The coordinates reading each unit-rate gamma process, or None when
+    the cycle lengths have no closed-form block sums.
+
+    Exponential and gamma cycle lengths times their rates are unit-rate
+    gamma increments: one process per coordinate when the coupling is
+    independent, one shared process when it is comonotone and every law
+    has the same kind and shape (the shared unit quantile of
+    ``randomness._invert``).
+    """
+    if any(sp.kind not in UNIT_RATE_KINDS for sp in laws):
+        return None
+    if dep.kind == "independent":
+        return [[i] for i in range(len(laws))]
+    if dep.kind == "comonotone" and len({(sp.kind, sp.shape)
+                                         for sp in laws}) == 1:
+        return [list(range(len(laws)))]
+    return None
+
+
+def bridge_window_sampler(dep, laws, state) -> JointStateSampler:
+    """Stationary-window sampler for renewal cycles that
+    :func:`bridge_processes` accepts, reading coordinate ``i`` in its
+    straddling cycle without drawing the cycles before it.
+
+    Coordinate ``i`` reads its process G at the level ``tau_i * rate_i``:
+    its straddling cycle is the increment (G_{n-1}, G_n] holding the level.
+    A chunk draws G_K, a Gamma(K * shape) block sum past every level, and
+    bisects the bracket G_lo <= level < G_hi on the cycle index with
+    G_mid = G_lo + (G_hi - G_lo) * Beta((mid - lo) * shape, (hi - mid) *
+    shape), the exact law of a gamma sum split at ``mid``. Bridges between
+    drawn points are independent, so a level starts from the tightest
+    bracket among the points earlier levels of its process drew, which
+    keeps the joint law of comonotone straddling cycles exact.
+    ``state(i, age, length, gen)`` fills the straddling cycle.
+    """
+    groups = bridge_processes(dep, laws)
+    rates = np.array([sp.rate for sp in laws])
+    shapes = np.array([1.0 if sp.kind == "exponential" else sp.shape
+                       for sp in laws])
+
+    def chunk_states(gen: np.random.Generator, count: int,
+                     taus: np.ndarray) -> list[np.ndarray]:
+        budget = DEFAULT_CYCLE_BUDGET
+        levels = taus * rates
+        out = [None] * len(laws)
+        rows = np.arange(count)
+        for coords in groups:
+            shape = float(shapes[coords[0]])
+            top = float(levels[coords].max())
+            mean = top / shape
+            k = min(int(mean + BRIDGE_SPREAD * math.sqrt(mean)) + 2, budget)
+            # the points of G drawn so far, one column per draw; a row that
+            # a draw skips repeats a point it already has
+            index = [np.zeros(count, dtype=np.int64),
+                     np.full(count, k, dtype=np.int64)]
+            value = [np.zeros(count), gen.standard_gamma(k * shape, count)]
+            while True:
+                short = np.flatnonzero(value[-1] <= top)
+                if not short.size:
+                    break
+                reach = index[-1][short]
+                if np.any(reach >= budget):
+                    raise BudgetExceededError(f"stationary window exceeded "
+                                              f"{budget} cycles")
+                left = (top - value[-1][short]) / shape
+                more = np.minimum(
+                    (left + BRIDGE_SPREAD * np.sqrt(left)).astype(np.int64)
+                    + 2, budget - reach)
+                index.append(index[-1].copy())
+                value.append(value[-1].copy())
+                index[-1][short] += more
+                value[-1][short] += gen.standard_gamma(more * shape)
+            for i in coords:
+                level = levels[i]
+                known_i = np.column_stack(index)
+                known_v = np.column_stack(value)
+                below = known_v <= level
+                lo_col = np.where(below, known_i, -1).argmax(axis=1)
+                hi_col = np.where(below, budget + 1, known_i).argmin(axis=1)
+                lo_i, lo_v = known_i[rows, lo_col], known_v[rows, lo_col]
+                hi_i, hi_v = known_i[rows, hi_col], known_v[rows, hi_col]
+                while True:
+                    width = hi_i - lo_i
+                    if width.max() < 2:
+                        break
+                    mid = lo_i + width // 2
+                    # Beta((mid - lo) * shape, (hi - mid) * shape) as a
+                    # ratio of gammas; rows down to one cycle draw Gamma(0),
+                    # which is 0 and takes nothing from the stream
+                    a = (mid - lo_i) * shape
+                    x = gen.standard_gamma(a)
+                    total = x + gen.standard_gamma(
+                        np.where(width > 1, (hi_i - mid) * shape, 0.0))
+                    split = np.divide(x, total, out=x, where=total > 0.0)
+                    # both gammas can underflow at tiny shapes
+                    lost = np.flatnonzero((total == 0.0) & (a > 0.0))
+                    if lost.size:
+                        split[lost] = gen.beta(a[lost],
+                                               (hi_i - mid)[lost] * shape)
+                    # clipped so that points stay ordered with their index
+                    g = np.minimum(lo_v + (hi_v - lo_v) * split, hi_v)
+                    index.append(mid)
+                    value.append(g)
+                    low = g <= level
+                    lo_i = np.where(low, mid, lo_i)
+                    lo_v = np.where(low, g, lo_v)
+                    hi_i = np.where(low, hi_i, mid)
+                    hi_v = np.where(low, hi_v, g)
+                length = (hi_v - lo_v) / rates[i]
+                # the level difference can round a hair past the cycle end
+                age = np.minimum((level - lo_v) / rates[i],
+                                 np.nextafter(length, 0.0))
+                out[i] = state(i, age, length, gen)
+        return out
+
+    run = chunked_sampler(chunk_states, WINDOW_CHUNK)
+    mu = shapes / rates
+
+    def sampler(times: np.ndarray, n: int, seed: int,
+                base_key: tuple[int, ...], threads: int) -> list[np.ndarray]:
+        budget = DEFAULT_CYCLE_BUDGET
+        if int(np.max(np.asarray(times, dtype=float) / mu)) >= budget:
+            raise BudgetExceededError(f"stationary window exceeded "
+                                      f"{budget} cycles")
+        return run(times, n, seed, base_key, threads)
+
+    return sampler
+
+
 def default_burn_in(model: RegenModel) -> float:
     return max(1000.0, 100.0 * max(model.cycle_means))
 
@@ -565,7 +699,8 @@ def sample_states(model: RegenModel, times, n: int, seed: int, *,
     times = np.asarray(times, dtype=float)
     if len(times) != model.dimension:
         raise ValueError("one observation time per coordinate is required")
-    if np.any(times < 0.0):
-        raise ValueError("observation times must be nonnegative")
+    # written so that NaN fails the check too
+    if not np.all((times >= 0.0) & (times < math.inf)):
+        raise ValueError("observation times must be finite and nonnegative")
     return model.joint_state_sampler(times, int(n), int(seed),
                                      tuple(base_key), thread_count(threads))

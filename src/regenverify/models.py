@@ -33,8 +33,9 @@ import numpy as np
 
 from .errors import (ArithmeticCyclesWarning, BudgetExceededError,
                      ConfigurationError, error_path)
-from .engine import (CycleBatch, CyclePath, RegenModel, chunked_sampler,
-                     linear_path, window_sampler)
+from .engine import (CycleBatch, CyclePath, RegenModel, bridge_processes,
+                     bridge_window_sampler, chunked_sampler, linear_path,
+                     window_sampler)
 from .randomness import (DependenceSpec, MarginalSpec, effective_arithmetic,
                          effective_cycle_mean, sample_cycle_vectors)
 from .renewal import equilibrium_tail, mean_excess
@@ -85,7 +86,10 @@ def _renewal_window(dep: DependenceSpec, marginals, state, means,
                     state_dims: tuple[int, ...]):
     """Stationary-window sampler of a renewal-driven family: the drawn
     entries are the cycle lengths, and ``state(i, age, length, gen)`` fills
-    only the straddling cycle."""
+    only the straddling cycle. Laws and couplings with closed-form block
+    sums take the bridge sampler, all others the round sampler."""
+    if bridge_processes(dep, marginals) is not None:
+        return bridge_window_sampler(dep, marginals, state)
 
     def expand(i: int, lengths: np.ndarray, gen: np.random.Generator):
         return lengths, lambda k, s: state(i, s, lengths[k], gen)

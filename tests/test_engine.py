@@ -16,8 +16,9 @@ from regenverify.engine import (CyclePath, StateFunction, constant,
                                 ratio_estimate, renewal_reward_estimate,
                                 run_chunked, sample_states,
                                 time_average_estimate)
-from regenverify.models import (AgeResidualSpec, LevyQueueCoordinate,
-                                LevyQueueSpec, build_age_residual,
+from regenverify.models import (AgeResidualSpec, JacksonSpec,
+                                LevyQueueCoordinate, LevyQueueSpec,
+                                build_age_residual, build_jackson,
                                 build_levy_queue)
 from regenverify.randomness import substream
 from regenverify import engine
@@ -330,6 +331,26 @@ def test_sample_states_rejects_bad_times():
         sample_states(model, [100.0, 100.0], 10, seed=1)
     with pytest.raises(ValueError):
         sample_states(model, [-1.0], 10, seed=1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make_model", [
+    lambda: pure_drift_clearing(MarginalSpec.exponential(1.0)),
+    lambda: build_jackson(JacksonSpec(arrival_rates=(0.5,),
+                                      service_rates=(1.0,),
+                                      routing=((0.0,),))),
+], ids=["renewal", "jackson"])
+def test_sample_states_rejects_non_finite_times(make_model, bad,
+                                                monkeypatch):
+    model = make_model()
+    opened = []
+    stream = engine.substream
+    monkeypatch.setattr(engine, "substream",
+                        lambda *key: opened.append(key) or stream(*key))
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        sample_states(model, [bad], 10, seed=1)
+    # rejected before any sampler opens a stream
+    assert opened == []
 
 
 # ---------------------------------------------------------------------------

@@ -670,20 +670,31 @@ def spy_on_draws(monkeypatch) -> list[tuple[int, int]]:
     return calls
 
 
+@pytest.fixture
+def round_sampler(monkeypatch):
+    """Renewal families built while this is active take the round sampler
+    (``engine.window_sampler``) on any laws, as copulas, common shocks and
+    laws outside the rate families always do."""
+    monkeypatch.setattr(models, "bridge_processes", lambda dep, laws: None)
+
+
 @pytest.mark.parametrize("family", sorted(WINDOW_MODELS))
 def test_window_sampler_is_thread_count_invariant(family):
     model = WINDOW_MODELS[family]()
     n = engine.WINDOW_CHUNK + 904
     one = sample_states(model, [20.0, 30.0], n, seed=107, threads=1)
-    two = sample_states(model, [20.0, 30.0], n, seed=107, threads=2)
-    for a, b, d in zip(one, two, model.state_dims):
-        assert a.shape == (n, d)
-        assert a.tobytes() == b.tobytes()
+    for threads in (2, 4):
+        other = sample_states(model, [20.0, 30.0], n, seed=107,
+                              threads=threads)
+        for a, b, d in zip(one, other, model.state_dims):
+            assert a.shape == (n, d)
+            assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("family", sorted(WINDOW_MODELS))
 def test_window_sampler_reads_draws_in_either_memory_order(family,
-                                                          monkeypatch):
+                                                          monkeypatch,
+                                                          round_sampler):
     model = WINDOW_MODELS[family]()
     times = [20.0, 30.0]
     stored = sample_states(model, times, 1500, seed=125)
@@ -702,7 +713,8 @@ def test_window_sampler_reads_draws_in_either_memory_order(family,
 
 
 @pytest.mark.parametrize("family", sorted(WINDOW_MODELS))
-def test_window_sampler_matches_full_cumsum_oracle(family, monkeypatch):
+def test_window_sampler_matches_full_cumsum_oracle(family, monkeypatch,
+                                                    round_sampler):
     n = 1500
     times = [20.0, 30.0]
     # the first round holds at most 2 cycles per replication
@@ -755,7 +767,8 @@ def test_jackson_sampler_is_thread_count_invariant():
         dependence=DependenceSpec.independent())),
     WINDOW_MODELS["levy_queue"],
 ], ids=["clearing_jumps", "levy_queue"])
-def test_multi_round_window_matches_generic_engine(make_model, monkeypatch):
+def test_multi_round_window_matches_generic_engine(make_model, monkeypatch,
+                                                    round_sampler):
     model = make_model()
     # a round holds at most 8 cycles per replication, so every chunk walks
     # to t=60 in many rounds
@@ -769,7 +782,8 @@ def test_multi_round_window_matches_generic_engine(make_model, monkeypatch):
     assert two_sample_ks(fast[0][:, 0], slow[0][:, 0]) < 0.036
 
 
-def test_window_draws_stay_within_the_element_bound(monkeypatch):
+def test_window_draws_stay_within_the_element_bound(monkeypatch,
+                                                     round_sampler):
     calls = spy_on_draws(monkeypatch)
     model = build_clearing(ClearingSpec(
         coordinates=(ClearingCoordinate(cycle_length=EXP1),),
@@ -782,7 +796,7 @@ def test_window_draws_stay_within_the_element_bound(monkeypatch):
     assert abs(ages.mean() - 1.0) <= 4.0 / math.sqrt(n)
 
 
-def test_window_budget_enforced_before_drawing(monkeypatch):
+def test_window_budget_enforced_before_drawing(monkeypatch, round_sampler):
     monkeypatch.setattr(engine, "DEFAULT_CYCLE_BUDGET", 100)
     calls = spy_on_draws(monkeypatch)
     model = WINDOW_MODELS["clearing_jumps"]()
@@ -794,6 +808,156 @@ def test_window_budget_enforced_before_drawing(monkeypatch):
     with pytest.raises(BudgetExceededError, match="100 cycles"):
         sample_states(model, [90.0, 90.0], 1000, seed=124)
     assert calls
+
+
+# ---------------------------------------------------------------------------
+# the bridge window sampler
+
+
+GAMMA_2_1 = MarginalSpec.gamma(2.0, 1.0)
+
+
+def age_and_length(i, age, length, gen):
+    return np.column_stack([age, length])
+
+
+def round_window(dep, laws):
+    """``engine.window_sampler`` on ``laws`` with (age, length) states."""
+    def expand(i, lengths, gen):
+        return lengths, lambda k, s: np.column_stack([s, lengths[k]])
+
+    return engine.window_sampler(dep, laws, expand,
+                                 [sp.mean() for sp in laws],
+                                 (2,) * len(laws))
+
+
+def ks_critical(n: int, alpha: float = 0.001) -> float:
+    """Asymptotic two-sample KS critical value at n draws per side."""
+    return math.sqrt(-0.5 * math.log(alpha / 2.0)) * math.sqrt(2.0 / n)
+
+
+@pytest.mark.parametrize("dep, laws, taus", [
+    (DependenceSpec.comonotone(), (EXP1, MarginalSpec.exponential(0.5)),
+     (1000.0, 1000.0)),
+    (DependenceSpec.comonotone(), (EXP1, MarginalSpec.exponential(0.5)),
+     (7.0, 3.0)),
+    # levels 5 and 5.25 of the shared process: often the same cycle
+    (DependenceSpec.comonotone(), (EXP1, MarginalSpec.exponential(0.5)),
+     (5.0, 10.5)),
+    (DependenceSpec.comonotone(), (GAMMA_2_1, GAMMA_2_1), (300.0, 170.0)),
+    (DependenceSpec.independent(), (EXP1, MarginalSpec.gamma(2.0, 2.0)),
+     (60.0, 90.0)),
+], ids=["clearing_comonotone_1000", "clearing_comonotone_7_3",
+        "clearing_comonotone_near_levels", "age_residual_gamma",
+        "status_independent"])
+def test_bridge_matches_round_sampler(dep, laws, taus):
+    assert engine.bridge_processes(dep, laws) is not None
+    n = 4000
+    taus = np.array(taus)
+    bridge = engine.bridge_window_sampler(dep, laws, age_and_length)(
+        taus, n, 140, (1003,), 1)
+    walk = round_window(dep, laws)(taus, n, 141, (1003,), 1)
+    for a, b in zip(bridge, walk):
+        assert two_sample_ks(a[:, 0], b[:, 0]) < ks_critical(n)
+        assert two_sample_ks(a[:, 1], b[:, 1]) < ks_critical(n)
+    # the coupling of the two straddling cycles
+    p_bridge = np.mean((bridge[0][:, 0] <= 1.0) & (bridge[1][:, 0] <= 1.0))
+    p_walk = np.mean((walk[0][:, 0] <= 1.0) & (walk[1][:, 0] <= 1.0))
+    se = math.sqrt((p_bridge * (1.0 - p_bridge) + p_walk * (1.0 - p_walk))
+                   / n)
+    assert abs(p_bridge - p_walk) <= 4.0 * se
+
+
+def test_bridge_edges():
+    dep = DependenceSpec.comonotone()
+    laws = (EXP1, MarginalSpec.exponential(0.5))
+    sampler = engine.bridge_window_sampler(dep, laws, age_and_length)
+    # at time 0 the straddling cycle is the first one, entered at 0
+    for states in sampler(np.zeros(2), 500, 142, (1003,), 1):
+        assert np.all(states[:, 0] == 0.0)
+        assert np.all(states[:, 1] > 0.0)
+    # 4 million mean cycles past the origin: the gamma sums are near 4e6
+    # and the ages O(1), and no age reaches its cycle's end
+    n = 256
+    taus = 4e6 * np.array([sp.mean() for sp in laws])
+    for states, sp in zip(sampler(taus, n, 143, (1003,), 1), laws):
+        age, length = states[:, 0], states[:, 1]
+        assert np.all((0.0 <= age) & (age < length))
+        # the stationary age of an exponential cycle has the cycle's law
+        assert abs(age.mean() - sp.mean()) <= 4.0 * sp.mean() / math.sqrt(n)
+
+
+def test_bridge_split_survives_gamma_underflow(monkeypatch):
+    # at shape 0.004 both gammas of a split underflow to 0 now and then;
+    # those splits are redrawn as Beta variates
+    betas = []
+
+    class SpyGenerator(np.random.Generator):
+        def beta(self, a, b, size=None):
+            betas.append(len(a))
+            return super().beta(a, b, size)
+
+    stream = engine.substream
+    monkeypatch.setattr(engine, "substream",
+                        lambda *key: SpyGenerator(stream(*key).bit_generator))
+    dep = DependenceSpec.comonotone()
+    laws = (MarginalSpec.gamma(0.004, 1.0), MarginalSpec.gamma(0.004, 2.0))
+    n = 4000
+    taus = np.array([0.08, 0.04])
+    bridge = engine.bridge_window_sampler(dep, laws, age_and_length)(
+        taus, n, 144, (1003,), 1)
+    assert betas
+    walk = round_window(dep, laws)(taus, n, 145, (1003,), 1)
+    for a, b in zip(bridge, walk):
+        assert np.all((0.0 <= a[:, 0]) & (a[:, 0] < a[:, 1]))
+        assert two_sample_ks(a[:, 0], b[:, 0]) < ks_critical(n)
+        assert two_sample_ks(a[:, 1], b[:, 1]) < ks_critical(n)
+
+
+def test_bridge_takes_rate_family_laws_under_independent_or_shared_quantile():
+    exp_half = MarginalSpec.exponential(0.5)
+    accepted = [
+        (DependenceSpec.independent(), (EXP1, GAMMA_2_1), [[0], [1]]),
+        (DependenceSpec.comonotone(), (EXP1, exp_half), [[0, 1]]),
+        (DependenceSpec.comonotone(),
+         (GAMMA_2_1, MarginalSpec.gamma(2.0, 3.0)), [[0, 1]]),
+    ]
+    for dep, laws, groups in accepted:
+        assert engine.bridge_processes(dep, laws) == groups
+    refused = [
+        (DependenceSpec.comonotone(), (EXP1, GAMMA_2_1)),
+        (DependenceSpec.gaussian_copula(((1.0, 0.5), (0.5, 1.0))),
+         (EXP1, exp_half)),
+        (DependenceSpec.common_shock(EXP1), (EXP1, exp_half)),
+        (DependenceSpec.independent(),
+         (EXP1, MarginalSpec.shifted_uniform(0.5, 1.5))),
+        (DependenceSpec.independent(),
+         (EXP1, MarginalSpec.deterministic(1.0))),
+        (DependenceSpec.independent(),
+         (EXP1, MarginalSpec.lattice(1.0, {1: 0.5, 2: 0.5}))),
+    ]
+    for dep, laws in refused:
+        assert engine.bridge_processes(dep, laws) is None
+
+
+def test_bridge_budget_enforced(monkeypatch):
+    monkeypatch.setattr(engine, "DEFAULT_CYCLE_BUDGET", 100)
+    opened = []
+    stream = engine.substream
+    monkeypatch.setattr(engine, "substream",
+                        lambda *key: opened.append(key) or stream(*key))
+    model = WINDOW_MODELS["clearing_jumps"]()
+    # coordinate 0 has mean cycle 1: 100 mean cycles reach the budget,
+    # and no chunk opens its stream
+    for times in ([1000.0, 1000.0], [100.0, 0.0]):
+        with pytest.raises(BudgetExceededError, match="100 cycles"):
+            sample_states(model, times, 1000, seed=124)
+    assert opened == []
+    # at t=90, G_100 <= 90 for some of the 1000 replications: the budget
+    # stops the bracket search after its first draws
+    with pytest.raises(BudgetExceededError, match="100 cycles"):
+        sample_states(model, [90.0, 90.0], 1000, seed=124)
+    assert opened
 
 
 # ---------------------------------------------------------------------------
