@@ -244,7 +244,7 @@ def cmd_stationary(args) -> int:
                                  "function", "run.g")
     model = _build(cfg.model)
     _check_observed(run, model)
-    g = run.g.realize()
+    g = run.g
     seed = run.seed
     i = run.coordinate
     horizon = _horizon(run, model.cycle_means[i])

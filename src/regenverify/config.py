@@ -26,41 +26,16 @@ from typing import Literal, get_args, get_origin, get_type_hints
 
 from .asymptotics import (GAP_FLOOR, QUANTILE_PREPASS, SCHEDULE_FAMILIES,
                           ScheduleCoordinate, ScheduleSpec)
-from .engine import StateFunction, exp_neg, identity, indicator_le
+from .engine import STATE_FUNCTION_KINDS, StateFunction
 from .errors import ConfigurationError, error_path, join_path
 from .models import (MODEL_KINDS, ClearingSpec, JacksonSpec, LevyQueueSpec,
                      ModelSpec, StatusSpec)
 from .randomness import (DEPENDENCE_KINDS, MARGINAL_KINDS, DependenceSpec,
                          MarginalSpec)
 
-G_KINDS = ("identity", "indicator", "exponential")
-
 
 # ---------------------------------------------------------------------------
 # sections
-
-
-@dataclass(frozen=True)
-class TestFunctionConfig:
-    """One named test function from the bundled bank."""
-
-    kind: str
-    threshold: float | None = None
-    component: int = 0
-
-    def validate(self) -> "TestFunctionConfig":
-        if self.kind == "indicator" and self.threshold is None:
-            raise ConfigurationError("missing required field", "threshold")
-        if self.component < 0:
-            raise ConfigurationError("component must be >= 0", "component")
-        return self
-
-    def realize(self) -> StateFunction:
-        if self.kind == "identity":
-            return identity(self.component)
-        if self.kind == "indicator":
-            return indicator_le(self.threshold, self.component)
-        return exp_neg(self.component)
 
 
 @dataclass(frozen=True)
@@ -77,7 +52,7 @@ class RunConfig:
     quantile_prepass: int = QUANTILE_PREPASS
     gap_floor: float = GAP_FLOOR
     coordinate: int = 0
-    g: TestFunctionConfig | None = None
+    g: StateFunction | None = None
 
     def validate(self) -> "RunConfig":
         for name, floor in (("seed", 0), ("replications", 1),
@@ -152,7 +127,7 @@ TAGGED = {
     DependenceSpec: ("kind", None, DEPENDENCE_KINDS),
     ModelSpec: ("kind", None, MODEL_KINDS),
     ScheduleCoordinate: ("family", "affine", SCHEDULE_FAMILIES),
-    TestFunctionConfig: ("kind", None, dict.fromkeys(G_KINDS)),
+    StateFunction: ("kind", None, dict.fromkeys(STATE_FUNCTION_KINDS)),
 }
 
 # lattice weights, written as {"multiplier": probability}

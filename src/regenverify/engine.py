@@ -2,10 +2,11 @@
 
 A model draws joint cycles: per-coordinate piecewise-affine paths whose
 lengths may be dependent across coordinates but are i.i.d. across cycles.
-On top of that the engine provides exact test-function integrals, a
-cycle-ratio estimator, a long-run time-average estimator, and stationary
-state sampling. Both stationary routes draw cycles in blocks of flat
-segment arrays (:class:`CycleBatch`) and integrate them in closed form;
+On top of that the engine provides exact integrals of test functions of one
+state component (:class:`StateFunction`, which is also a scenario's
+``run.g``), a cycle-ratio estimator, a long-run time-average estimator, and
+stationary state sampling. Both stationary routes draw cycles in blocks of
+flat segment arrays (:class:`CycleBatch`) and integrate them in closed form;
 the window sampler reads each coordinate in its straddling cycle.
 """
 
@@ -20,7 +21,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ConfigurationError
 from .randomness import (UNIT_RATE_KINDS, as_generator,
                          sample_cycle_vectors, substream)
 
@@ -161,71 +162,55 @@ def linear_path(start, slope, length: float) -> CyclePath:
     return CyclePath(np.array([0.0, length]), v[None, :], s[None, :])
 
 
+# test-function kinds as a scenario's run.g section names them
+STATE_FUNCTION_KINDS = ("identity", "indicator", "exponential")
+
+
 @dataclass(frozen=True)
 class StateFunction:
-    """A bounded test function of the state vector.
+    """A bounded test function of one state component ``x = x[component]``,
+    and a scenario's ``run.g`` section. The constructors below validate it;
+    a component past the state raises IndexError.
 
-    All kinds act through the affine form ``a(x) = sum_j weights[j] x_j +
-    offset`` (missing components count as weight zero):
-
-    - ``constant``: offset, ignoring the state
-    - ``linear``: a(x)
-    - ``indicator_le``: 1{a(x) <= threshold}
-    - ``indicator_gt``: 1{a(x) > threshold}, strict
-    - ``exp_neg``: exp(-a(x))
+    - ``identity``: x
+    - ``indicator``: 1{x <= threshold}
+    - ``exponential``: exp(-x)
 
     Because paths are piecewise affine, every kind integrates exactly along a
     segment; no quadrature error enters cycle functionals for these.
     """
 
     kind: str
-    weights: tuple[float, ...] = (1.0,)
-    offset: float = 0.0
-    threshold: float = 0.0
+    threshold: float | None = None
+    component: int = 0
+
+    def validate(self) -> "StateFunction":
+        if self.kind == "indicator" and self.threshold is None:
+            raise ConfigurationError("missing required field", "threshold")
+        if self.component < 0:
+            raise ConfigurationError("component must be >= 0", "component")
+        return self
 
     def label(self) -> str:
-        if self.kind == "constant":
-            return f"constant({self.offset:g})"
-        if self.kind in ("indicator_le", "indicator_gt"):
-            op = "<=" if self.kind == "indicator_le" else ">"
-            return f"1{{{self._form_label()} {op} {self.threshold:g}}}"
-        if self.kind == "exp_neg":
-            return f"exp(-({self._form_label()}))"
-        return self._form_label()
-
-    def _form_label(self) -> str:
-        terms = [f"{w:g}*x{j}" for j, w in enumerate(self.weights) if w != 0.0]
-        if self.offset != 0.0 or not terms:
-            terms.append(f"{self.offset:g}")
-        return " + ".join(terms)
-
-    def _lin(self, x: np.ndarray) -> np.ndarray:
-        w = np.asarray(self.weights, dtype=float)
-        d = min(x.shape[-1], len(w))
-        return x[..., :d] @ w[:d]
+        x = f"1*x{self.component}"
+        if self.kind == "indicator":
+            return f"1{{{x} <= {self.threshold:g}}}"
+        if self.kind == "exponential":
+            return f"exp(-({x}))"
+        return x
 
     def __call__(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.ndim == 1:
-            x = x[None, :]
-            squeeze = True
+        a = x[..., self.component]
+        if self.kind == "identity":
+            out = a
+        elif self.kind == "indicator":
+            out = (a <= self.threshold).astype(float)
+        elif self.kind == "exponential":
+            out = np.exp(-a)
         else:
-            squeeze = False
-        if self.kind == "constant":
-            out = np.full(x.shape[:-1], self.offset)
-        else:
-            a = self._lin(x) + self.offset
-            if self.kind == "linear":
-                out = a
-            elif self.kind == "indicator_le":
-                out = (a <= self.threshold).astype(float)
-            elif self.kind == "indicator_gt":
-                out = (a > self.threshold).astype(float)
-            elif self.kind == "exp_neg":
-                out = np.exp(-a)
-            else:
-                raise ValueError(f"unknown state function kind {self.kind!r}")
-        return float(out[0]) if squeeze else out
+            raise ValueError(f"unknown state function kind {self.kind!r}")
+        return float(out) if x.ndim == 1 else out
 
     def segment_integrals(self, values: np.ndarray, slopes: np.ndarray,
                           lengths: np.ndarray) -> np.ndarray:
@@ -233,58 +218,36 @@ class StateFunction:
         every row ``j`` of (segments, dim) arrays; rows of length <= 0
         give 0."""
         lengths = np.asarray(lengths, dtype=float)
-        if self.kind == "constant":
-            out = self.offset * lengths
-        else:
-            a = self._lin(values) + self.offset
-            b = self._lin(slopes)
-            flat = b == 0.0
-            with np.errstate(divide="ignore", invalid="ignore",
-                             over="ignore"):
-                if self.kind == "linear":
-                    out = a * lengths + 0.5 * b * lengths * lengths
-                elif self.kind in ("indicator_le", "indicator_gt"):
-                    q = self.threshold
-                    cross = np.clip((q - a) / b, 0.0, lengths)
-                    below = np.where(flat, np.where(a <= q, lengths, 0.0),
-                                     np.where(b > 0.0, cross,
-                                              lengths - cross))
-                    out = (below if self.kind == "indicator_le"
-                           else lengths - below)
-                elif self.kind == "exp_neg":
-                    e = np.exp(-a)
-                    out = np.where(flat, e * lengths,
-                                   e * -np.expm1(-b * lengths) / b)
-                else:
-                    raise ValueError(
-                        f"unknown state function kind {self.kind!r}")
+        a = values[:, self.component]
+        b = slopes[:, self.component]
+        flat = b == 0.0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if self.kind == "identity":
+                out = a * lengths + 0.5 * b * lengths * lengths
+            elif self.kind == "indicator":
+                q = self.threshold
+                cross = np.clip((q - a) / b, 0.0, lengths)
+                out = np.where(flat, np.where(a <= q, lengths, 0.0),
+                               np.where(b > 0.0, cross, lengths - cross))
+            elif self.kind == "exponential":
+                e = np.exp(-a)
+                out = np.where(flat, e * lengths,
+                               e * -np.expm1(-b * lengths) / b)
+            else:
+                raise ValueError(f"unknown state function kind {self.kind!r}")
         return np.where(lengths > 0.0, out, 0.0)
 
 
-def constant(value: float = 1.0) -> StateFunction:
-    return StateFunction("constant", weights=(), offset=float(value))
-
-
-def _unit_weights(component: int) -> tuple[float, ...]:
-    return (0.0,) * component + (1.0,)
-
-
 def identity(component: int = 0) -> StateFunction:
-    return StateFunction("linear", weights=_unit_weights(component))
+    return StateFunction("identity", component=component).validate()
 
 
 def indicator_le(threshold: float, component: int = 0) -> StateFunction:
-    return StateFunction("indicator_le", weights=_unit_weights(component),
-                         threshold=float(threshold))
-
-
-def indicator_gt(threshold: float, component: int = 0) -> StateFunction:
-    return StateFunction("indicator_gt", weights=_unit_weights(component),
-                         threshold=float(threshold))
+    return StateFunction("indicator", float(threshold), component).validate()
 
 
 def exp_neg(component: int = 0) -> StateFunction:
-    return StateFunction("exp_neg", weights=_unit_weights(component))
+    return StateFunction("exponential", component=component).validate()
 
 
 def path_integral(path: CyclePath, g: StateFunction, lo: float = 0.0,
@@ -696,6 +659,8 @@ def sample_states(model: RegenModel, times, n: int, seed: int, *,
 
     Returns one (n, state_dim_i) array per coordinate.
     """
+    if n < 1:
+        raise ValueError("need at least 1 replication")
     times = np.asarray(times, dtype=float)
     if len(times) != model.dimension:
         raise ValueError("one observation time per coordinate is required")

@@ -561,7 +561,7 @@ def build_age_residual(spec: AgeResidualSpec) -> RegenModel:
 
     def batch(gen: np.random.Generator, count: int
               ) -> tuple[CycleBatch, ...]:
-        lens = sample_cycle_vectors(dep, marginals, gen, count)[:, 0]
+        lens = spec.cycle_length.sample(gen, count)
         shared = _linear_batch(np.column_stack([np.zeros(count), lens]),
                                (1.0, -1.0), lens)
         return (shared,) * m

@@ -11,7 +11,7 @@ from regenverify import (ClearingCoordinate, ClearingSpec, ConfigurationError,
                          ScheduleSpec, build_clearing, check_hypotheses,
                          convergence_sweep, final_gap_verdict,
                          quantile_indicator_tuples)
-from regenverify.engine import constant
+from regenverify.engine import indicator_le
 from regenverify.randomness import substream
 from regenverify.asymptotics import (GapEstimate, ScheduleCoordinate,
                                      SweepResult, _quantile, floored_trend,
@@ -257,7 +257,8 @@ def test_sweep_negative_control_gap_large_at_every_time():
 def test_sweep_validation():
     model = drift_clearing([1.0, 0.5], DependenceSpec.comonotone())
     sched = affine([(1, 0), (1, 0)])
-    fs = [("c", (constant(1.0), constant(1.0)))]
+    one = indicator_le(math.inf)
+    fs = [("c", (one, one))]
     with pytest.raises(ValueError):
         convergence_sweep(model, sched, (10.0, 50.0), fs, 5000, seed=312)
     with pytest.raises(ValueError):
@@ -324,5 +325,5 @@ def test_quantile_indicator_bank_matches_stationary_quantiles():
     want = [-math.log(0.75), math.log(2.0), -math.log(0.25)]
     for (f_id, fs), q in zip(bank, want):
         assert len(fs) == 1
-        assert fs[0].kind == "indicator_le"
+        assert fs[0].kind == "indicator"
         assert abs(fs[0].threshold - q) < 0.06

@@ -10,9 +10,9 @@ from scipy import integrate
 from oracles import Realization, from_paths
 from regenverify import (BudgetExceededError, ClearingCoordinate, ClearingSpec,
                          DependenceSpec, MarginalSpec, build_clearing)
-from regenverify.engine import (CyclePath, StateFunction, constant,
-                                cycle_functionals, exp_neg, identity,
-                                indicator_gt, indicator_le, path_integral,
+from regenverify.config import parse_scenario, scenario_to_json
+from regenverify.engine import (CyclePath, StateFunction, cycle_functionals,
+                                exp_neg, identity, indicator_le, path_integral,
                                 ratio_estimate, renewal_reward_estimate,
                                 run_chunked, sample_states,
                                 time_average_estimate)
@@ -78,15 +78,19 @@ def test_cycle_path_validation():
 # state functions: exact segment integrals against quadrature
 
 
+# an indicator that always holds integrates to the segment length exactly
+ONE = indicator_le(math.inf)
+
+
 @pytest.mark.parametrize("g", [
-    constant(2.5),
+    ONE,
     identity(),
-    StateFunction("linear", weights=(2.0, -1.0), offset=0.3),
+    identity(1),
     indicator_le(1.2),
-    indicator_gt(0.4),
-    StateFunction("indicator_le", weights=(1.0, -1.0), threshold=0.0),
+    indicator_le(-0.5),
+    indicator_le(0.4, 1),
     exp_neg(),
-    StateFunction("exp_neg", weights=(0.5, 0.25), offset=0.1),
+    exp_neg(1),
 ])
 @pytest.mark.parametrize("value0, slope, length", [
     ((0.0, 0.0), (1.0, 0.0), 2.0),
@@ -114,11 +118,12 @@ SEGMENT_CASES = [
 
 
 @pytest.mark.parametrize("g", [
-    constant(2.5),
-    StateFunction("linear", weights=(2.0, -1.0), offset=0.3),
+    ONE,
+    identity(),
+    identity(1),
     indicator_le(1.2),
-    indicator_gt(1.2),
-    StateFunction("exp_neg", weights=(0.5, 0.25), offset=0.1),
+    indicator_le(0.5, 1),
+    exp_neg(1),
 ])
 def test_segment_integrals_array_form_matches_scalar(g):
     values = np.array([c[0] for c in SEGMENT_CASES])
@@ -146,11 +151,49 @@ def test_path_integral_over_segments():
         0.375, abs=1e-12)
 
 
-def test_updated_indicator_semantics():
-    f = StateFunction("indicator_gt", weights=(1.0, -1.0), threshold=0.0)
-    assert f(np.array([1.0, 0.5])) == 1.0
-    assert f(np.array([0.5, 1.0])) == 0.0
-    assert f(np.array([0.5, 0.5])) == 0.0  # tie counts as not updated
+@pytest.mark.parametrize("g, label0, label1", [
+    (identity(), "1*x0", "1*x1"),
+    (indicator_le(0.5), "1{1*x0 <= 0.5}", "1{1*x1 <= 0.5}"),
+    (exp_neg(), "exp(-(1*x0))", "exp(-(1*x1))"),
+])
+def test_state_function_labels(g, label0, label1):
+    assert g.label() == label0
+    assert dataclasses.replace(g, component=1).label() == label1
+
+
+@pytest.mark.parametrize("g, echo", [
+    ({"kind": "identity"}, {"kind": "identity", "component": 0}),
+    ({"kind": "indicator", "threshold": 0.5},
+     {"kind": "indicator", "threshold": 0.5, "component": 0}),
+    ({"kind": "exponential", "component": 1},
+     {"kind": "exponential", "component": 1}),
+])
+def test_state_function_is_the_run_g_section(g, echo):
+    obj = {"model": {"kind": "age_residual",
+                     "cycle_length": {"kind": "exponential", "rate": 1.0}},
+           "run": {"seed": 1, "g": g}}
+    cfg = parse_scenario(obj)
+    assert isinstance(cfg.run.g, StateFunction)
+    out = scenario_to_json(cfg)
+    assert out["run"]["g"] == echo
+    assert parse_scenario(out) == cfg
+
+
+def test_state_function_rejects_a_component_past_the_state():
+    for make in (identity, exp_neg, lambda c: indicator_le(0.5, c)):
+        with pytest.raises(ValueError, match="component must be >= 0"):
+            make(-1)
+    g = identity(2)
+    with pytest.raises(IndexError):
+        g(np.array([1.0, 2.0]))
+    with pytest.raises(IndexError):
+        g.segment_integrals(np.zeros((3, 2)), np.ones((3, 2)), np.ones(3))
+    # never a constant 0 read from a missing component
+    model = pure_drift_clearing(MarginalSpec.exponential(1.0))
+    with pytest.raises(IndexError):
+        renewal_reward_estimate(model, 0, identity(7), 100, substream(7, 1))
+    with pytest.raises(IndexError):
+        time_average_estimate(model, 0, exp_neg(7), 500.0, substream(7, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +258,7 @@ def test_renewal_reward_identity_on_clearing():
 
 def test_renewal_reward_constant_is_exact():
     model = pure_drift_clearing(MarginalSpec.exponential(1.0))
-    est = renewal_reward_estimate(model, 0, constant(1.0), 500,
+    est = renewal_reward_estimate(model, 0, ONE, 500,
                                   substream(7, 0))
     assert est.value == 1.0
     assert est.se == 0.0
@@ -252,7 +295,7 @@ def test_ratio_estimate_exact_for_proportional_rewards():
 @pytest.mark.parametrize("horizon", [500.0, 777.3, 10_000.0])
 def test_time_average_of_one_is_exact(horizon):
     model = pure_drift_clearing(MarginalSpec.exponential(1.0))
-    est = time_average_estimate(model, 0, constant(1.0), horizon,
+    est = time_average_estimate(model, 0, ONE, horizon,
                                 substream(10, 0))
     assert est.value == 1.0
 
@@ -331,6 +374,19 @@ def test_sample_states_rejects_bad_times():
         sample_states(model, [100.0, 100.0], 10, seed=1)
     with pytest.raises(ValueError):
         sample_states(model, [-1.0], 10, seed=1)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("make_model", [
+    lambda: pure_drift_clearing(MarginalSpec.exponential(1.0)),
+    lambda: pure_drift_clearing(MarginalSpec.lattice(1.0, {1: 0.5, 2: 0.5})),
+    lambda: build_jackson(JacksonSpec(arrival_rates=(0.5,),
+                                      service_rates=(1.0,),
+                                      routing=((0.0,),))),
+], ids=["bridge", "round", "jackson"])
+def test_sample_states_rejects_no_replications(make_model, n):
+    with pytest.raises(ValueError, match="at least 1 replication"):
+        sample_states(make_model(), [10.0], n, seed=1)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
