@@ -216,29 +216,9 @@ def product_form_gap(samples: np.ndarray, *, t: float = math.nan,
 class SweepResult:
     t_grid: tuple[float, ...]
     gaps: tuple[GapEstimate, ...]
-    trend: float
 
     def at_final_t(self) -> tuple[GapEstimate, ...]:
         return tuple(g for g in self.gaps if g.t == self.t_grid[-1])
-
-
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties sharing the mean of the ranks they span."""
-    _, inverse, counts = np.unique(values, return_inverse=True,
-                                   return_counts=True)
-    starts = np.cumsum(counts) - counts
-    return (starts + (counts + 1) / 2.0)[inverse]
-
-
-def floored_trend(t_grid, worst, gap_floor: float) -> float:
-    """Spearman correlation of the worst gaps, clamped at ``gap_floor``,
-    against t. Below the floor the ordering of the gaps is measurement
-    noise, so gaps that all sit there give 0.0."""
-    floored = np.maximum(np.asarray(worst, dtype=float), gap_floor)
-    if np.all(floored == floored[0]):
-        return 0.0
-    ranks_t = _average_ranks(np.asarray(t_grid, dtype=float))
-    return float(np.corrcoef(ranks_t, _average_ranks(floored))[0, 1])
 
 
 def require_replications(replications: int) -> None:
@@ -250,11 +230,8 @@ def require_replications(replications: int) -> None:
 def convergence_sweep(model: RegenModel, schedule: ScheduleSpec, t_grid,
                       f_tuples, replications: int, seed: int, *,
                       allow_hypothesis_fail: bool = False,
-                      gap_floor: float = GAP_FLOOR,
                       threads: int | None = None) -> SweepResult:
-    """Gap estimates over an increasing time grid plus the floored Spearman
-    trend of the worst gap against t (negative means the gap is
-    shrinking)."""
+    """Gap estimates over an increasing time grid."""
     grid = tuple(float(t) for t in t_grid)
     if len(grid) < 3 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("t_grid must be strictly increasing with >= 3 points")
@@ -263,20 +240,14 @@ def convergence_sweep(model: RegenModel, schedule: ScheduleSpec, t_grid,
     if not verdict.passed and not allow_hypothesis_fail:
         raise HypothesisError(verdict)
     gaps = []
-    worst = []
     for k, t in enumerate(grid):
         states = sample_states(model, schedule.values(t), replications, seed,
                                base_key=(101, k), threads=threads)
-        here = []
         for f_id, fs in f_tuples:
             mat = np.column_stack([np.asarray(fs[i](states[i]), dtype=float)
                                    for i in range(model.dimension)])
-            est = product_form_gap(mat, t=t, f_id=f_id)
-            gaps.append(est)
-            here.append(est.gap)
-        worst.append(max(here))
-    return SweepResult(t_grid=grid, gaps=tuple(gaps),
-                       trend=floored_trend(grid, worst, gap_floor))
+            gaps.append(product_form_gap(mat, t=t, f_id=f_id))
+    return SweepResult(t_grid=grid, gaps=tuple(gaps))
 
 
 def final_gap_verdict(sweep: SweepResult, gap_floor: float = GAP_FLOOR

@@ -24,7 +24,7 @@ from functools import cache
 from types import NoneType
 from typing import Literal, get_args, get_origin, get_type_hints
 
-from .asymptotics import (GAP_FLOOR, QUANTILE_PREPASS, SCHEDULE_FAMILIES,
+from .asymptotics import (QUANTILE_PREPASS, SCHEDULE_FAMILIES,
                           ScheduleCoordinate, ScheduleSpec)
 from .engine import STATE_FUNCTION_KINDS, StateFunction
 from .errors import ConfigurationError, error_path, join_path
@@ -50,14 +50,13 @@ class RunConfig:
     test_functions: Literal["quantile_indicators",
                             "exp_decay"] = "quantile_indicators"
     quantile_prepass: int = QUANTILE_PREPASS
-    gap_floor: float = GAP_FLOOR
     coordinate: int = 0
     g: StateFunction | None = None
 
     def validate(self) -> "RunConfig":
         for name, floor in (("seed", 0), ("replications", 1),
                             ("n_cycles", 100), ("quantile_prepass", 100),
-                            ("gap_floor", 0), ("coordinate", 0)):
+                            ("coordinate", 0)):
             if getattr(self, name) < floor:
                 raise ConfigurationError(f"{name} must be >= {floor}", name)
         grid = self.t_grid

@@ -633,18 +633,7 @@ def bridge_window_sampler(dep, laws, state) -> JointStateSampler:
                 out[i] = state(i, age, length, gen)
         return out
 
-    run = chunked_sampler(chunk_states, WINDOW_CHUNK)
-    mu = shapes / rates
-
-    def sampler(times: np.ndarray, n: int, seed: int,
-                base_key: tuple[int, ...], threads: int) -> list[np.ndarray]:
-        budget = DEFAULT_CYCLE_BUDGET
-        if int(np.max(np.asarray(times, dtype=float) / mu)) >= budget:
-            raise BudgetExceededError(f"stationary window exceeded "
-                                      f"{budget} cycles")
-        return run(times, n, seed, base_key, threads)
-
-    return sampler
+    return chunked_sampler(chunk_states, WINDOW_CHUNK)
 
 
 def default_burn_in(model: RegenModel) -> float:
@@ -657,7 +646,9 @@ def sample_states(model: RegenModel, times, n: int, seed: int, *,
     """``n`` i.i.d. joint observations, coordinate ``i`` at ``times[i]``,
     from the model's vectorised sampler.
 
-    Returns one (n, state_dim_i) array per coordinate.
+    Returns one (n, state_dim_i) array per coordinate. A run whose
+    expected cycle count ``max times[i] / cycle_means[i]`` reaches
+    ``DEFAULT_CYCLE_BUDGET`` is refused before the sampler draws.
     """
     if n < 1:
         raise ValueError("need at least 1 replication")
@@ -667,5 +658,9 @@ def sample_states(model: RegenModel, times, n: int, seed: int, *,
     # written so that NaN fails the check too
     if not np.all((times >= 0.0) & (times < math.inf)):
         raise ValueError("observation times must be finite and nonnegative")
+    budget = DEFAULT_CYCLE_BUDGET
+    if int(np.max(times / np.asarray(model.cycle_means))) >= budget:
+        raise BudgetExceededError(f"stationary window exceeded {budget} "
+                                  f"cycles")
     return model.joint_state_sampler(times, int(n), int(seed),
                                      tuple(base_key), thread_count(threads))

@@ -8,9 +8,16 @@
 
 Every family draws its cycles natively in batches of flat segment arrays
 (``cycle_batch``), which both stationary routes integrate, and carries a
-vectorised stationary-window sampler: :func:`engine.window_sampler` for all
-but Jackson networks. Their batch and sampler drive one step of uniformised
-transitions (:func:`_jackson_events`): masked updates of a station-major
+vectorised stationary-window sampler. In all but Jackson networks joint
+cycle ``n`` is driven by the ``n``-th i.i.d. vector of restart levels or
+cycle lengths, and the family writes its within-cycle law once, as
+``cycles(i, column, gen)``: coordinate ``i``'s entries turned into its
+:class:`CycleBatch`. :func:`_vector_batch` makes the ``cycle_batch`` of it,
+and the window samplers read it too: renewal families build it for the
+straddling cycles alone and read them at their ages (:func:`_renewal_window`
+on the bridge or round sampler), Levy queues for every cycle of a round of
+:func:`engine.window_sampler`. Jackson networks' batch and sampler drive
+one step of uniformised transitions (:func:`_jackson_events`): masked updates of a station-major
 state, one uniform per chain picking its event, with a block of uniforms
 classified into event masks before its steps fire. The batch draws its
 clock and event uniforms step by step, a block of one step; the sampler
@@ -82,12 +89,32 @@ def _by_cycle(rows: list, starts: list, values: list, count: int
             np.cumsum(counts) - counts)
 
 
-def _renewal_window(dep: DependenceSpec, marginals, state, means,
+def _vector_batch(dep: DependenceSpec, laws, cycles):
+    """``cycle_batch`` of a family whose joint cycle ``n`` is driven by the
+    ``n``-th i.i.d. vector drawn from ``laws`` under ``dep``:
+    ``cycles(i, column, gen)`` turns coordinate ``i``'s entries into its
+    :class:`CycleBatch`."""
+
+    def batch(gen: np.random.Generator, count: int
+              ) -> tuple[CycleBatch, ...]:
+        vectors = sample_cycle_vectors(dep, laws, gen, count)
+        return tuple(cycles(i, vectors[:, i], gen) for i in range(len(laws)))
+
+    return batch
+
+
+def _renewal_window(dep: DependenceSpec, marginals, cycles, means,
                     state_dims: tuple[int, ...]):
     """Stationary-window sampler of a renewal-driven family: the drawn
-    entries are the cycle lengths, and ``state(i, age, length, gen)`` fills
-    only the straddling cycle. Laws and couplings with closed-form block
-    sums take the bridge sampler, all others the round sampler."""
+    entries are the cycle lengths, and the straddling cycles are drawn by
+    ``cycles(i, lengths, gen)``, the family's own batch, and read at their
+    ages. Laws and couplings with closed-form block sums take the bridge
+    sampler, all others the round sampler."""
+
+    def state(i: int, age: np.ndarray, length: np.ndarray,
+              gen: np.random.Generator) -> np.ndarray:
+        return cycles(i, length, gen).at(np.arange(len(age)), age)
+
     if bridge_processes(dep, marginals) is not None:
         return bridge_window_sampler(dep, marginals, state)
 
@@ -226,19 +253,18 @@ def build_levy_queue(spec: LevyQueueSpec) -> RegenModel:
         return tuple(_levy_cycle(coords[i], float(levels[i]), gen)
                      for i in range(len(coords)))
 
-    def batch(gen: np.random.Generator, count: int
-              ) -> tuple[CycleBatch, ...]:
-        levels = sample_cycle_vectors(dep, restarts, gen, count)
-        return tuple(_levy_batch(coords[i], levels[:, i], gen)
-                     for i in range(len(coords)))
+    def cycles(i: int, levels: np.ndarray, gen: np.random.Generator
+               ) -> CycleBatch:
+        return _levy_batch(coords[i], levels, gen)
 
     def expand(i: int, levels: np.ndarray, gen: np.random.Generator):
-        cycles = _levy_batch(coords[i], levels, gen)
-        return cycles.lengths, cycles.at
+        batch = cycles(i, levels, gen)
+        return batch.lengths, batch.at
 
     sampler = window_sampler(dep, restarts, expand, means,
                              (1,) * len(coords))
-    return RegenModel((1,) * len(coords), means, generate, sampler, batch)
+    return RegenModel((1,) * len(coords), means, generate, sampler,
+                      _vector_batch(dep, restarts, cycles))
 
 
 # ---------------------------------------------------------------------------
@@ -340,24 +366,6 @@ def _clearing_batch(coord: ClearingCoordinate, lengths: np.ndarray,
                       lengths)
 
 
-def _compound_total(rate: float, jump: MarginalSpec, durations: np.ndarray,
-                    gen: np.random.Generator) -> np.ndarray:
-    """Sum of a compound-Poisson process over each duration, one draw per
-    entry, vectorised per jump-size family."""
-    counts = gen.poisson(rate * durations)
-    if jump.kind == "deterministic":
-        return counts * jump.value
-    if jump.kind == "exponential":
-        return gen.standard_gamma(counts.astype(float)) / jump.rate
-    if jump.kind == "gamma":
-        return gen.standard_gamma(counts * jump.shape) / jump.rate
-    total = np.zeros(len(durations))
-    for k in range(int(counts.max()) if len(counts) else 0):
-        draws = np.asarray(jump.sample(gen, len(durations)))
-        total += np.where(k < counts, draws, 0.0)
-    return total
-
-
 def build_clearing(spec: ClearingSpec) -> RegenModel:
     spec.validate()
     coords = spec.coordinates
@@ -373,24 +381,14 @@ def build_clearing(spec: ClearingSpec) -> RegenModel:
         return tuple(_subordinator_cycle(coords[i], float(lens[i]), gen)
                      for i in range(len(coords)))
 
-    def batch(gen: np.random.Generator, count: int
-              ) -> tuple[CycleBatch, ...]:
-        lens = sample_cycle_vectors(dep, marginals, gen, count)
-        return tuple(_clearing_batch(coords[i], lens[:, i], gen)
-                     for i in range(len(coords)))
+    def cycles(i: int, lengths: np.ndarray, gen: np.random.Generator
+               ) -> CycleBatch:
+        return _clearing_batch(coords[i], lengths, gen)
 
-    def state(i: int, age: np.ndarray, length: np.ndarray,
-              gen: np.random.Generator) -> np.ndarray:
-        coord = coords[i]
-        out = coord.drift * age
-        if coord.jump_rate > 0.0:
-            out = out + _compound_total(coord.jump_rate, coord.jump_size,
-                                        age, gen)
-        return out[:, None]
-
-    sampler = _renewal_window(dep, marginals, state, means,
+    sampler = _renewal_window(dep, marginals, cycles, means,
                               (1,) * len(coords))
-    return RegenModel((1,) * len(coords), means, generate, sampler, batch)
+    return RegenModel((1,) * len(coords), means, generate, sampler,
+                      _vector_batch(dep, marginals, cycles))
 
 
 # ---------------------------------------------------------------------------
@@ -450,27 +448,19 @@ def build_status(spec: StatusSpec) -> RegenModel:
                                      float(lens[i])))
         return tuple(paths)
 
-    def batch(gen: np.random.Generator, count: int
-              ) -> tuple[CycleBatch, ...]:
-        lens = sample_cycle_vectors(dep, marginals, gen, count)
-        out = []
-        for i, src in enumerate(sources):
-            hurdles = np.asarray(src.update_size.sample(gen, count),
-                                 dtype=float) / src.capacity
-            out.append(_linear_batch(
-                np.column_stack([np.zeros(count), hurdles]), (1.0, 0.0),
-                lens[:, i]))
-        return tuple(out)
-
-    def state(i: int, age: np.ndarray, length: np.ndarray,
-              gen: np.random.Generator) -> np.ndarray:
+    def cycles(i: int, lengths: np.ndarray, gen: np.random.Generator
+               ) -> CycleBatch:
         src = sources[i]
-        marks = np.asarray(src.update_size.sample(gen, len(age)))
-        return np.column_stack([age, marks / src.capacity])
+        hurdles = np.asarray(src.update_size.sample(gen, len(lengths)),
+                             dtype=float) / src.capacity
+        return _linear_batch(
+            np.column_stack([np.zeros(len(lengths)), hurdles]), (1.0, 0.0),
+            lengths)
 
-    sampler = _renewal_window(dep, marginals, state, means,
+    sampler = _renewal_window(dep, marginals, cycles, means,
                               (2,) * len(sources))
-    return RegenModel((2,) * len(sources), means, generate, sampler, batch)
+    return RegenModel((2,) * len(sources), means, generate, sampler,
+                      _vector_batch(dep, marginals, cycles))
 
 
 def _effective_equilibrium_tail(dep: DependenceSpec, marginal: MarginalSpec,
@@ -559,20 +549,16 @@ def build_age_residual(spec: AgeResidualSpec) -> RegenModel:
         path = linear_path((0.0, t_len), (1.0, -1.0), t_len)
         return (path,) * m
 
-    def batch(gen: np.random.Generator, count: int
-              ) -> tuple[CycleBatch, ...]:
-        lens = spec.cycle_length.sample(gen, count)
-        shared = _linear_batch(np.column_stack([np.zeros(count), lens]),
-                               (1.0, -1.0), lens)
-        return (shared,) * m
-
-    def state(i: int, age: np.ndarray, length: np.ndarray,
-              gen: np.random.Generator) -> np.ndarray:
-        return np.column_stack([age, length - age])
+    def cycles(i: int, lengths: np.ndarray, gen: np.random.Generator
+               ) -> CycleBatch:
+        return _linear_batch(
+            np.column_stack([np.zeros(len(lengths)), lengths]), (1.0, -1.0),
+            lengths)
 
     means = (spec.cycle_length.mean(),) * m
-    sampler = _renewal_window(dep, marginals, state, means, (2,) * m)
-    return RegenModel((2,) * m, means, generate, sampler, batch)
+    sampler = _renewal_window(dep, marginals, cycles, means, (2,) * m)
+    return RegenModel((2,) * m, means, generate, sampler,
+                      _vector_batch(dep, marginals, cycles))
 
 
 # ---------------------------------------------------------------------------

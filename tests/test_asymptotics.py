@@ -14,7 +14,7 @@ from regenverify import (ClearingCoordinate, ClearingSpec, ConfigurationError,
 from regenverify.engine import indicator_le
 from regenverify.randomness import substream
 from regenverify.asymptotics import (GapEstimate, ScheduleCoordinate,
-                                     SweepResult, _quantile, floored_trend,
+                                     SweepResult, _quantile,
                                      product_form_gap)
 
 EXP1 = MarginalSpec.exponential(1.0)
@@ -269,22 +269,6 @@ def test_sweep_validation():
                           seed=312)
 
 
-def test_floored_trend():
-    from scipy import stats
-
-    grid = (10.0, 100.0, 1000.0)
-    assert floored_trend(grid, (0.004, 0.019, 0.011), 0.02) == 0.0
-    assert floored_trend(grid, (0.3, 0.1, 0.05), 0.02) < 0.0
-    # clamping ties the last two points; ranks average like scipy's
-    tied = (0.08, 0.01, 0.015)
-    assert floored_trend(grid, tied, 0.02) == pytest.approx(
-        stats.spearmanr(grid, np.maximum(tied, 0.02)).statistic)
-    long_grid = (1.0, 2.0, 4.0, 8.0, 16.0)
-    untied = (0.05, 0.09, 0.03, 0.07, 0.04)
-    assert floored_trend(long_grid, untied, 0.02) == pytest.approx(
-        stats.spearmanr(long_grid, untied).statistic)
-
-
 def test_final_gap_verdict_thresholds():
     def gap(f_id, g, se, degenerate=False, t=100.0):
         return GapEstimate(t=t, f_id=f_id, n=5000, gap=g, se=se,
@@ -296,8 +280,7 @@ def test_final_gap_verdict_thresholds():
         gaps=(gap("early", 0.9, 0.001, t=10.0),  # not at final t: ignored
               gap("small", 0.019, 0.001),        # under the floor
               gap("wide_se", 0.05, 0.02),        # under 3*SE
-              gap("flagged", 0.0, 0.0, True)),   # degenerate but zero gap
-        trend=0.0)
+              gap("flagged", 0.0, 0.0, True)))   # degenerate but zero gap
     passed, rows = final_gap_verdict(sweep, gap_floor=0.02)
     assert passed
     assert [r["f_id"] for r in rows] == ["small", "wide_se", "flagged"]
@@ -306,7 +289,7 @@ def test_final_gap_verdict_thresholds():
     assert [r["threshold_by"] for r in rows] == ["floor", "se", "floor"]
 
     sweep_bad = SweepResult(t_grid=(10.0, 100.0),
-                            gaps=(gap("big", 0.5, 0.001),), trend=0.0)
+                            gaps=(gap("big", 0.5, 0.001),))
     passed, rows = final_gap_verdict(sweep_bad)
     assert not passed and not rows[0]["ok"]
     assert rows[0]["threshold"] == 0.02 and rows[0]["threshold_by"] == "floor"

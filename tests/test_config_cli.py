@@ -157,9 +157,11 @@ def test_null_values_match_omitted_fields():
     (lambda o: o["model"]["coordinates"][0].update(color="red"),
      "model.coordinates[0]"),
     (lambda o: o["run"].update(t_grid=[5.0, 5.0, 9.0]), "run.t_grid"),
-    # older scenario files may still set this retired field
+    # older scenario files may still set these retired fields
     (lambda o: o["run"].update(bootstrap_resamples=400),
      "bootstrap_resamples"),
+    (lambda o: o["run"].update(gap_floor=0.01),
+     "run: unknown field(s): gap_floor"),
     (lambda o: o["schedule"]["coordinates"].pop(), "schedule.coordinates"),
     (lambda o: o["model"].update(dependence={
         "kind": "gaussian_copula", "correlation": [[1.0]]}), "dependence"),
@@ -548,7 +550,7 @@ def test_verify_independence_positive(tmp_path, capsys):
     assert verdict["final_t"] == 100.0
     assert len(verdict["per_tuple"]) == 3
     assert all(row["ok"] for row in verdict["per_tuple"])
-    assert "trend" in verdict and "trend_ok" in verdict
+    assert "trend" not in verdict and "trend_ok" not in verdict
 
 
 def test_verify_independence_levy_default_bank(tmp_path, capsys):

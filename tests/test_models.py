@@ -799,15 +799,47 @@ def test_window_draws_stay_within_the_element_bound(monkeypatch,
 def test_window_budget_enforced_before_drawing(monkeypatch, round_sampler):
     monkeypatch.setattr(engine, "DEFAULT_CYCLE_BUDGET", 100)
     calls = spy_on_draws(monkeypatch)
-    model = WINDOW_MODELS["clearing_jumps"]()
-    with pytest.raises(BudgetExceededError, match="100 cycles"):
-        sample_states(model, [1000.0, 1000.0], 1000, seed=124)
+    # mean cycles 1 and 2 (clearing), 2 and 8/3 (Levy): t=1000 expects
+    # more than 100 cycles
+    for family in ("clearing_jumps", "levy_queue"):
+        with pytest.raises(BudgetExceededError, match="100 cycles"):
+            sample_states(WINDOW_MODELS[family](), [1000.0, 1000.0], 1000,
+                          seed=124)
     assert calls == []
+    model = WINDOW_MODELS["clearing_jumps"]()
     # t=90 needs about 91 unit-mean cycles, more than 100 for some of the
     # 1000 replications: the budget stops the walk in a later round
     with pytest.raises(BudgetExceededError, match="100 cycles"):
         sample_states(model, [90.0, 90.0], 1000, seed=124)
     assert calls
+
+
+@pytest.mark.parametrize("jump", [
+    MarginalSpec.deterministic(0.5),
+    MarginalSpec.gamma(2.0, 3.0),
+    MarginalSpec.shifted_uniform(0.2, 1.0),
+    MarginalSpec.lattice(0.5, {1: 0.5, 3: 0.5}),
+], ids=["deterministic", "gamma", "shifted_uniform", "lattice"])
+@pytest.mark.parametrize("cycle, second_moment", [
+    (MarginalSpec.exponential(1.0), 2.0),
+    (MarginalSpec.shifted_uniform(0.5, 1.5), 13.0 / 12.0),
+], ids=["bridge", "round"])
+def test_clearing_window_mean_matches_closed_form(jump, cycle, second_moment):
+    # content at age a is drift * a plus the jumps so far, and the
+    # stationary age has mean E T^2 / (2 E T)
+    coord = ClearingCoordinate(cycle_length=cycle, drift=0.5, jump_rate=0.8,
+                               jump_size=jump)
+    model = build_clearing(ClearingSpec(
+        coordinates=(coord,), dependence=DependenceSpec.independent()))
+    on_bridge = engine.bridge_processes(DependenceSpec.independent(),
+                                        (cycle,)) is not None
+    assert on_bridge == (cycle.kind == "exponential")
+    n = 20_000
+    content = sample_states(model, [200.0], n, seed=146)[0][:, 0]
+    want = ((coord.drift + coord.jump_rate * jump.mean()) * second_moment
+            / (2.0 * cycle.mean()))
+    se = content.std(ddof=1) / math.sqrt(n)
+    assert abs(content.mean() - want) <= 4.0 * se
 
 
 # ---------------------------------------------------------------------------
