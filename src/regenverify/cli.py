@@ -311,12 +311,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as exc:
-        print(f"ERROR config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ValueError as exc:
-        # operational preconditions (replication floors, grid shape) are
-        # driven by user inputs, so reject them as configuration
+        # a ConfigurationError is a ValueError; operational preconditions
+        # (replication floors, grid shape) are driven by user inputs too, so
+        # reject them as configuration
         print(f"ERROR config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BudgetExceededError as exc:

@@ -276,11 +276,13 @@ class JointStateSampler(Protocol):
 class RegenModel:
     """A joint regenerative model.
 
-    ``cycle_batch(gen, count)`` draws ``count`` i.i.d. joint cycles as one
-    :class:`CycleBatch` per coordinate; both stationary routes read cycles
-    only through it. ``joint_state_sampler`` draws i.i.d. stationary-window
-    states, through :func:`window_sampler` where one i.i.d. vector drives
-    each joint cycle. ``cycle_generator(gen)`` draws one joint cycle as a
+    ``cycle_batch(i, gen, count)`` draws ``count`` i.i.d. cycles of
+    coordinate ``i`` as one :class:`CycleBatch`; both stationary routes
+    read cycles only through it, one coordinate at a time, so it builds no
+    other coordinate's cycles. ``joint_state_sampler`` draws i.i.d.
+    stationary-window states, through :func:`window_sampler` where one
+    i.i.d. vector drives each joint cycle; the coupling across coordinates
+    is read only there. ``cycle_generator(gen)`` draws one joint cycle as a
     tuple of per coordinate :class:`CyclePath`; it is the reference the
     test suite cross-checks the other two against.
     """
@@ -289,7 +291,7 @@ class RegenModel:
     cycle_means: tuple[float, ...]
     cycle_generator: Callable[[np.random.Generator], tuple[CyclePath, ...]]
     joint_state_sampler: JointStateSampler
-    cycle_batch: Callable[[np.random.Generator, int], tuple[CycleBatch, ...]]
+    cycle_batch: Callable[[int, np.random.Generator, int], CycleBatch]
 
     @property
     def dimension(self) -> int:
@@ -310,7 +312,7 @@ def cycle_functionals(model: RegenModel, i: int, gs: Sequence, n_cycles: int,
     rewards = np.empty((n_cycles, len(gs)))
     lengths = np.empty(n_cycles)
     for lo in range(0, n_cycles, BATCH_CYCLES):
-        batch = model.cycle_batch(gen, min(BATCH_CYCLES, n_cycles - lo))[i]
+        batch = model.cycle_batch(i, gen, min(BATCH_CYCLES, n_cycles - lo))
         hi = lo + batch.count
         lengths[lo:hi] = batch.lengths
         seg = batch.segment_lengths()
@@ -377,7 +379,7 @@ def time_average_estimate(model: RegenModel, i: int, g, horizon: float,
         # do not draw a full block past their end
         want = int(1.05 * (horizon - start) / mu) + 16
         count = min(BATCH_CYCLES, max_cycles - drawn, want)
-        batch = model.cycle_batch(gen, count)[i]
+        batch = model.cycle_batch(i, gen, count)
         drawn += count
         # cycle epochs inside the block; the block end carries the
         # compensated running sum from one block to the next, and rounding

@@ -6,26 +6,28 @@
 - status-updating freshness indicators with dependent inter-update times
 - open Jackson networks regenerating at empty-system epochs
 
-Every family draws its cycles natively in batches of flat segment arrays
-(``cycle_batch``), which both stationary routes integrate, and carries a
-vectorised stationary-window sampler. In all but Jackson networks joint
-cycle ``n`` is driven by the ``n``-th i.i.d. vector of restart levels or
-cycle lengths, and the family writes its within-cycle law once, as
-``cycles(i, column, gen)``: coordinate ``i``'s entries turned into its
-:class:`CycleBatch`. :func:`_vector_batch` makes the ``cycle_batch`` of it,
-and the window samplers read it too: renewal families build it for the
-straddling cycles alone and read them at their ages (:func:`_renewal_window`
-on the bridge or round sampler), Levy queues for every cycle of a round of
-:func:`engine.window_sampler`. Jackson networks' batch and sampler drive
-one step of uniformised transitions (:func:`_jackson_events`): masked updates of a station-major
-state, one uniform per chain picking its event, with a block of uniforms
-classified into event masks before its steps fire. The batch draws its
-clock and event uniforms step by step, a block of one step; the sampler
-has no clock, runs to Poisson step counts and draws its uniforms a block
-of steps at a time, the same stream as one draw per step. Every family
-also keeps a per-cycle generator (``cycle_generator``); nothing in the
-package calls it, it is the oracle the tests cross-check the batches and
-samplers against.
+Every family draws one coordinate's cycles natively in batches of flat
+segment arrays (``cycle_batch(i, gen, count)``), which both stationary
+routes integrate, and carries a vectorised stationary-window sampler, the
+only reader of the coupling across coordinates. In all but Jackson
+networks joint cycle ``n`` is driven by the ``n``-th i.i.d. vector of
+restart levels or cycle lengths, and the family writes its within-cycle
+law once, as ``cycles(i, column, gen)``: coordinate ``i``'s entries turned
+into its :class:`CycleBatch`. :func:`_vector_batch` makes the
+``cycle_batch`` of it, and the window samplers read it too: renewal
+families build it for the straddling cycles alone and read them at their
+ages (:func:`_renewal_window` on the bridge or round sampler), Levy queues
+for every cycle of a round of :func:`engine.window_sampler`. Jackson
+networks' batch and sampler drive one step of uniformised transitions
+(:func:`_jackson_events`): masked updates of a station-major state, one
+uniform per chain picking its event, with a block of uniforms classified
+into event masks before its steps fire. The batch runs the whole network,
+records station ``i`` alone and draws its clock and event uniforms step
+by step, a block of one step; the sampler has no clock, runs to Poisson
+step counts and draws its uniforms a block of steps at a time, the same
+stream as one draw per step. Every family also keeps a per-cycle
+generator (``cycle_generator``); nothing in the package calls it, it is
+the oracle the tests cross-check the batches and samplers against.
 """
 
 from __future__ import annotations
@@ -91,16 +93,38 @@ def _by_cycle(rows: list, starts: list, values: list, count: int
 
 def _vector_batch(dep: DependenceSpec, laws, cycles):
     """``cycle_batch`` of a family whose joint cycle ``n`` is driven by the
-    ``n``-th i.i.d. vector drawn from ``laws`` under ``dep``:
-    ``cycles(i, column, gen)`` turns coordinate ``i``'s entries into its
-    :class:`CycleBatch`."""
+    ``n``-th i.i.d. vector drawn from ``laws`` under ``dep``. The whole
+    vector is drawn, so coordinate ``i``'s entries keep their law under
+    every coupling, and ``cycles(i, column, gen)`` turns those entries
+    alone into coordinate ``i``'s :class:`CycleBatch`."""
 
-    def batch(gen: np.random.Generator, count: int
-              ) -> tuple[CycleBatch, ...]:
-        vectors = sample_cycle_vectors(dep, laws, gen, count)
-        return tuple(cycles(i, vectors[:, i], gen) for i in range(len(laws)))
+    def batch(i: int, gen: np.random.Generator, count: int) -> CycleBatch:
+        return cycles(i, sample_cycle_vectors(dep, laws, gen, count)[:, i],
+                      gen)
 
     return batch
+
+
+def _check_coupled(members, dependence: DependenceSpec, noun: str) -> None:
+    """At least one member, each valid, and a dependence over them all."""
+    if not members:
+        raise ConfigurationError(f"at least one {noun} is required")
+    for member in members:
+        member.validate()
+    with error_path("dependence"):
+        dependence.validate(len(members))
+
+
+def _check_jumps(rate: float, size: MarginalSpec | None) -> None:
+    """A finite rate >= 0 of compound-Poisson jumps, with a valid size law
+    when the rate is positive."""
+    if not (rate >= 0.0 and math.isfinite(rate)):
+        raise ConfigurationError("jump_rate must be finite and >= 0")
+    if rate > 0.0:
+        if size is None:
+            raise ConfigurationError(
+                "jump_size is required when jump_rate > 0")
+        size.validate()
 
 
 def _renewal_window(dep: DependenceSpec, marginals, cycles, means,
@@ -139,13 +163,7 @@ class LevyQueueCoordinate:
     jump_size: MarginalSpec | None = None
 
     def validate(self) -> "LevyQueueCoordinate":
-        if not (self.jump_rate >= 0.0 and math.isfinite(self.jump_rate)):
-            raise ConfigurationError("jump_rate must be finite and >= 0")
-        if self.jump_rate > 0.0:
-            if self.jump_size is None:
-                raise ConfigurationError(
-                    "jump_size is required when jump_rate > 0")
-            self.jump_size.validate()
+        _check_jumps(self.jump_rate, self.jump_size)
         self.restart_level.validate()
         return self
 
@@ -162,16 +180,12 @@ class LevyQueueSpec:
         default_factory=DependenceSpec.independent)
 
     def validate(self) -> "LevyQueueSpec":
-        if not self.coordinates:
-            raise ConfigurationError("at least one coordinate is required")
+        _check_coupled(self.coordinates, self.dependence, "coordinate")
         for k, coord in enumerate(self.coordinates):
-            coord.validate()
             if coord.load() >= 1.0:
                 raise ConfigurationError(
                     f"coordinate {k} is unstable: jump_rate * mean jump size "
                     f"= {coord.load():g} >= 1")
-        with error_path("dependence"):
-            self.dependence.validate(len(self.coordinates))
         return self
 
 
@@ -284,13 +298,7 @@ class ClearingCoordinate:
     def validate(self) -> "ClearingCoordinate":
         if not (self.drift >= 0.0 and math.isfinite(self.drift)):
             raise ConfigurationError("drift must be finite and >= 0")
-        if not (self.jump_rate >= 0.0 and math.isfinite(self.jump_rate)):
-            raise ConfigurationError("jump_rate must be finite and >= 0")
-        if self.jump_rate > 0.0:
-            if self.jump_size is None:
-                raise ConfigurationError(
-                    "jump_size is required when jump_rate > 0")
-            self.jump_size.validate()
+        _check_jumps(self.jump_rate, self.jump_size)
         if self.drift == 0.0 and self.jump_rate == 0.0:
             raise ConfigurationError(
                 "content must grow: need drift > 0 or jump_rate > 0")
@@ -305,12 +313,7 @@ class ClearingSpec:
         default_factory=DependenceSpec.independent)
 
     def validate(self) -> "ClearingSpec":
-        if not self.coordinates:
-            raise ConfigurationError("at least one coordinate is required")
-        for coord in self.coordinates:
-            coord.validate()
-        with error_path("dependence"):
-            self.dependence.validate(len(self.coordinates))
+        _check_coupled(self.coordinates, self.dependence, "coordinate")
         return self
 
 
@@ -420,12 +423,7 @@ class StatusSpec:
         default_factory=DependenceSpec.independent)
 
     def validate(self) -> "StatusSpec":
-        if not self.sources:
-            raise ConfigurationError("at least one source is required")
-        for src in self.sources:
-            src.validate()
-        with error_path("dependence"):
-            self.dependence.validate(len(self.sources))
+        _check_coupled(self.sources, self.dependence, "source")
         return self
 
 
@@ -757,22 +755,22 @@ def _jackson_events(spec: JacksonSpec):
     return total, src, classify, fire
 
 
-def _jackson_batch(spec: JacksonSpec, gen: np.random.Generator,
-                   count: int) -> tuple[CycleBatch, ...]:
-    """``count`` cycles of the uniformised chain of :func:`_jackson_events`
-    run in lockstep with an exponential clock at its total rate. Each step
-    draws the live cycles' clock increments, then one uniform per live
-    cycle for its event, a one-step block. The first segment of every
-    cycle is the idle stretch from 0, each step whose event has a nonempty
-    source opens a segment, and a step that empties the network ends the
-    cycle."""
+def _jackson_batch(spec: JacksonSpec, i: int, gen: np.random.Generator,
+                   count: int) -> CycleBatch:
+    """Station ``i``'s view of ``count`` cycles of the uniformised chain of
+    :func:`_jackson_events`, run in lockstep with an exponential clock at
+    its total rate. Each step draws the live cycles' clock increments, then
+    one uniform per live cycle for its event, a one-step block. The first
+    segment of every cycle is the idle stretch from 0, each step whose
+    event has a nonempty source opens a segment, and a step that empties
+    the network ends the cycle."""
     m = len(spec.arrival_rates)
     total, src, classify, fire = _jackson_events(spec)
     lengths = np.empty(count)
     live = np.arange(count)
     t = np.zeros(count)
     x = np.zeros((m, count), dtype=np.int32)
-    rows, times, states = [live], [t], [x.T.copy()]
+    rows, times, states = [live], [t], [x[i].copy()]
     for _ in range(MAX_EVENTS_PER_CYCLE):
         t = t + gen.exponential(1.0 / total, live.size)
         code, masks = classify(gen.random((1, live.size)))
@@ -787,7 +785,7 @@ def _jackson_batch(spec: JacksonSpec, gen: np.random.Generator,
         opened = changed & busy
         rows.append(live[opened])
         times.append(t[opened])
-        states.append(x[:, opened].T)
+        states.append(x[i, opened])
         done = changed & ~busy
         if done.any():
             lengths[live[done]] = t[done]
@@ -799,10 +797,8 @@ def _jackson_batch(spec: JacksonSpec, gen: np.random.Generator,
         raise BudgetExceededError(
             f"network cycle exceeded {MAX_EVENTS_PER_CYCLE} events")
     starts, values, offsets = _by_cycle(rows, times, states, count)
-    values = values.astype(float)
-    zero = np.zeros((len(starts), 1))
-    return tuple(CycleBatch(starts, values[:, i:i + 1], zero, offsets,
-                            lengths) for i in range(m))
+    values = values.astype(float)[:, None]
+    return CycleBatch(starts, values, np.zeros_like(values), offsets, lengths)
 
 
 def _make_jackson_sampler(spec: JacksonSpec):
@@ -882,17 +878,13 @@ MODEL_KINDS = {"levy_queue": LevyQueueSpec, "clearing": ClearingSpec,
                "status": StatusSpec, "jackson": JacksonSpec,
                "age_residual": AgeResidualSpec}
 ModelSpec = Union[tuple(MODEL_KINDS.values())]
+_BUILDERS = {LevyQueueSpec: build_levy_queue, ClearingSpec: build_clearing,
+             StatusSpec: build_status, JacksonSpec: build_jackson,
+             AgeResidualSpec: build_age_residual}
 
 
 def build_model(spec) -> RegenModel:
-    if isinstance(spec, LevyQueueSpec):
-        return build_levy_queue(spec)
-    if isinstance(spec, ClearingSpec):
-        return build_clearing(spec)
-    if isinstance(spec, StatusSpec):
-        return build_status(spec)
-    if isinstance(spec, JacksonSpec):
-        return build_jackson(spec)
-    if isinstance(spec, AgeResidualSpec):
-        return build_age_residual(spec)
-    raise ConfigurationError(f"unknown model spec {type(spec).__name__}")
+    builder = _BUILDERS.get(type(spec))
+    if builder is None:
+        raise ConfigurationError(f"unknown model spec {type(spec).__name__}")
+    return builder(spec)

@@ -329,9 +329,9 @@ def test_batched_routes_match_per_cycle_integrals():
             jump_rate=1.0, jump_size=MarginalSpec.exponential(2.0)),),
         dependence=DependenceSpec.independent()))
 
-    def stacked(gen, count):
-        return (from_paths([model.cycle_generator(gen)[0]
-                            for _ in range(count)]),)
+    def stacked(i, gen, count):
+        return from_paths([model.cycle_generator(gen)[i]
+                           for _ in range(count)])
 
     gs = [identity(), indicator_le(0.7), exp_neg()]
     rewards, lengths = cycle_functionals(

@@ -15,7 +15,8 @@ from regenverify import (ArithmeticCyclesWarning, BudgetExceededError,
                          ClearingCoordinate, ClearingSpec, ConfigurationError,
                          DependenceSpec, MarginalSpec, build_clearing)
 from regenverify.engine import (exp_neg, identity, path_integral,
-                                renewal_reward_estimate, sample_states)
+                                renewal_reward_estimate, sample_states,
+                                time_average_estimate)
 from regenverify.models import (AgeResidualSpec, JacksonSpec,
                                 LevyQueueCoordinate, LevyQueueSpec,
                                 StatusSource, StatusSpec, build_age_residual,
@@ -136,10 +137,10 @@ BATCH_MODELS = {
 def test_cycle_batch_matches_cycle_generator(family):
     model = BATCH_MODELS[family]()
     n = 10_000
-    batches = model.cycle_batch(substream(104, 0), n)
     gen = substream(105, 0)
     cycles = [model.cycle_generator(gen) for _ in range(n)]
-    for i, batch in enumerate(batches):
+    for i in range(model.dimension):
+        batch = model.cycle_batch(i, substream(104, i), n)
         counts = np.diff(batch.offsets, append=len(batch.starts))
         seg = batch.segment_lengths()
         assert batch.count == n and np.all(counts >= 1)
@@ -166,7 +167,7 @@ def test_cycle_batch_matches_cycle_generator(family):
 
 def test_levy_cycle_batch_structure():
     model = levy_model(M_G_1_VACATION)
-    batch = model.cycle_batch(substream(104, 0), 10_000)[0]
+    batch = model.cycle_batch(0, substream(104, 0), 10_000)
     counts = np.diff(batch.offsets, append=len(batch.starts))
     seg = batch.segment_lengths()
     assert np.all(batch.slopes == -1.0)
@@ -178,24 +179,48 @@ def test_levy_cycle_batch_structure():
 
 
 def test_cycle_batches_keep_the_cycle_coupling():
-    # comonotone exponential(1) and exponential(1/2) lengths: the second
-    # coordinate's cycle k is exactly twice the first's
-    dep = DependenceSpec.comonotone()
-    laws = (EXP1, MarginalSpec.exponential(0.5))
-    for model in (
-            build_clearing(ClearingSpec(
-                coordinates=tuple(ClearingCoordinate(cycle_length=law)
-                                  for law in laws), dependence=dep)),
-            build_status(StatusSpec(
-                sources=tuple(StatusSource(inter_update=law,
-                                           update_size=EXP1)
-                              for law in laws), dependence=dep))):
-        first, second = model.cycle_batch(substream(108, 0), 5000)
-        assert np.allclose(second.lengths, 2.0 * first.lengths, rtol=1e-12)
-    # the tandem's stations share one cycle, so one set of lengths
-    first, second = build_jackson(TANDEM).cycle_batch(substream(109, 0), 500)
+    # the tandem's stations share one cycle: every station's batch from one
+    # substream has the same lengths and segment starts
+    model = build_jackson(TANDEM)
+    first, second = (model.cycle_batch(i, substream(109, 0), 500)
+                     for i in range(2))
     assert np.array_equal(first.lengths, second.lengths)
     assert np.array_equal(first.starts, second.starts)
+
+
+# the two comonotone coordinates of bench/scenarios/levy_sweep.json
+LEVY_SWEEP = (M_G_1_VACATION,
+              LevyQueueCoordinate(restart_level=MarginalSpec.exponential(0.5),
+                                  jump_rate=0.25, jump_size=EXP1))
+
+
+def test_cycle_batch_builds_only_the_coordinate_it_returns(monkeypatch):
+    model = levy_model(*LEVY_SWEEP, dependence=DependenceSpec.comonotone())
+    built = []
+    levy_batch = models._levy_batch
+
+    def spy(coord, levels, gen):
+        built.append(coord)
+        return levy_batch(coord, levels, gen)
+
+    monkeypatch.setattr(models, "_levy_batch", spy)
+    batch = model.cycle_batch(1, substream(107, 0), 1000)
+    assert built == [LEVY_SWEEP[1]]
+    assert batch.count == 1000
+
+
+def test_levy_second_coordinate_matches_fuhrmann_cooper():
+    # Fuhrmann-Cooper: W = the Pollaczek-Khinchine workload plus the
+    # equilibrium restart level, independent. Restarts exp(1/2) give
+    # E exp(-U_e) = 1/3; load 1/4 with exp(1) jumps gives 3/4 / (1 - 1/8)
+    # = 6/7, so E exp(-W) = 2/7 on coordinate 1 whatever the coupling
+    model = levy_model(*LEVY_SWEEP, dependence=DependenceSpec.comonotone())
+    want = 2.0 / 7.0
+    for est in (renewal_reward_estimate(model, 1, exp_neg(), 100_000,
+                                        substream(108, 0)),
+                time_average_estimate(model, 1, exp_neg(), 200_000.0,
+                                      substream(108, 1))):
+        assert abs(est.value - want) <= 4.0 * est.se
 
 
 def test_levy_batch_event_budget_enforced(monkeypatch):
@@ -203,7 +228,7 @@ def test_levy_batch_event_budget_enforced(monkeypatch):
     model = levy_model(LevyQueueCoordinate(restart_level=EXP1, jump_rate=0.9,
                                            jump_size=EXP1))
     with pytest.raises(BudgetExceededError):
-        model.cycle_batch(substream(106, 0), 1000)
+        model.cycle_batch(0, substream(106, 0), 1000)
     with pytest.raises(BudgetExceededError):
         sample_states(model, [50.0], 1000, seed=106)
 
@@ -211,7 +236,7 @@ def test_levy_batch_event_budget_enforced(monkeypatch):
 def test_jackson_batch_event_budget_enforced(monkeypatch):
     monkeypatch.setattr(models, "MAX_EVENTS_PER_CYCLE", 2)
     with pytest.raises(BudgetExceededError):
-        build_jackson(TANDEM).cycle_batch(substream(106, 0), 1000)
+        build_jackson(TANDEM).cycle_batch(0, substream(106, 0), 1000)
 
 
 def test_levy_instability_rejected():
@@ -587,9 +612,10 @@ def test_jackson_sampler_matches_step_oracle_bit_for_bit(spec, taus):
 @pytest.mark.parametrize("spec", [TANDEM, FEEDBACK_3],
                          ids=["tandem", "feedback_3"])
 def test_jackson_batch_matches_step_oracle_bit_for_bit(spec):
-    fast = build_jackson(spec).cycle_batch(substream(132, 0), 2000)
+    model = build_jackson(spec)
     slow = jackson_batch(spec, substream(132, 0), 2000)
-    for a, b in zip(fast, slow):
+    for i, b in enumerate(slow):
+        a = model.cycle_batch(i, substream(132, 0), 2000)
         for name in ("starts", "values", "slopes", "offsets", "lengths"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
