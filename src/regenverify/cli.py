@@ -207,10 +207,11 @@ def cmd_status_pi(args) -> int:
     # the null value is known, so the z-score uses the exact binomial SE
     se = math.sqrt(pi * (1.0 - pi) / n)
     z = _z(pi_hat - pi, se)
+    passed = bool(abs(z) <= Z_LIMIT)
     payload = {"pi_closed_form": pi, "pi_simulated": pi_hat, "se": se,
                "z_score": z if math.isfinite(z) else "inf",
                "replications": n, "burn_in": burn,
-               "passed": bool(abs(z) <= Z_LIMIT)}
+               "passed": passed}
     out = _out_dir(cfg)
     if "json" in cfg.output.formats:
         _write_json(out / "pi.json", payload, seed)
@@ -218,10 +219,10 @@ def cmd_status_pi(args) -> int:
         _write_csv(out / "pi.csv",
                    ["pi_closed_form", "pi_simulated", "se", "z_score", "n"],
                    [[pi, pi_hat, se, z, float(n)]], seed)
-    status = "PASS" if abs(z) <= Z_LIMIT else "FAIL"
+    status = "PASS" if passed else "FAIL"
     print(f"{status} all-updated probability: closed form {pi:.6f}, "
           f"simulated {pi_hat:.6f} (z={z:+.2f}, n={n})")
-    return EXIT_OK if abs(z) <= Z_LIMIT else EXIT_STATISTICAL
+    return EXIT_OK if passed else EXIT_STATISTICAL
 
 
 def _horizon(run, mu: float) -> float:
@@ -250,6 +251,7 @@ def cmd_stationary(args) -> int:
                                  substream(seed, 11))
     ta = time_average_estimate(model, i, g, horizon, substream(seed, 13))
     z = _z(abs(rr.value - ta.value), math.sqrt(rr.se ** 2 + ta.se ** 2))
+    passed = bool(z <= Z_LIMIT)
     out = _out_dir(cfg)
     if "csv" in cfg.output.formats:
         _write_csv(out / "stationary.csv",
@@ -264,12 +266,12 @@ def cmd_stationary(args) -> int:
                      "time_average": ta.value, "ta_se": ta.se,
                      "z": z if math.isfinite(z) else "inf",
                      "n_cycles": run.n_cycles, "horizon": horizon,
-                     "passed": bool(z <= Z_LIMIT)}, seed)
-    status = "PASS" if z <= Z_LIMIT else "FAIL"
+                     "passed": passed}, seed)
+    status = "PASS" if passed else "FAIL"
     print(f"{status} stationary mean of {g.label()} on coordinate {i}: "
           f"cycle route {rr.value:.6f} (se {rr.se:.2g}), time-average route "
           f"{ta.value:.6f} (se {ta.se:.2g}), z={z:.2f}")
-    return EXIT_OK if z <= Z_LIMIT else EXIT_STATISTICAL
+    return EXIT_OK if passed else EXIT_STATISTICAL
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -340,9 +340,14 @@ def ratio_estimate(rewards: np.ndarray, lengths: np.ndarray) -> Estimate:
 def renewal_reward_estimate(model: RegenModel, i: int, g, n_cycles: int,
                             rng) -> Estimate:
     """Stationary mean of ``g`` via the cycle formula
-    ``E int_0^T g(X(s)) ds / E T``."""
+    ``E int_0^T g(X(s)) ds / E T``; more than ``DEFAULT_CYCLE_BUDGET``
+    cycles are refused before any is drawn."""
     if n_cycles < 100:
         raise ValueError("need at least 100 cycles")
+    if n_cycles > DEFAULT_CYCLE_BUDGET:
+        raise BudgetExceededError(f"renewal-reward route asks for "
+                                  f"{n_cycles} cycles, more than "
+                                  f"{DEFAULT_CYCLE_BUDGET}")
     rewards, lengths = cycle_functionals(model, i, [g], n_cycles, rng)
     return ratio_estimate(rewards[:, 0], lengths)
 

@@ -461,6 +461,23 @@ def build_status(spec: StatusSpec) -> RegenModel:
                       _vector_batch(dep, marginals, cycles))
 
 
+def _expect(law: MarginalSpec, h, split: float | None = None) -> float:
+    """``E h(Y)`` for ``Y ~ law``: a sum over the atoms of an arithmetic law,
+    else adaptive quadrature of ``h * pdf`` over the support, cut at
+    ``split`` when that lies inside it (``h`` changes form there)."""
+    if law.arithmetic:
+        return sum(w * h(y) for y, w in law.atoms())
+    from scipy import integrate
+    lo = law.lo if law.kind == "shifted_uniform" else 0.0
+    hi = law.support_upper()
+    cuts = [lo, hi]
+    if split is not None and lo < split < hi:
+        cuts.insert(1, split)
+    f = lambda y: h(y) * float(law.pdf(y))
+    return sum(integrate.quad(f, a, b, epsabs=1e-10, limit=200)[0]
+               for a, b in zip(cuts, cuts[1:]))
+
+
 def _effective_equilibrium_tail(dep: DependenceSpec, marginal: MarginalSpec,
                                 x: float) -> float:
     """Equilibrium tail of one coordinate's effective cycle law."""
@@ -468,39 +485,8 @@ def _effective_equilibrium_tail(dep: DependenceSpec, marginal: MarginalSpec,
         return float(equilibrium_tail(marginal, x))
     # T = Z + R: mean_T * tail_e(x) = E (T - x)^+ = E_Z[ m_R(x - Z) ]
     shock = dep.shock
-    mean_t = shock.mean() + marginal.mean()
-
-    def excess(w: float) -> float:
-        if w <= 0.0:
-            return marginal.mean() - w
-        return float(mean_excess(marginal, w))
-
-    if shock.arithmetic:
-        val = sum(w * excess(x - z) for z, w in shock.atoms())
-    else:
-        from scipy import integrate
-        f = lambda z: excess(x - z) * float(shock.pdf(z))
-        hi = shock.support_upper()
-        if 0.0 < x < hi:
-            # the integrand changes form at z = x
-            val = (integrate.quad(f, 0.0, x, epsabs=1e-10, limit=200)[0]
-                   + integrate.quad(f, x, hi, epsabs=1e-10, limit=200)[0])
-        else:
-            val = integrate.quad(f, 0.0, hi, epsabs=1e-10, limit=200)[0]
-    return min(max(val / mean_t, 0.0), 1.0)
-
-
-def _expected_equilibrium_tail(dep: DependenceSpec, inter: MarginalSpec,
-                               mark: MarginalSpec, capacity: float) -> float:
-    tail = lambda x: _effective_equilibrium_tail(dep, inter, x)
-    if mark.arithmetic:
-        return sum(w * tail(v / capacity) for v, w in mark.atoms())
-    from scipy import integrate
-    hi = mark.support_upper()
-    lo = mark.lo if mark.kind == "shifted_uniform" else 0.0
-    val, _ = integrate.quad(lambda y: tail(y / capacity) * float(mark.pdf(y)),
-                            lo, hi, epsabs=1e-8, limit=400)
-    return min(max(val, 0.0), 1.0)
+    val = _expect(shock, lambda z: mean_excess(marginal, x - z), split=x)
+    return min(max(val / (shock.mean() + marginal.mean()), 0.0), 1.0)
 
 
 def pi_closed_form(spec: StatusSpec) -> float:
@@ -508,10 +494,12 @@ def pi_closed_form(spec: StatusSpec) -> float:
     well-separated times: the product over sources of
     ``E[ bar F_e(Y / capacity) ]``."""
     spec.validate()
+    dep = spec.dependence
     out = 1.0
     for src in spec.sources:
-        out *= _expected_equilibrium_tail(spec.dependence, src.inter_update,
-                                          src.update_size, src.capacity)
+        val = _expect(src.update_size, lambda y: _effective_equilibrium_tail(
+            dep, src.inter_update, y / src.capacity))
+        out *= min(max(val, 0.0), 1.0)
     return out
 
 

@@ -160,16 +160,6 @@ class MarginalSpec:
             return tuple((n * self.span, w) for n, w in self.weights)
         raise ValueError(f"{self.kind} marginal has no atoms")
 
-    def quad_breakpoints(self) -> tuple[float, ...]:
-        """Points a quadrature routine should not integrate across blindly."""
-        if self.kind == "deterministic":
-            return (self.value,)
-        if self.kind == "lattice":
-            return tuple(n * self.span for n, w in self.weights)
-        if self.kind == "shifted_uniform":
-            return (self.lo, self.hi)
-        return ()
-
     def support_upper(self) -> float:
         if self.kind == "deterministic":
             return self.value
@@ -199,9 +189,6 @@ class MarginalSpec:
         else:
             out = np.clip((xs - self.lo) / (self.hi - self.lo), 0.0, 1.0)
         return out if np.ndim(x) else float(out)
-
-    def tail(self, x):
-        return 1.0 - self.cdf(x)
 
     def pdf(self, x):
         xs = np.asarray(x, dtype=float)

@@ -1,8 +1,9 @@
 """Equilibrium (stationary) laws of a single-coordinate renewal process.
 
-The equilibrium CDF ``F_e(x) = mean^{-1} * int_0^x P(T > u) du`` is computed
-in closed form for exponential, deterministic, and gamma cycle laws and by
-adaptive quadrature (absolute tolerance 1e-10) otherwise.
+The equilibrium CDF ``F_e(x) = mean^{-1} * int_0^x P(T > u) du
+= E min(T, x) / mean`` is computed in closed form for every marginal kind:
+through the incomplete gamma function for gamma cycles, and as a finite sum
+or a polynomial in ``x`` for the arithmetic and uniform ones.
 """
 
 from __future__ import annotations
@@ -33,38 +34,25 @@ def equilibrium_cdf(spec: MarginalSpec, x):
         z = spec.rate * xs
         out = (special.gammainc(spec.shape + 1.0, z)
                + xs * special.gammaincc(spec.shape, z) / spec.mean())
+    elif k == "lattice":
+        locs, probs = np.array(spec.atoms()).T
+        out = np.minimum.outer(xs, locs) @ probs / spec.mean()
     else:
-        out = _equilibrium_cdf_quadrature(spec, xs)
+        # the tail is 1 below lo and falls linearly to 0 at hi
+        y = np.minimum(xs, spec.hi)
+        ramp = np.maximum(y - spec.lo, 0.0)
+        out = (y - ramp * ramp / (2.0 * (spec.hi - spec.lo))) / spec.mean()
     out = np.clip(out, 0.0, 1.0)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
-
-
-def _equilibrium_cdf_quadrature(spec: MarginalSpec, xs: np.ndarray
-                                ) -> np.ndarray:
-    from scipy import integrate
-    mean = spec.mean()
-    bps = spec.quad_breakpoints()
-    upper = spec.support_upper()
-    uniq = np.unique(xs)
-    table = {}
-    total = 0.0
-    prev = 0.0
-    for x in uniq:
-        lo, hi = prev, min(float(x), upper)
-        if hi > lo:
-            pts = [b for b in bps if lo < b < hi] or None
-            seg, _ = integrate.quad(lambda u: float(spec.tail(u)), lo, hi,
-                                    points=pts, epsabs=1e-10, limit=200)
-            total += seg
-        table[float(x)] = total / mean
-        prev = max(prev, hi)
-    return np.array([table[float(x)] for x in xs])
 
 
 def equilibrium_tail(spec: MarginalSpec, x):
     return 1.0 - equilibrium_cdf(spec, x)
 
 
-def mean_excess(spec: MarginalSpec, x):
-    """``E (T - x)^+``, the integrated tail beyond ``x``."""
-    return spec.mean() * equilibrium_tail(spec, x)
+def mean_excess(spec: MarginalSpec, x: float) -> float:
+    """``E (T - x)^+``, the integrated tail beyond ``x``, at any real ``x``:
+    cycles are nonnegative, so it is ``E T - x`` when ``x <= 0``."""
+    if x <= 0.0:
+        return spec.mean() - x
+    return spec.mean() * float(equilibrium_tail(spec, x))

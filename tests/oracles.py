@@ -111,6 +111,22 @@ def from_paths(paths: Sequence[CyclePath]) -> CycleBatch:
                       np.array([p.length for p in paths]))
 
 
+def tail(spec: MarginalSpec):
+    """``u -> P(T > u)`` for ``T ~ spec``, the integrand of the quadrature
+    references to equilibrium laws and means."""
+    return lambda u: 1.0 - spec.cdf(u)
+
+
+def breakpoints(spec: MarginalSpec) -> tuple[float, ...]:
+    """Where the tail of ``spec`` jumps or has a kink, points a quadrature
+    routine should not integrate across blindly."""
+    if spec.arithmetic:
+        return tuple(y for y, _ in spec.atoms())
+    if spec.kind == "shifted_uniform":
+        return (spec.lo, spec.hi)
+    return ()
+
+
 def row_major_ppf(sp: MarginalSpec, us: np.ndarray) -> np.ndarray:
     """One law's quantiles of ``us``, each kind's inverse CDF in one
     expression, rate-family laws included."""

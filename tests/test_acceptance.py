@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, stats
 
+from oracles import tail
 from regenverify import (ClearingCoordinate, ClearingSpec, DependenceSpec,
                          MarginalSpec, ScheduleSpec, build_clearing,
                          check_hypotheses, convergence_sweep,
@@ -156,7 +157,7 @@ def test_c05_single_renewal_process_two_times(report):
     # quadrature oracle for the equilibrium CDF, then validate the closed
     # form against it before using the closed form at full resolution
     def fe_quad(x: float) -> float:
-        val, _ = integrate.quad(marginal.tail, 0.0, x, limit=200,
+        val, _ = integrate.quad(tail(marginal), 0.0, x, limit=200,
                                 epsabs=1e-12)
         return val / mu
 

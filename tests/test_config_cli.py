@@ -383,6 +383,18 @@ def test_stationary_event_budget_exits_5(tmp_path, capsys, monkeypatch):
     assert "2 jumps" in capsys.readouterr().err
 
 
+def test_stationary_cycle_budget_exits_5_before_allocating(tmp_path, capsys):
+    # 10^12 cycles would need terabytes of per-cycle rows; the cycle route
+    # refuses them against the budget instead of failing to allocate
+    obj = json.loads((CONFIG_DIR / "levy_stationary.json").read_text())
+    obj["run"]["n_cycles"] = 10 ** 12
+    obj["output"]["directory"] = str(tmp_path / "res")
+    rc = main(["stationary", "--config", str(write_config(tmp_path, obj))])
+    assert rc == EXIT_BUDGET
+    assert "ERROR budget" in capsys.readouterr().err
+    assert not (tmp_path / "res" / "stationary.json").exists()
+
+
 def test_verify_independence_cycle_budget_exits_5(tmp_path, capsys,
                                                   monkeypatch):
     from regenverify import engine

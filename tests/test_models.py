@@ -10,7 +10,7 @@ from scipy import integrate, stats
 
 from oracles import (Realization, full_cumsum_window_sampler, jackson_batch,
                      jackson_chunk_states, realization_states,
-                     row_major_cycle_vectors)
+                     row_major_cycle_vectors, tail)
 from regenverify import (ArithmeticCyclesWarning, BudgetExceededError,
                          ClearingCoordinate, ClearingSpec, ConfigurationError,
                          DependenceSpec, MarginalSpec, build_clearing)
@@ -33,7 +33,8 @@ def quadrature_pi_factor(rate: float, y_over_c: float) -> float:
     """Independent route to E[tail_e(Y/c)] for an exponential inter-update
     law and a deterministic mark: numerator integral of the raw tail."""
     spec = MarginalSpec.exponential(rate)
-    num, _ = integrate.quad(spec.tail, 0.0, y_over_c, limit=200, epsabs=1e-12)
+    num, _ = integrate.quad(tail(spec), 0.0, y_over_c, limit=200,
+                            epsabs=1e-12)
     return 1.0 - num / spec.mean()
 
 
@@ -369,6 +370,15 @@ def test_pi_closed_form_deterministic_cycle():
                               update_size=MarginalSpec.deterministic(0.25)),),
         dependence=DependenceSpec.independent())
     assert pi_closed_form(spec) == pytest.approx(0.75, abs=1e-12)
+    # a uniform shock makes T ~ U[1.1, 1.3]; marks below its support see
+    # F_e(y) = y / E T, so pi = 1 - E Y / E T = 1 - 0.4 / 1.2
+    shocked = StatusSpec(
+        sources=(StatusSource(inter_update=MarginalSpec.deterministic(1.0),
+                              update_size=MarginalSpec.shifted_uniform(
+                                  0.2, 0.6)),),
+        dependence=DependenceSpec.common_shock(
+            MarginalSpec.shifted_uniform(0.1, 0.3)))
+    assert pi_closed_form(shocked) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_pi_closed_form_random_marks():
@@ -382,21 +392,30 @@ def test_pi_closed_form_random_marks():
 
 
 def test_pi_closed_form_common_shock_matches_simulation():
-    spec = StatusSpec(
-        sources=(StatusSource(inter_update=EXP1,
-                              update_size=MarginalSpec.deterministic(0.5)),
-                 StatusSource(inter_update=EXP1,
-                              update_size=MarginalSpec.deterministic(0.5))),
-        dependence=DependenceSpec.common_shock(MarginalSpec.exponential(2.0)))
-    pi = pi_closed_form(spec)
-    model = build_status(spec)
+    # two exponential sources with deterministic marks, and one source with
+    # a uniform residual and exponential marks, whose limit nests the
+    # residual's F_e in the shock's and the marks' expectations; the nested
+    # value is also held to the one a triple quadrature gave for it
+    shock = DependenceSpec.common_shock(MarginalSpec.exponential(2.0))
+    plain = StatusSource(inter_update=EXP1,
+                         update_size=MarginalSpec.deterministic(0.5))
+    nested = StatusSource(inter_update=MarginalSpec.shifted_uniform(0.5, 1.5),
+                          update_size=MarginalSpec.exponential(2.0))
     n = 40_000
-    states = sample_states(model, [500.0, 500.0], n, seed=111)
-    joint = np.ones(n, dtype=bool)
-    for i in range(2):
-        joint &= states[i][:, 0] > states[i][:, 1]
-    se = math.sqrt(pi * (1.0 - pi) / n)
-    assert abs(joint.mean() - pi) <= 3.0 * se
+    for sources, reference in [((plain, plain), None),
+                               ((nested,), 0.6931743638096326)]:
+        spec = StatusSpec(sources=sources, dependence=shock)
+        pi = pi_closed_form(spec)
+        if reference is not None:
+            assert pi == pytest.approx(reference, abs=1e-9)
+        model = build_status(spec)
+        m = model.dimension
+        states = sample_states(model, [500.0] * m, n, seed=111)
+        joint = np.ones(n, dtype=bool)
+        for i in range(m):
+            joint &= states[i][:, 0] > states[i][:, 1]
+        se = math.sqrt(pi * (1.0 - pi) / n)
+        assert abs(joint.mean() - pi) <= 3.0 * se
 
 
 # ---------------------------------------------------------------------------

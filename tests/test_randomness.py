@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from oracles import row_major_cycle_vectors
+from oracles import breakpoints, row_major_cycle_vectors, tail
 from regenverify import ConfigurationError, DependenceSpec, MarginalSpec
 from regenverify.randomness import sample_cycle_vectors, substream
 
@@ -24,8 +24,8 @@ def ks_distance(draws: np.ndarray, cdf) -> float:
 
 def quadrature_mean(spec: MarginalSpec, upper: float) -> float:
     """Independent route to E[T] = int_0^inf P(T > u) du."""
-    val, _ = integrate.quad(spec.tail, 0.0, upper,
-                            points=list(spec.quad_breakpoints()) or None,
+    val, _ = integrate.quad(tail(spec), 0.0, upper,
+                            points=list(breakpoints(spec)) or None,
                             limit=200)
     return val
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from oracles import breakpoints, tail
 from regenverify import MarginalSpec
 from regenverify.engine import sample_states
 from regenverify.models import AgeResidualSpec, build_age_residual
@@ -18,8 +19,8 @@ def fe_quadrature(spec: MarginalSpec, x: float) -> float:
     """Independent route to F_e(x) = mean^{-1} int_0^x P(T > u) du."""
     if x <= 0.0:
         return 0.0
-    pts = [p for p in spec.quad_breakpoints() if 0.0 < p < x]
-    val, _ = integrate.quad(spec.tail, 0.0, x, points=pts or None,
+    pts = [p for p in breakpoints(spec) if 0.0 < p < x]
+    val, _ = integrate.quad(tail(spec), 0.0, x, points=pts or None,
                             limit=200, epsabs=1e-12)
     return min(val / spec.mean(), 1.0)
 
@@ -82,11 +83,20 @@ def test_equilibrium_cdf_deterministic_is_uniform():
     MarginalSpec.gamma(0.7, 2.0),
     MarginalSpec.lattice(1.0, {1: 0.5, 2: 0.5}),
     MarginalSpec.shifted_uniform(1.0, 3.0),
+    MarginalSpec.exponential(1.3),
+    MarginalSpec.deterministic(2.0),
 ])
-def test_equilibrium_cdf_matches_quadrature(spec):
-    for x in (0.2, 0.7, 1.3, 2.1, 4.0):
-        assert equilibrium_cdf(spec, x) == pytest.approx(
-            fe_quadrature(spec, x), abs=1e-8)
+def test_equilibrium_cdf_matches_quadrature(spec, monkeypatch):
+    # every kind's law is in closed form: quadrature is the reference only
+    xs = (0.2, 0.7, 1.3, 2.1, 4.0)
+    want = [fe_quadrature(spec, x) for x in xs]
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("equilibrium_cdf ran a quadrature")
+
+    monkeypatch.setattr(integrate, "quad", no_quadrature)
+    for x, ref in zip(xs, want):
+        assert equilibrium_cdf(spec, x) == pytest.approx(ref, abs=1e-10)
 
 
 def test_equilibrium_cdf_zero_at_origin():
