@@ -23,8 +23,9 @@ from .asymptotics import (Z_LIMIT, check_hypotheses, convergence_sweep,
 from .config import (ScenarioConfig, canonical_json, load_scenario,
                      scenario_to_json)
 from .engine import (RegenModel, default_burn_in, exp_neg,
-                     renewal_reward_estimate, require_horizon, sample_states,
-                     thread_count, time_average_estimate)
+                     renewal_reward_estimate, require_cycle_budget,
+                     require_horizon, sample_states, thread_count,
+                     time_average_estimate)
 from .errors import (ArithmeticCyclesWarning, BudgetExceededError,
                      ConfigurationError)
 from .models import StatusSpec, build_model, pi_closed_form
@@ -126,6 +127,7 @@ def cmd_validate(args) -> int:
         _check_observed(cfg.run, model)
         i = cfg.run.coordinate
         require_horizon(model, i, _horizon(cfg.run, model.cycle_means[i]))
+        require_cycle_budget(cfg.run.n_cycles)
     print(canonical_json(scenario_to_json(cfg)))
     return EXIT_OK
 
@@ -137,6 +139,9 @@ def cmd_verify_independence(args) -> int:
                                  "section", "schedule")
     model = _build(cfg.model)
     run = cfg.run
+    # a short run is a configuration error whatever the schedule; reject it
+    # before any output is written or the quantile pre-pass pays for it
+    require_replications(run.replications)
     seed = run.seed
     out = _out_dir(cfg)
     threads = thread_count()
@@ -151,8 +156,6 @@ def cmd_verify_independence(args) -> int:
               "(rerun with allow_hypothesis_fail for a negative control)")
         return EXIT_HYPOTHESIS
 
-    # reject a short run before the quantile pre-pass pays for it
-    require_replications(run.replications)
     burn = run.burn_in if run.burn_in is not None else default_burn_in(model)
     if run.test_functions == "exp_decay":
         f_tuples = [("exp", tuple(exp_neg() for _ in range(model.dimension)))]

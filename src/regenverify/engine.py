@@ -7,7 +7,9 @@ state component (:class:`StateFunction`, which is also a scenario's
 ``run.g``), a cycle-ratio estimator, a long-run time-average estimator, and
 stationary state sampling. Both stationary routes draw cycles in blocks of
 flat segment arrays (:class:`CycleBatch`) and integrate them in closed form;
-the window sampler reads each coordinate in its straddling cycle.
+the cycle route keeps only running means and co-moments across blocks, so
+its memory does not depend on the number of cycles. The window sampler
+reads each coordinate in its straddling cycle.
 """
 
 from __future__ import annotations
@@ -154,6 +156,14 @@ class CycleBatch:
         reached = (self.starts[seg] <= np.repeat(s, counts)).astype(np.int64)
         j = first + np.add.reduceat(reached, head) - 1
         return self.values[j] + self.slopes[j] * (s - self.starts[j])[:, None]
+
+    def integrals(self, gs: Sequence[StateFunction]) -> np.ndarray:
+        """Each cycle's exact ``int_0^T g(X(s)) ds``, as one row per ``g``
+        and one column per cycle."""
+        seg = self.segment_lengths()
+        return np.array([np.add.reduceat(
+            g.segment_integrals(self.values, self.slopes, seg), self.offsets)
+            for g in gs])
 
 
 def linear_path(start, slope, length: float) -> CyclePath:
@@ -305,51 +315,66 @@ class Estimate:
 
 
 def cycle_functionals(model: RegenModel, i: int, gs: Sequence, n_cycles: int,
-                      rng) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cycle integrals of each ``g`` and cycle lengths for coordinate
-    ``i`` over ``n_cycles`` fresh cycles."""
+                      rng) -> list[Estimate]:
+    """Cycle-formula estimates ``E int_0^T g(X_i(s)) ds / E T``, one per
+    ``g``, from one pass over ``n_cycles`` fresh cycles of coordinate ``i``.
+
+    Each block of ``BATCH_CYCLES`` cycles becomes one matrix, the lengths
+    then each ``g``'s per-cycle integrals, whose row means and co-moments
+    are merged into running totals by the pairwise update of Chan, Golub &
+    LeVeque (1983); memory does not grow with ``n_cycles``. Every row gets
+    the same arithmetic, so a reward equal to the length gives exactly 1
+    with SE 0. The SE is the first-order delta-method SE of the ratio of
+    means, from ``ddof=1`` co-moments.
+    """
     gen = as_generator(rng)
-    rewards = np.empty((n_cycles, len(gs)))
-    lengths = np.empty(n_cycles)
+    count = 0
+    mean = np.zeros(1 + len(gs))
+    comoment = np.zeros((len(mean), len(mean)))
     for lo in range(0, n_cycles, BATCH_CYCLES):
         batch = model.cycle_batch(i, gen, min(BATCH_CYCLES, n_cycles - lo))
-        hi = lo + batch.count
-        lengths[lo:hi] = batch.lengths
-        seg = batch.segment_lengths()
-        for j, g in enumerate(gs):
-            rewards[lo:hi, j] = np.add.reduceat(
-                g.segment_integrals(batch.values, batch.slopes, seg),
-                batch.offsets)
-    return rewards, lengths
-
-
-def ratio_estimate(rewards: np.ndarray, lengths: np.ndarray) -> Estimate:
-    """Ratio-of-means estimate with a first-order delta-method SE."""
-    n = len(lengths)
-    mean_r = float(rewards.mean())
-    mean_l = float(lengths.mean())
-    if not math.isfinite(mean_r):
-        raise ValueError("cycle rewards are not finite")
-    r = mean_r / mean_l
-    cov = np.cov(rewards, lengths, ddof=1)
-    var = (cov[0, 0] - 2.0 * r * cov[0, 1] + r * r * cov[1, 1])
-    var /= n * mean_l * mean_l
-    return Estimate(r, math.sqrt(max(var, 0.0)))
+        block = np.vstack([batch.lengths, batch.integrals(gs)])
+        block_mean = block.mean(axis=1)
+        dev = block - block_mean[:, None]
+        # summed along each row, so equal rows give equal entries bit for
+        # bit, which a BLAS product does not promise
+        block_comoment = (dev[:, None, :] * dev[None, :, :]).sum(axis=2)
+        delta = block_mean - mean
+        total = count + batch.count
+        mean += delta * (batch.count / total)
+        comoment += block_comoment
+        comoment += np.outer(delta, delta) * (count * batch.count / total)
+        count = total
+    cov = comoment / (count - 1)
+    mean_l = mean[0]
+    out = []
+    for j in range(1, len(mean)):
+        if not math.isfinite(mean[j]):
+            raise ValueError("cycle rewards are not finite")
+        r = mean[j] / mean_l
+        var = cov[j, j] - 2.0 * r * cov[j, 0] + r * r * cov[0, 0]
+        var /= count * mean_l * mean_l
+        out.append(Estimate(float(r), math.sqrt(max(float(var), 0.0))))
+    return out
 
 
 def renewal_reward_estimate(model: RegenModel, i: int, g, n_cycles: int,
                             rng) -> Estimate:
     """Stationary mean of ``g`` via the cycle formula
-    ``E int_0^T g(X(s)) ds / E T``; more than ``DEFAULT_CYCLE_BUDGET``
-    cycles are refused before any is drawn."""
+    ``E int_0^T g(X(s)) ds / E T`` (:func:`cycle_functionals`)."""
     if n_cycles < 100:
         raise ValueError("need at least 100 cycles")
+    require_cycle_budget(n_cycles)
+    return cycle_functionals(model, i, [g], n_cycles, rng)[0]
+
+
+def require_cycle_budget(n_cycles: int) -> None:
+    """Refuse a cycle route over more than ``DEFAULT_CYCLE_BUDGET`` cycles,
+    before any is drawn."""
     if n_cycles > DEFAULT_CYCLE_BUDGET:
         raise BudgetExceededError(f"renewal-reward route asks for "
                                   f"{n_cycles} cycles, more than "
                                   f"{DEFAULT_CYCLE_BUDGET}")
-    rewards, lengths = cycle_functionals(model, i, [g], n_cycles, rng)
-    return ratio_estimate(rewards[:, 0], lengths)
 
 
 def require_horizon(model: RegenModel, i: int, horizon: float) -> None:
@@ -416,8 +441,11 @@ def time_average_estimate(model: RegenModel, i: int, g, horizon: float,
         v0 = values[seg] + slopes[seg] * (lo - seg_lo[seg])[:, None]
         pieces = g.segment_integrals(v0, slopes[seg], hi - lo)
         batches += np.bincount(which, weights=pieces, minlength=n_batches)
+        # fsum reads a list far faster than a numpy array
+        pieces = pieces.tolist()
         total = math.fsum(pieces)
-        partials += [total, math.fsum(np.append(pieces, -total))]
+        pieces.append(-total)
+        partials += [total, math.fsum(pieces)]
         start = end
     width = horizon / n_batches
     value = math.fsum(partials) / horizon

@@ -161,34 +161,10 @@ class MarginalSpec:
         raise ValueError(f"{self.kind} marginal has no atoms")
 
     def support_upper(self) -> float:
-        if self.kind == "deterministic":
-            return self.value
-        if self.kind == "lattice":
-            return max(n for n, _ in self.weights) * self.span
-        if self.kind == "shifted_uniform":
-            return self.hi
-        return math.inf
+        """Upper end of a continuous law's support."""
+        return self.hi if self.kind == "shifted_uniform" else math.inf
 
     # -- distribution functions --------------------------------------------
-
-    def cdf(self, x):
-        xs = np.asarray(x, dtype=float)
-        k = self.kind
-        if k == "exponential":
-            out = -np.expm1(-self.rate * np.maximum(xs, 0.0))
-        elif k == "gamma":
-            from scipy import special
-            out = special.gammainc(self.shape, self.rate * np.maximum(xs, 0.0))
-        elif k == "deterministic":
-            out = (xs >= self.value).astype(float)
-        elif k == "lattice":
-            locs = np.array([n * self.span for n, _ in self.weights])
-            cumw = np.cumsum([w for _, w in self.weights])
-            idx = np.searchsorted(locs, xs, side="right")
-            out = np.where(idx > 0, cumw[np.maximum(idx - 1, 0)], 0.0)
-        else:
-            out = np.clip((xs - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-        return out if np.ndim(x) else float(out)
 
     def pdf(self, x):
         xs = np.asarray(x, dtype=float)

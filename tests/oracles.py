@@ -9,7 +9,9 @@ cycle-vector reference takes each coordinate's quantile on its own and
 stacks the columns into a row-major array; it too must agree bit for bit.
 The window reference takes running sums over every pending row in every
 round; its epochs are sequential sums, so it agrees with the package's
-row-total epochs to rounding.
+row-total epochs to rounding. The cycle-route reference keeps every cycle's
+reward and length and takes their two-pass covariance; the package's
+streamed co-moments agree with it to rounding.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from regenverify import BudgetExceededError, engine
 from regenverify.engine import (DEFAULT_CYCLE_BUDGET, CycleBatch, CyclePath,
-                                RegenModel)
+                                Estimate, RegenModel)
 from regenverify.models import JacksonSpec, _by_cycle
 from regenverify.randomness import (DependenceSpec, MarginalSpec,
                                     as_generator, substream)
@@ -111,10 +113,65 @@ def from_paths(paths: Sequence[CyclePath]) -> CycleBatch:
                       np.array([p.length for p in paths]))
 
 
+def cycle_arrays(model: RegenModel, i: int, gs, n_cycles: int, rng
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Every cycle's integral of each ``g`` (one column per ``g``) and every
+    cycle's length, over the same blocks and draws as
+    ``engine.cycle_functionals``."""
+    gen = as_generator(rng)
+    rewards, lengths = [], []
+    for lo in range(0, n_cycles, engine.BATCH_CYCLES):
+        batch = model.cycle_batch(
+            i, gen, min(engine.BATCH_CYCLES, n_cycles - lo))
+        rewards.append(batch.integrals(gs).T)
+        lengths.append(batch.lengths)
+    return np.concatenate(rewards), np.concatenate(lengths)
+
+
+def ratio_estimate(rewards: np.ndarray, lengths: np.ndarray) -> Estimate:
+    """Two-pass ratio-of-means estimate with a first-order delta-method SE:
+    the reference for the streamed ``engine.cycle_functionals``."""
+    n = len(lengths)
+    mean_r = float(rewards.mean())
+    mean_l = float(lengths.mean())
+    r = mean_r / mean_l
+    cov = np.cov(rewards, lengths, ddof=1)
+    var = (cov[0, 0] - 2.0 * r * cov[0, 1] + r * r * cov[1, 1])
+    var /= n * mean_l * mean_l
+    return Estimate(r, math.sqrt(max(var, 0.0)))
+
+
+def cdf(spec: MarginalSpec):
+    """``x -> P(T <= x)`` for ``T ~ spec``, on scalars and arrays."""
+
+    def f(x):
+        xs = np.asarray(x, dtype=float)
+        k = spec.kind
+        if k == "exponential":
+            out = -np.expm1(-spec.rate * np.maximum(xs, 0.0))
+        elif k == "gamma":
+            from scipy import special
+            out = special.gammainc(spec.shape,
+                                   spec.rate * np.maximum(xs, 0.0))
+        elif k == "deterministic":
+            out = (xs >= spec.value).astype(float)
+        elif k == "lattice":
+            locs = np.array([n * spec.span for n, _ in spec.weights])
+            cumw = np.cumsum([w for _, w in spec.weights])
+            idx = np.searchsorted(locs, xs, side="right")
+            out = np.where(idx > 0, cumw[np.maximum(idx - 1, 0)], 0.0)
+        else:
+            out = np.clip((xs - spec.lo) / (spec.hi - spec.lo), 0.0, 1.0)
+        return out if np.ndim(x) else float(out)
+
+    return f
+
+
 def tail(spec: MarginalSpec):
     """``u -> P(T > u)`` for ``T ~ spec``, the integrand of the quadrature
     references to equilibrium laws and means."""
-    return lambda u: 1.0 - spec.cdf(u)
+    f = cdf(spec)
+    return lambda u: 1.0 - f(u)
 
 
 def breakpoints(spec: MarginalSpec) -> tuple[float, ...]:

@@ -540,6 +540,60 @@ def test_validate_checks_the_stationary_horizon(tmp_path, capsys, horizon,
         code == EXIT_CONFIG)
 
 
+
+def test_validate_refuses_the_stationary_cycle_budget(tmp_path, capsys):
+    obj = json.loads((CONFIG_DIR / "levy_stationary.json").read_text())
+    obj["run"]["n_cycles"] = 10 ** 12
+    path = write_config(tmp_path, obj)
+    assert main(["validate", "--config", str(path)]) == EXIT_BUDGET
+    assert ("ERROR budget: renewal-reward route asks for 1000000000000 "
+            "cycles, more than 10000000" in capsys.readouterr().err)
+
+
+def refused_overrides(obj: dict) -> tuple[str, list]:
+    """The command a scenario file is written for, and the overrides that
+    command refuses before drawing, as (name, run-section update, flags)."""
+    cases = [("no-replications", {}, ["--reps", "0"])]
+    if obj["run"].get("g") is not None:
+        return "stationary", cases + [
+            ("over-cycle-budget", {"n_cycles": 10 ** 12}, []),
+            ("short-horizon", {"horizon": 1.0}, [])]
+    if "schedule" in obj:
+        return "verify-independence", cases + [
+            ("too-few-replications", {}, ["--reps", "999"])]
+    return "status-pi", cases
+
+
+PARITY_CASES = [
+    pytest.param(path.name, command, run, flags, id=f"{path.stem}-{case}")
+    for path in sorted(CONFIG_DIR.glob("*.json"))
+    for command, cases in [refused_overrides(json.loads(path.read_text()))]
+    for case, run, flags in cases]
+
+
+@pytest.mark.parametrize("name, command, run, flags", PARITY_CASES)
+def test_validate_refuses_what_the_command_refuses(tmp_path, capsys,
+                                                   monkeypatch, name, command,
+                                                   run, flags):
+    from regenverify import engine
+    for stage in ("quantile_indicator_tuples", "convergence_sweep",
+                  "sample_states", "time_average_estimate"):
+        monkeypatch.setattr(cli, stage, refuse)
+    monkeypatch.setattr(engine, "cycle_functionals", refuse)
+    obj = json.loads((CONFIG_DIR / name).read_text())
+    obj["run"].update(run)
+    obj["output"]["directory"] = str(tmp_path / "res")
+    path = write_config(tmp_path, obj)
+    codes, errors = [], []
+    for cmd in (command, "validate"):
+        codes.append(main([cmd, "--config", str(path), *flags]))
+        errors.append(capsys.readouterr().err)
+    assert codes[0] in (EXIT_CONFIG, EXIT_BUDGET), errors[0]
+    assert codes[1] == codes[0]
+    assert errors[1] == errors[0]
+    assert not (tmp_path / "res").exists()
+
+
 # ---------------------------------------------------------------------------
 # CLI: verify-independence
 

@@ -2,26 +2,30 @@
 
 import dataclasses
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from oracles import Realization, from_paths
+from oracles import Realization, cycle_arrays, from_paths, ratio_estimate
 from regenverify import (BudgetExceededError, ClearingCoordinate, ClearingSpec,
                          DependenceSpec, MarginalSpec, build_clearing)
-from regenverify.config import parse_scenario, scenario_to_json
-from regenverify.engine import (CyclePath, StateFunction, cycle_functionals,
-                                exp_neg, identity, indicator_le, path_integral,
-                                ratio_estimate, renewal_reward_estimate,
-                                run_chunked, sample_states,
-                                time_average_estimate)
+from regenverify.config import load_scenario, parse_scenario, scenario_to_json
+from regenverify.engine import (CycleBatch, CyclePath, StateFunction,
+                                cycle_functionals, exp_neg, identity,
+                                indicator_le, path_integral,
+                                renewal_reward_estimate, run_chunked,
+                                sample_states, time_average_estimate)
 from regenverify.models import (AgeResidualSpec, JacksonSpec,
                                 LevyQueueCoordinate, LevyQueueSpec,
                                 build_age_residual, build_jackson,
-                                build_levy_queue)
+                                build_levy_queue, build_model)
 from regenverify.randomness import substream
 from regenverify import engine
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def segment_quadrature(g: StateFunction, value0, slope, length) -> float:
@@ -286,6 +290,51 @@ def test_ratio_estimate_exact_for_proportional_rewards():
     assert est.value == pytest.approx(0.75, abs=1e-15)
     # the delta-method variance cancels to rounding noise
     assert est.se < 1e-6
+    # the streamed route on the same cycles: a state held at 0.75
+    model = pure_drift_clearing(MarginalSpec.exponential(1.0))
+
+    def flat(i, gen, count):
+        assert count == len(lengths)
+        return CycleBatch(np.zeros(count), np.full((count, 1), 0.75),
+                          np.zeros((count, 1)), np.arange(count), lengths)
+
+    [est] = cycle_functionals(dataclasses.replace(model, cycle_batch=flat),
+                              0, [identity()], len(lengths), substream(9, 1))
+    assert est.value == pytest.approx(0.75, abs=1e-15)
+    assert est.se < 1e-6
+
+
+def levy_stationary_model():
+    cfg = load_scenario(CONFIG_DIR / "levy_stationary.json")
+    return build_model(cfg.model), cfg.run.g
+
+
+def test_cycle_route_agrees_with_two_pass_reference():
+    # 10 001 cycles leave a last block of one cycle
+    model, g = levy_stationary_model()
+    gs = [g, identity(), indicator_le(1.0)]
+    streamed = cycle_functionals(model, 0, gs, 10_001, substream(18, 0))
+    rewards, lengths = cycle_arrays(model, 0, gs, 10_001, substream(18, 0))
+    assert len(lengths) == 10_001
+    for j, est in enumerate(streamed):
+        want = ratio_estimate(rewards[:, j], lengths)
+        assert est.value == pytest.approx(want.value, rel=1e-12, abs=0.0)
+        assert est.se == pytest.approx(want.se, rel=1e-12, abs=0.0)
+    assert renewal_reward_estimate(model, 0, g, 10_001,
+                                   substream(18, 0)) == streamed[0]
+
+
+def test_cycle_route_memory_does_not_grow_with_cycles():
+    model, g = levy_stationary_model()
+    peaks = []
+    for n in (20_000, 200_000):
+        tracemalloc.start()
+        try:
+            renewal_reward_estimate(model, 0, g, n, substream(19, 0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +383,7 @@ def test_batched_routes_match_per_cycle_integrals():
                            for _ in range(count)])
 
     gs = [identity(), indicator_le(0.7), exp_neg()]
-    rewards, lengths = cycle_functionals(
+    rewards, lengths = cycle_arrays(
         dataclasses.replace(model, cycle_batch=stacked), 0, gs, 5000,
         substream(16, 0))
     gen = substream(16, 0)
