@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
@@ -66,6 +65,9 @@ def run_chunked(total: int, chunk_size: int, work, threads: int = 1) -> list:
             for k, start in enumerate(range(0, total, chunk_size))]
     if threads <= 1 or len(jobs) <= 1:
         return [work(*job) for job in jobs]
+    # imported here: concurrent.futures loads logging, which a one-thread
+    # run would pay for at startup and never use
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda job: work(*job), jobs))
 

@@ -20,14 +20,16 @@ ages (:func:`_renewal_window` on the bridge or round sampler), Levy queues
 for every cycle of a round of :func:`engine.window_sampler`. Jackson
 networks' batch and sampler drive one step of uniformised transitions
 (:func:`_jackson_events`): masked updates of a station-major state, one
-uniform per chain picking its event, with a block of uniforms classified
-into event masks before its steps fire. The batch runs the whole network,
-records station ``i`` alone and draws its clock and event uniforms step
-by step, a block of one step; the sampler has no clock, runs to Poisson
-step counts and draws its uniforms a block of steps at a time, the same
-stream as one draw per step. Every family also keeps a per-cycle
-generator (``cycle_generator``); nothing in the package calls it, it is
-the oracle the tests cross-check the batches and samplers against.
+16-bit random word per chain and step picking its event exactly (a word
+that straddles a cut point draws a double to settle it), with a block of
+words classified into event masks before its steps fire. The batch runs
+the whole network, records station ``i`` alone and draws its clock and
+event words step by step, a block of one step; the sampler has no clock,
+runs to Poisson step counts and draws its words a block of steps at a
+time, the same stream as one draw per step. Every family also keeps a
+per-cycle generator (``cycle_generator``); nothing in the package calls
+it, it is the oracle the tests cross-check the batches and samplers
+against.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .randomness import (DependenceSpec, MarginalSpec, effective_arithmetic,
 from .renewal import equilibrium_tail, mean_excess
 
 MAX_EVENTS_PER_CYCLE = 10_000_000
-# most uniforms the Jackson sampler draws at once
+# most row-steps the Jackson sampler classifies at once, one 16-bit word each
 JACKSON_BLOCK = 1 << 16
 # rows per chunk of the Jackson sampler
 JACKSON_CHUNK = 1 << 14
@@ -676,6 +678,16 @@ def _jackson_cycle(spec: JacksonSpec, gen: np.random.Generator
                  for i in range(m))
 
 
+def _jackson_words(gen: np.random.Generator, steps: int,
+                   count: int) -> np.ndarray:
+    """One 16-bit word per row-step, shape ``(steps, count)``: each step
+    takes ``ceil(count / 4)`` raw 64-bit words of ``gen``'s bit generator,
+    read as little-endian 16-bit words of which the first ``count`` are
+    kept, so a step uses the same stretch of the stream in any block."""
+    raw = gen.bit_generator.random_raw((steps, -(-count // 4)))
+    return raw.astype("<u8", copy=False).view("<u2")[:, :count]
+
+
 def _jackson_events(spec: JacksonSpec):
     """The network's transitions, uniformised at ``total`` = all arrival
     plus all service rates, and one step of the chain they drive.
@@ -684,11 +696,19 @@ def _jackson_events(spec: JacksonSpec):
     source ``m`` is the outside world, which never empties, and destination
     ``m`` is the exit. From an empty station an event is a self-loop.
     Returns ``(total, src, classify, fire)``. Each step's event is a
-    function of its own uniform alone, so a block of steps is classified
-    before any of them fires: ``classify(u)`` takes uniforms with one row
-    per step and one column per chain and returns their event codes, the
-    number of inner cut points ``<= u``, and int32 masks, ``masks[k, e]``
-    being 1 in the columns where event ``e`` fires at step ``k``.
+    function of its own word alone, so a block of steps is classified
+    before any of them fires: ``classify(h, refine)`` takes the 16-bit
+    words of :func:`_jackson_words`, one row per step and one column per
+    chain, and returns their event codes and int32 masks, ``masks[k, e]``
+    being 1 in the columns where event ``e`` fires at step ``k``. A word
+    ``h`` stands for the uniform ``(h + U) / 2^16`` with ``U`` uniform on
+    [0, 1), and its code is the number of scaled cut points ``s`` (the
+    inner cut points times 2^16, which is exact) at or below ``h + U``.
+    That is the number of ``s <= h`` unless ``h`` is the floor of a
+    fractional ``s``, about one word in 65536 per cut point; only those
+    words draw their ``U``, from ``refine``, in (step, column) order, so
+    the law is that of one double uniform per step and the stream does not
+    depend on block edges.
     ``fire(x, mask)`` steps the station-major state ``x`` (one row per
     station, one column per chain) in place by one step's masks. Each event
     adds its mask to its destination and takes it from its source, capped
@@ -710,9 +730,14 @@ def _jackson_events(spec: JacksonSpec):
     src, dst = src[keep], dst[keep]
     total = float(sum(spec.arrival_rates) + services.sum())
     # inner cut points only: the last event takes the rest of [0, 1), so
-    # no uniform falls past the table however the cumsum rounds
-    cuts = np.cumsum(rate[keep])[:-1, None, None] / total
-    code_type = np.min_scalar_type(len(cuts))
+    # no word falls past the table however the cumsum rounds
+    scaled = np.cumsum(rate[keep])[:-1] / total * 65536.0
+    # h >= ceil(s), as h > ceil(s) - 1 so the bounds fit the words' type
+    below = (np.ceil(scaled) - 1.0).astype(np.uint16)[:, None, None]
+    # words that straddle a fractional cut point need their U
+    floors = np.floor(scaled)
+    straddled = floors[floors < scaled].astype(np.uint16)[:, None, None]
+    code_type = np.min_scalar_type(len(scaled))
     # of the codes' own type, so the comparison runs without a cast
     events = np.arange(len(src), dtype=code_type)[:, None]
     # arrivals lead the table, then each station's service events, one
@@ -723,9 +748,18 @@ def _jackson_events(spec: JacksonSpec):
              if dst[e] != j])
         for j in range(m)]
 
-    def classify(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        code = (u >= cuts).sum(axis=0, dtype=code_type)
-        masks = np.empty((len(u), len(src), u.shape[1]), dtype=np.int32)
+    def classify(h: np.ndarray, refine: np.random.Generator
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        code = (h > below).sum(axis=0, dtype=code_type)
+        if straddled.size:
+            # one mask, so the U are drawn in (step, column) order
+            hit = np.logical_or.reduce(h == straddled, axis=0)
+            at = np.flatnonzero(hit)
+            if at.size:
+                k, j = np.divmod(at, h.shape[1])
+                code[k, j] = np.searchsorted(
+                    scaled, h[k, j] + refine.random(at.size), side="right")
+        masks = np.empty((len(h), len(src), h.shape[1]), dtype=np.int32)
         np.equal(code[:, None], events, out=masks)
         return code, masks
 
@@ -748,12 +782,14 @@ def _jackson_batch(spec: JacksonSpec, i: int, gen: np.random.Generator,
     """Station ``i``'s view of ``count`` cycles of the uniformised chain of
     :func:`_jackson_events`, run in lockstep with an exponential clock at
     its total rate. Each step draws the live cycles' clock increments, then
-    one uniform per live cycle for its event, a one-step block. The first
+    one word per live cycle for its event, a one-step block. The first
     segment of every cycle is the idle stretch from 0, each step whose
     event has a nonempty source opens a segment, and a step that empties
-    the network ends the cycle."""
+    the network ends the cycle. Straddling words refine from one stream
+    spawned from ``gen`` per call."""
     m = len(spec.arrival_rates)
     total, src, classify, fire = _jackson_events(spec)
+    refine = gen.spawn(1)[0]
     lengths = np.empty(count)
     live = np.arange(count)
     t = np.zeros(count)
@@ -761,7 +797,7 @@ def _jackson_batch(spec: JacksonSpec, i: int, gen: np.random.Generator,
     rows, times, states = [live], [t], [x[i].copy()]
     for _ in range(MAX_EVENTS_PER_CYCLE):
         t = t + gen.exponential(1.0 / total, live.size)
-        code, masks = classify(gen.random((1, live.size)))
+        code, masks = classify(_jackson_words(gen, 1, live.size), refine)
         # a step changes its chain when its event's source is nonempty;
         # the outside, source m, never empties
         source = src[code[0]]
@@ -793,9 +829,11 @@ def _make_jackson_sampler(spec: JacksonSpec):
     """Uniformisation without a clock: the state at time tau is the jump
     chain of :func:`_jackson_events` after N(tau) steps, where N is a
     Poisson process at the total rate independent of the chain. A chunk
-    draws its step counts, then the chain's uniforms a block of steps at a
-    time (``JACKSON_BLOCK`` uniforms at most, the same stream as one draw
-    per step), and reads a (row, coordinate) pair at its step count.
+    draws its step counts, then the chain's words a block of steps at a
+    time (``JACKSON_BLOCK`` row-steps at most, the same stream as one draw
+    per step, with straddling words refined from one stream spawned from
+    the chunk's generator), and reads a (row, coordinate) pair at its step
+    count.
     Before any chunk draws, a run is refused when a row's expected steps
     reach ``MAX_EVENTS_PER_CYCLE`` or its largest chunk's rows times those
     steps pass ``MAX_JACKSON_WORK``."""
@@ -812,6 +850,7 @@ def _make_jackson_sampler(spec: JacksonSpec):
                                  axis=1).T
         x = np.zeros((m, count), dtype=np.int32)
         flat = x.reshape(-1)
+        refine = gen.spawn(1)[0]
         # visit the (coordinate, row) pairs in step order; the ones with no
         # step read the empty start
         due = np.argsort(steps, axis=None, kind="stable")
@@ -820,8 +859,8 @@ def _make_jackson_sampler(spec: JacksonSpec):
         last = len(ready) - 1
         block = max(1, JACKSON_BLOCK // count)
         for first in range(1, last + 1, block):
-            _, masks = classify(
-                gen.random((min(block, last + 1 - first), count)))
+            words = _jackson_words(gen, min(block, last + 1 - first), count)
+            _, masks = classify(words, refine)
             for step, mask in enumerate(masks, first):
                 fire(x, mask)
                 lo, hi = ready[step - 1], ready[step]

@@ -290,11 +290,15 @@ def full_cumsum_window_sampler(dep, laws, expand, cycle_means, state_dims):
 
 def jackson_fire(spec: JacksonSpec):
     """``(total, fire)``: the network's transitions uniformised at ``total``,
-    with ``fire(x, gen)`` stepping every row of the row-major state ``x`` in
-    place and returning the rows whose source was nonempty. Column ``m`` of
-    ``x`` is the outside world, started at the int64 maximum so it never
-    empties; event ``e`` moves one customer from ``src[e]`` to ``dst[e]``,
-    found by a ``searchsorted`` of one uniform per row."""
+    with ``fire(x, gen, refine)`` stepping every row of the row-major state
+    ``x`` in place and returning the rows whose source was nonempty. Column
+    ``m`` of ``x`` is the outside world, started at the int64 maximum so it
+    never empties; event ``e`` moves one customer from ``src[e]`` to
+    ``dst[e]``. Each row reads one 16-bit word ``h`` of the step's
+    ``ceil(rows / 4)`` raw 64-bit draws, as little-endian words in row
+    order, and finds its event by a ``searchsorted`` of ``h`` in the cut
+    points times 2^16, or of ``h + U`` with ``U`` from ``refine`` when
+    ``h`` is the floor of a fractional one."""
     m = len(spec.arrival_rates)
     services = np.asarray(spec.service_rates, dtype=float)
     routing = np.asarray(spec.routing, dtype=float)
@@ -306,11 +310,18 @@ def jackson_fire(spec: JacksonSpec):
     keep = rate > 0.0
     src, dst = src[keep], dst[keep]
     total = float(sum(spec.arrival_rates) + services.sum())
-    cuts = np.cumsum(rate[keep])[:-1] / total
+    s = np.cumsum(rate[keep])[:-1] / total * 2.0 ** 16
 
-    def fire(x: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-        e = np.searchsorted(cuts, gen.random(len(x)), side="right")
-        base = np.arange(len(x)) * (m + 1)
+    def fire(x: np.ndarray, gen: np.random.Generator,
+             refine: np.random.Generator) -> np.ndarray:
+        rows = len(x)
+        raw = gen.bit_generator.random_raw(-(-rows // 4))
+        words = np.frombuffer(raw.astype("<u8").tobytes(), dtype="<u2")
+        v = words[:rows].astype(float)
+        straddles = np.isin(v, np.floor(s)[np.floor(s) != s])
+        v[straddles] += refine.random(np.count_nonzero(straddles))
+        e = np.searchsorted(s, v, side="right")
+        base = np.arange(rows) * (m + 1)
         flat = x.reshape(-1)
         origin = base + src[e]
         held = flat[origin]
@@ -331,7 +342,8 @@ def _empty_network(count: int, m: int) -> np.ndarray:
 def jackson_chunk_states(spec: JacksonSpec):
     """Reference ``chunk_states(gen, count, taus)`` of the Jackson sampler:
     Poisson step counts at the sorted taus, then one :func:`jackson_fire`
-    step at a time, reading each (row, coordinate) pair at its count."""
+    step at a time, reading each (row, coordinate) pair at its count.
+    Straddling words refine from one stream spawned from ``gen``."""
     m = len(spec.arrival_rates)
     total, fire = jackson_fire(spec)
 
@@ -343,11 +355,12 @@ def jackson_chunk_states(spec: JacksonSpec):
         steps[:, order] = np.cumsum(gen.poisson(total * gaps, (count, m)),
                                     axis=1)
         x = _empty_network(count, m)
+        refine = gen.spawn(1)[0]
         due = np.argsort(steps, axis=None, kind="stable")
         ready = np.cumsum(np.bincount(steps.ravel()))
         out = np.zeros(count * m)
         for step in range(1, len(ready)):
-            fire(x, gen)
+            fire(x, gen, refine)
             k = due[ready[step - 1]:ready[step]]
             out[k] = x[k // m, k % m]
         return [out[i::m, None] for i in range(m)]
@@ -358,9 +371,11 @@ def jackson_chunk_states(spec: JacksonSpec):
 def jackson_batch(spec: JacksonSpec, gen: np.random.Generator,
                   count: int) -> tuple[CycleBatch, ...]:
     """Reference Jackson ``cycle_batch``: ``count`` cycles in lockstep, an
-    exponential clock step then a :func:`jackson_fire` step per round."""
+    exponential clock step then a :func:`jackson_fire` step per round,
+    straddling words refined from one stream spawned from ``gen``."""
     m = len(spec.arrival_rates)
     total, fire = jackson_fire(spec)
+    refine = gen.spawn(1)[0]
     lengths = np.empty(count)
     live = np.arange(count)
     t = np.zeros(count)
@@ -368,7 +383,7 @@ def jackson_batch(spec: JacksonSpec, gen: np.random.Generator,
     rows, times, states = [live], [t], [x[:, :m].copy()]
     while live.size:
         t = t + gen.exponential(1.0 / total, live.size)
-        changed = fire(x, gen)
+        changed = fire(x, gen, refine)
         busy = x[:, :m].any(axis=1)
         opened = changed & busy
         rows.append(live[opened])

@@ -838,6 +838,17 @@ def test_quantile_runs_leave_numpy_ma_unloaded(tmp_path, child_env):
                                                        False]
 
 
+def test_cli_import_leaves_thread_pool_unloaded(child_env):
+    # a one-thread run never starts a pool, so startup skips
+    # concurrent.futures and the logging it imports
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, regenverify.cli; "
+         "print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env=child_env("1"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def test_cli_loads_scipy_where_a_run_needs_it(tmp_path, child_env):
     gamma = small_sweep_scenario(out="unused")
     gamma["model"]["coordinates"] = [

@@ -657,6 +657,64 @@ def test_jackson_sampler_states_do_not_depend_on_block_edges(spec, chunk,
         assert a.tobytes() == b.tobytes()
 
 
+def jackson_rates(spec: JacksonSpec) -> np.ndarray:
+    """The nonzero event rates in the order of the sampler's table:
+    arrivals, then each station's service rate split by its routing row."""
+    services = np.asarray(spec.service_rates)
+    routing = np.asarray(spec.routing)
+    targets = np.column_stack([routing, 1.0 - routing.sum(axis=1)])
+    rate = np.concatenate([spec.arrival_rates,
+                           (services[:, None] * targets).ravel()])
+    return rate[rate > 0.0]
+
+
+@pytest.mark.parametrize("spec", [TANDEM, FEEDBACK_3],
+                         ids=["tandem", "feedback_3"])
+def test_jackson_event_codes_follow_the_rates(spec):
+    total, _, classify, _ = models._jackson_events(spec)
+    gen = substream(134, 0)
+    refine = gen.spawn(1)[0]
+    p = jackson_rates(spec) / total
+    counts = np.zeros(len(p), dtype=np.int64)
+    for _ in range(16):
+        code, _ = classify(models._jackson_words(gen, 64, 1024), refine)
+        counts += np.bincount(code.ravel(), minlength=len(p))
+    n = 16 * 64 * 1024
+    assert np.all(np.abs(counts - n * p) <= 4.0 * np.sqrt(n * p * (1 - p)))
+
+
+def test_jackson_cut_on_the_word_grid_draws_no_refinement():
+    # rates 1 and 3 put the one cut point at 1/4, exactly 16384 / 2^16
+    spec = JacksonSpec(arrival_rates=(1.0,), service_rates=(3.0,),
+                       routing=((0.0,),))
+    _, _, classify, _ = models._jackson_events(spec)
+    gen = substream(135, 0)
+    refine = substream(135, 1)
+    before = refine.bit_generator.state
+    words = models._jackson_words(gen, 16, 1 << 16)
+    code, _ = classify(words, refine)
+    assert refine.bit_generator.state == before
+    assert np.array_equal(code, words >= 16384)
+
+
+def test_jackson_straddling_word_splits_by_the_cut_fraction():
+    # rates 1 and 2 put the cut point at 2^16 / 3 = 21845.33..., so the
+    # word 21845 fires the second event with probability 2/3
+    spec = JacksonSpec(arrival_rates=(1.0,), service_rates=(2.0,),
+                       routing=((0.0,),))
+    _, _, classify, _ = models._jackson_events(spec)
+    refine = substream(136, 0)
+    words = np.full((4, 25_000), 21845, dtype=np.uint16)
+    code, masks = classify(words, refine)
+    n, want = words.size, 2.0 / 3.0
+    assert abs(code.mean() - want) <= 4.0 * math.sqrt(want * (1 - want) / n)
+    assert np.array_equal(masks[:, 1], code)
+    # its neighbours sit wholly on either side of the cut
+    for word, event in ((21844, 0), (21846, 1)):
+        code, _ = classify(np.full((1, 8), word, dtype=np.uint16), refine)
+        assert np.all(code == event)
+
+
 def test_dependent_cycles_flow_through_fast_sampler():
     # comonotone ages with equal marginals coincide at equal times
     model = build_age_residual(AgeResidualSpec(EXP1, copies=2))
