@@ -37,8 +37,8 @@ BATCH_CYCLES = 4096
 # x cycles x coordinates) one of its rounds draws; fixed for the same reasons
 WINDOW_CHUNK = 4096
 WINDOW_ELEMENTS = 1 << 20
-# cycles past the expected count that a bridge sampler's first block sum
-# spans, in square roots of that count
+# cycles past the expected count that the bisecting bridge's first block
+# sum spans, in square roots of that count; integer shapes draw no block sum
 BRIDGE_SPREAD = 4.0
 
 
@@ -581,14 +581,11 @@ def bridge_window_sampler(dep, laws, state) -> JointStateSampler:
 
     Coordinate ``i`` reads its process G at the level ``tau_i * rate_i``:
     its straddling cycle is the increment (G_{n-1}, G_n] holding the level.
-    A chunk draws G_K, a Gamma(K * shape) block sum past every level, and
-    bisects the bracket G_lo <= level < G_hi on the cycle index with
-    G_mid = G_lo + (G_hi - G_lo) * Beta((mid - lo) * shape, (hi - mid) *
-    shape), the exact law of a gamma sum split at ``mid``. Bridges between
-    drawn points are independent, so a level starts from the tightest
-    bracket among the points earlier levels of its process drew, which
-    keeps the joint law of comonotone straddling cycles exact.
-    ``state(i, age, length, gen)`` fills the straddling cycle.
+    A process whose shape is an integer k takes :func:`_poisson_cycles`, an
+    O(1) draw per row and level from the Poisson count of the points below
+    the level; any other shape takes :func:`_bisected_cycles`. Both visit a
+    process's levels so that the joint law of comonotone straddling cycles
+    is exact. ``state(i, age, length, gen)`` fills the straddling cycle.
     """
     groups = bridge_processes(dep, laws)
     rates = np.array([sp.rate for sp in laws])
@@ -597,80 +594,140 @@ def bridge_window_sampler(dep, laws, state) -> JointStateSampler:
 
     def chunk_states(gen: np.random.Generator, count: int,
                      taus: np.ndarray) -> list[np.ndarray]:
-        budget = DEFAULT_CYCLE_BUDGET
         levels = taus * rates
         out = [None] * len(laws)
-        rows = np.arange(count)
         for coords in groups:
             shape = float(shapes[coords[0]])
-            top = float(levels[coords].max())
-            mean = top / shape
-            k = min(int(mean + BRIDGE_SPREAD * math.sqrt(mean)) + 2, budget)
-            # the points of G drawn so far, one column per draw; a row that
-            # a draw skips repeats a point it already has
-            index = [np.zeros(count, dtype=np.int64),
-                     np.full(count, k, dtype=np.int64)]
-            value = [np.zeros(count), gen.standard_gamma(k * shape, count)]
-            while True:
-                short = np.flatnonzero(value[-1] <= top)
-                if not short.size:
-                    break
-                reach = index[-1][short]
-                if np.any(reach >= budget):
-                    raise BudgetExceededError(f"stationary window exceeded "
-                                              f"{budget} cycles")
-                left = (top - value[-1][short]) / shape
-                more = np.minimum(
-                    (left + BRIDGE_SPREAD * np.sqrt(left)).astype(np.int64)
-                    + 2, budget - reach)
-                index.append(index[-1].copy())
-                value.append(value[-1].copy())
-                index[-1][short] += more
-                value[-1][short] += gen.standard_gamma(more * shape)
-            for i in coords:
-                level = levels[i]
-                known_i = np.column_stack(index)
-                known_v = np.column_stack(value)
-                below = known_v <= level
-                lo_col = np.where(below, known_i, -1).argmax(axis=1)
-                hi_col = np.where(below, budget + 1, known_i).argmin(axis=1)
-                lo_i, lo_v = known_i[rows, lo_col], known_v[rows, lo_col]
-                hi_i, hi_v = known_i[rows, hi_col], known_v[rows, hi_col]
-                while True:
-                    width = hi_i - lo_i
-                    if width.max() < 2:
-                        break
-                    mid = lo_i + width // 2
-                    # Beta((mid - lo) * shape, (hi - mid) * shape) as a
-                    # ratio of gammas; rows down to one cycle draw Gamma(0),
-                    # which is 0 and takes nothing from the stream
-                    a = (mid - lo_i) * shape
-                    x = gen.standard_gamma(a)
-                    total = x + gen.standard_gamma(
-                        np.where(width > 1, (hi_i - mid) * shape, 0.0))
-                    split = np.divide(x, total, out=x, where=total > 0.0)
-                    # both gammas can underflow at tiny shapes
-                    lost = np.flatnonzero((total == 0.0) & (a > 0.0))
-                    if lost.size:
-                        split[lost] = gen.beta(a[lost],
-                                               (hi_i - mid)[lost] * shape)
-                    # clipped so that points stay ordered with their index
-                    g = np.minimum(lo_v + (hi_v - lo_v) * split, hi_v)
-                    index.append(mid)
-                    value.append(g)
-                    low = g <= level
-                    lo_i = np.where(low, mid, lo_i)
-                    lo_v = np.where(low, g, lo_v)
-                    hi_i = np.where(low, hi_i, mid)
-                    hi_v = np.where(low, hi_v, g)
-                length = (hi_v - lo_v) / rates[i]
+            cycles = (_poisson_cycles if shape.is_integer()
+                      else _bisected_cycles)
+            for i, lo, hi in cycles(gen, count, shape, coords, levels):
+                length = (hi - lo) / rates[i]
                 # the level difference can round a hair past the cycle end
-                age = np.minimum((level - lo_v) / rates[i],
+                age = np.minimum((levels[i] - lo) / rates[i],
                                  np.nextafter(length, 0.0))
                 out[i] = state(i, age, length, gen)
         return out
 
     return chunked_sampler(chunk_states, WINDOW_CHUNK)
+
+
+def _poisson_cycles(gen: np.random.Generator, count: int, shape: float,
+                    coords: list[int], levels: np.ndarray):
+    """Yield ``(i, lo, hi)``, the ends G_{n-1} <= level_i < G_n of each
+    row's straddling cycle, for a gamma process of integer shape k.
+
+    Its points G_n are every k-th point of a unit-rate Poisson process. At
+    a level L past the last restart, N ~ Poisson(L) points lie below it and
+    J = N mod k of them in the straddling cycle. Given N the points are
+    uniform order statistics on [0, L] (Kingman, 1993), so the age is
+    L * X / (X + Y), X ~ Gamma(J + 1) and Y ~ Gamma(N - J), or L when
+    N < k; the residual is Gamma(k - J) by memorylessness. Levels are
+    visited in ascending order: a level below the end of the row's last
+    cycle reads that cycle, and one at or past it restarts the process at
+    that renewal epoch. Each row draws at most four variates per level.
+    """
+    k = int(shape)
+    budget = DEFAULT_CYCLE_BUDGET
+    lo = np.zeros(count)
+    hi = np.zeros(count)
+    # cycles ended before each row's current one; the origin ends cycle -1
+    ended = np.full(count, -1, dtype=np.int64)
+    for i in sorted(coords, key=lambda i: levels[i]):
+        level = levels[i]
+        fresh = np.flatnonzero(hi <= level)
+        if fresh.size:
+            span = level - hi[fresh]
+            n = gen.poisson(span)
+            j = n % k
+            ended[fresh] += 1 + n // k
+            if ended[fresh].max() >= budget:
+                raise BudgetExceededError(f"stationary window exceeded "
+                                          f"{budget} cycles")
+            x = gen.standard_gamma(j + 1.0)
+            # rows with N < k draw Gamma(0), which is 0 and takes nothing
+            # from the stream
+            y = gen.standard_gamma((n - j).astype(float))
+            split = np.divide(x, x + y, out=np.ones_like(x), where=y > 0.0)
+            lo[fresh] = level - span * split
+            hi[fresh] = level + gen.standard_gamma(k - j.astype(float))
+        yield i, lo, hi
+
+
+def _bisected_cycles(gen: np.random.Generator, count: int, shape: float,
+                     coords: list[int], levels: np.ndarray):
+    """Yield ``(i, lo, hi)``, the ends G_{n-1} <= level_i < G_n of each
+    row's straddling cycle, for a gamma process of any shape.
+
+    Draws G_K, a Gamma(K * shape) block sum past every level, and bisects
+    the bracket G_lo <= level < G_hi on the cycle index with G_mid = G_lo +
+    (G_hi - G_lo) * Beta((mid - lo) * shape, (hi - mid) * shape), the exact
+    law of a gamma sum split at ``mid`` (Devroye, 1986, ch. IX), in about
+    log2(level / shape) steps. Bridges between drawn points are
+    independent, so a level starts from the tightest bracket among the
+    points earlier levels drew.
+    """
+    budget = DEFAULT_CYCLE_BUDGET
+    rows = np.arange(count)
+    top = float(levels[coords].max())
+    mean = top / shape
+    k = min(int(mean + BRIDGE_SPREAD * math.sqrt(mean)) + 2, budget)
+    # the points of G drawn so far, one column per draw; a row that a draw
+    # skips repeats a point it already has
+    index = [np.zeros(count, dtype=np.int64),
+             np.full(count, k, dtype=np.int64)]
+    value = [np.zeros(count), gen.standard_gamma(k * shape, count)]
+    while True:
+        short = np.flatnonzero(value[-1] <= top)
+        if not short.size:
+            break
+        reach = index[-1][short]
+        if np.any(reach >= budget):
+            raise BudgetExceededError(f"stationary window exceeded "
+                                      f"{budget} cycles")
+        left = (top - value[-1][short]) / shape
+        more = np.minimum(
+            (left + BRIDGE_SPREAD * np.sqrt(left)).astype(np.int64) + 2,
+            budget - reach)
+        index.append(index[-1].copy())
+        value.append(value[-1].copy())
+        index[-1][short] += more
+        value[-1][short] += gen.standard_gamma(more * shape)
+    for i in coords:
+        level = levels[i]
+        known_i = np.column_stack(index)
+        known_v = np.column_stack(value)
+        below = known_v <= level
+        lo_col = np.where(below, known_i, -1).argmax(axis=1)
+        hi_col = np.where(below, budget + 1, known_i).argmin(axis=1)
+        lo_i, lo_v = known_i[rows, lo_col], known_v[rows, lo_col]
+        hi_i, hi_v = known_i[rows, hi_col], known_v[rows, hi_col]
+        while True:
+            width = hi_i - lo_i
+            if width.max() < 2:
+                break
+            mid = lo_i + width // 2
+            # Beta((mid - lo) * shape, (hi - mid) * shape) as a ratio of
+            # gammas; rows down to one cycle draw Gamma(0), which is 0 and
+            # takes nothing from the stream
+            a = (mid - lo_i) * shape
+            x = gen.standard_gamma(a)
+            total = x + gen.standard_gamma(
+                np.where(width > 1, (hi_i - mid) * shape, 0.0))
+            split = np.divide(x, total, out=x, where=total > 0.0)
+            # both gammas can underflow at tiny shapes
+            lost = np.flatnonzero((total == 0.0) & (a > 0.0))
+            if lost.size:
+                split[lost] = gen.beta(a[lost], (hi_i - mid)[lost] * shape)
+            # clipped so that points stay ordered with their index
+            g = np.minimum(lo_v + (hi_v - lo_v) * split, hi_v)
+            index.append(mid)
+            value.append(g)
+            low = g <= level
+            lo_i = np.where(low, mid, lo_i)
+            lo_v = np.where(low, g, lo_v)
+            hi_i = np.where(low, hi_i, mid)
+            hi_v = np.where(low, hi_v, g)
+        yield i, lo_v, hi_v
 
 
 def default_burn_in(model: RegenModel) -> float:

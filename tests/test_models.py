@@ -980,9 +980,18 @@ def ks_critical(n: int, alpha: float = 0.001) -> float:
     (DependenceSpec.comonotone(), (GAMMA_2_1, GAMMA_2_1), (300.0, 170.0)),
     (DependenceSpec.independent(), (EXP1, MarginalSpec.gamma(2.0, 2.0)),
      (60.0, 90.0)),
+    # levels 60 and 62 of one process: the second level reads the first
+    # one's cycle or a later one; shape 3 takes the Poisson count and
+    # shape 2.5 the bisection
+    (DependenceSpec.comonotone(),
+     (MarginalSpec.gamma(3.0, 1.0), MarginalSpec.gamma(3.0, 2.0)),
+     (60.0, 31.0)),
+    (DependenceSpec.comonotone(),
+     (MarginalSpec.gamma(2.5, 1.0), MarginalSpec.gamma(2.5, 2.0)),
+     (60.0, 31.0)),
 ], ids=["clearing_comonotone_1000", "clearing_comonotone_7_3",
         "clearing_comonotone_near_levels", "age_residual_gamma",
-        "status_independent"])
+        "status_independent", "comonotone_gamma_3", "comonotone_gamma_2_5"])
 def test_bridge_matches_round_sampler(dep, laws, taus):
     assert engine.bridge_processes(dep, laws) is not None
     n = 4000
@@ -1045,6 +1054,47 @@ def test_bridge_split_survives_gamma_underflow(monkeypatch):
         assert np.all((0.0 <= a[:, 0]) & (a[:, 0] < a[:, 1]))
         assert two_sample_ks(a[:, 0], b[:, 0]) < ks_critical(n)
         assert two_sample_ks(a[:, 1], b[:, 1]) < ks_critical(n)
+
+
+@pytest.mark.parametrize("dep, laws", [
+    (DependenceSpec.comonotone(), (EXP1, MarginalSpec.exponential(0.5))),
+    (DependenceSpec.independent(),
+     (MarginalSpec.gamma(3.0, 1.0), MarginalSpec.gamma(3.0, 0.5))),
+], ids=["comonotone_exponential", "independent_gamma_3"])
+def test_integer_shape_bridge_draws_at_most_four_variates(monkeypatch, dep,
+                                                          laws):
+    # an integer shape reads the straddling cycle from one Poisson count of
+    # the points below the level, however many cycles lie before it;
+    # bisection would draw about 2 * log2(10^6), some 40, per row and level
+    drawn = []
+
+    class SpyGenerator(np.random.Generator):
+        def poisson(self, lam=1.0, size=None):
+            out = super().poisson(lam, size)
+            drawn.append(np.size(out))
+            return out
+
+        def standard_gamma(self, shape, size=None, dtype=np.float64,
+                           out=None):
+            out = super().standard_gamma(shape, size, dtype, out)
+            drawn.append(np.size(out))
+            return out
+
+        def beta(self, a, b, size=None):
+            out = super().beta(a, b, size)
+            drawn.append(np.size(out))
+            return out
+
+    stream = engine.substream
+    monkeypatch.setattr(engine, "substream",
+                        lambda *key: SpyGenerator(stream(*key).bit_generator))
+    n = 1000
+    taus = 1e6 * np.array([sp.mean() for sp in laws])
+    states = engine.bridge_window_sampler(dep, laws, age_and_length)(
+        taus, n, 147, (1003,), 1)
+    assert 0 < sum(drawn) <= 4 * n * len(laws)
+    for a in states:
+        assert np.all((0.0 <= a[:, 0]) & (a[:, 0] < a[:, 1]))
 
 
 def test_bridge_takes_rate_family_laws_under_independent_or_shared_quantile():
