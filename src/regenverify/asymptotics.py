@@ -250,24 +250,28 @@ def convergence_sweep(model: RegenModel, schedule: ScheduleSpec, t_grid,
     return SweepResult(t_grid=grid, gaps=tuple(gaps))
 
 
+def check(diff: float, se: float, floor: float = 0.0) -> dict:
+    """The pass rule of every command: ``diff`` passes when it is at most
+    ``max(floor, Z_LIMIT * se)``. Returns that ``threshold``, the term that
+    set it (``threshold_by``: ``"se"`` when ``Z_LIMIT * se`` strictly
+    exceeds the floor, else ``"floor"``) and ``ok``; a NaN ``diff``
+    fails."""
+    by_se = Z_LIMIT * se > floor
+    threshold = Z_LIMIT * se if by_se else floor
+    return {"threshold": threshold, "threshold_by": "se" if by_se else "floor",
+            "ok": bool(diff <= threshold)}
+
+
 def final_gap_verdict(sweep: SweepResult, gap_floor: float = GAP_FLOOR
                       ) -> tuple[bool, list[dict]]:
     """Pass/fail rule at the last grid time, shared by the CLI and the
-    calibration checks: every f-tuple's gap must stay below
-    ``max(gap_floor, Z_LIMIT * SE)``. Each row names the term that set its
-    threshold: ``"floor"`` or ``"se"``."""
-    per_tuple = []
-    passed = True
-    for g in sweep.at_final_t():
-        by_se = Z_LIMIT * g.se > gap_floor
-        threshold = Z_LIMIT * g.se if by_se else gap_floor
-        ok = bool(g.gap <= threshold)
-        passed = passed and ok
-        per_tuple.append({"f_id": g.f_id, "gap": g.gap, "se": g.se,
-                          "threshold": threshold,
-                          "threshold_by": "se" if by_se else "floor",
-                          "degenerate": g.degenerate, "ok": ok})
-    return passed, per_tuple
+    calibration checks: every f-tuple's gap passes :func:`check` with floor
+    ``gap_floor``. Each row carries that check's threshold, the term that
+    set it and its ``ok``."""
+    per_tuple = [{"f_id": g.f_id, "gap": g.gap, "se": g.se,
+                  "degenerate": g.degenerate, **check(g.gap, g.se, gap_floor)}
+                 for g in sweep.at_final_t()]
+    return all(row["ok"] for row in per_tuple), per_tuple
 
 
 def _quantile(sample: np.ndarray, q: float) -> float:

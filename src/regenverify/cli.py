@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .asymptotics import (Z_LIMIT, check_hypotheses, convergence_sweep,
+from .asymptotics import (check, check_hypotheses, convergence_sweep,
                           final_gap_verdict, quantile_indicator_tuples,
                           require_replications)
 from .config import (ScenarioConfig, canonical_json, load_scenario,
@@ -39,32 +39,6 @@ EXIT_HYPOTHESIS = 4
 EXIT_BUDGET = 5
 
 
-def _fmt(x: float) -> str:
-    """Floats in output files: 17 significant digits round-trip exactly."""
-    return f"{float(x):.17g}"
-
-
-def _metadata_line(seed: int) -> str:
-    return f"# seed={seed}, version={__version__}"
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list],
-               seed: int) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [c if isinstance(c, str) else _fmt(c) for c in row]
-        lines.append(",".join(cells))
-    lines.append(_metadata_line(seed))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_json(path: Path, payload: dict, seed: int) -> None:
-    payload = dict(payload)
-    payload["seed"] = seed
-    payload["version"] = __version__
-    path.write_text(canonical_json(payload) + "\n", encoding="utf-8")
-
-
 def _load(args) -> ScenarioConfig:
     cfg = load_scenario(args.config).with_overrides(
         seed=args.seed, replications=args.reps, directory=args.out)
@@ -75,12 +49,6 @@ def _load(args) -> ScenarioConfig:
         flag = {"seed": "--seed", "replications": "--reps"}[exc.path]
         raise ConfigurationError(exc.message, flag) from exc
     return cfg
-
-
-def _out_dir(cfg: ScenarioConfig) -> Path:
-    path = Path(cfg.output.directory)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _build(spec) -> RegenModel:
@@ -102,32 +70,73 @@ def _z(diff: float, se: float) -> float:
     return math.inf if se == 0.0 else diff / se
 
 
-def _check_observed(run, model: RegenModel) -> None:
-    """Reject a ``run.coordinate`` the model lacks, or a ``run.g`` reading
-    a component past that coordinate's state."""
-    if run.coordinate >= model.dimension:
+def _report(cfg: ScenarioConfig, passed: bool, line: str, files: dict,
+            fail: int = EXIT_STATISTICAL) -> int:
+    """Write a command's files in the scenario's ``output.formats``, print
+    its ``PASS``/``FAIL`` line and return its exit code.
+
+    ``files`` maps a file name to its JSON payload, or, for a ``.csv``, to
+    its header and rows. Every file carries the seed and the version; CSV
+    floats have 17 significant digits, which round-trip exactly."""
+    out = Path(cfg.output.directory)
+    out.mkdir(parents=True, exist_ok=True)
+    seed = cfg.run.seed
+    for name, content in files.items():
+        fmt = name.rsplit(".", 1)[1]
+        if fmt not in cfg.output.formats:
+            continue
+        if fmt == "json":
+            text = canonical_json({**content, "seed": seed,
+                                   "version": __version__})
+        else:
+            header, rows = content
+            text = "\n".join(
+                [",".join(header)]
+                + [",".join(c if isinstance(c, str) else f"{float(c):.17g}"
+                            for c in row) for row in rows]
+                + [f"# seed={seed}, version={__version__}"])
+        (out / name).write_text(text + "\n", encoding="utf-8")
+    print(f"{'PASS' if passed else 'FAIL'} {line}")
+    return EXIT_OK if passed else fail
+
+
+def _sweep_refusals(run) -> None:
+    """What verify-independence refuses before drawing: a short run is a
+    configuration error whatever the schedule."""
+    require_replications(run.replications)
+
+
+def _stationary_refusals(run, model: RegenModel) -> float:
+    """What stationary refuses before drawing: a ``run.coordinate`` the
+    model lacks, a ``run.g`` reading a component past that coordinate's
+    state, a short horizon and a cycle route over budget. Returns the
+    time-average horizon: ``run.horizon``, or 200 mean cycles and at least
+    10 000."""
+    i = run.coordinate
+    if i >= model.dimension:
         raise ConfigurationError(
-            f"coordinate {run.coordinate} out of range for a "
+            f"coordinate {i} out of range for a "
             f"{model.dimension}-coordinate model", "run.coordinate")
-    width = model.state_dims[run.coordinate]
+    width = model.state_dims[i]
     if run.g.component >= width:
         raise ConfigurationError(
             f"component {run.g.component} out of range for coordinate "
-            f"{run.coordinate}, whose state has {width} component(s)",
-            "run.g.component")
+            f"{i}, whose state has {width} component(s)", "run.g.component")
+    horizon = run.horizon
+    if horizon is None:
+        horizon = max(10_000.0, 200.0 * model.cycle_means[i])
+    require_horizon(model, i, horizon)
+    require_cycle_budget(run.n_cycles)
+    return horizon
 
 
 def cmd_validate(args) -> int:
     cfg = _load(args)
     model = _build(cfg.model)
-    # the run checks verify-independence and stationary make before drawing
     if cfg.schedule is not None:
-        require_replications(cfg.run.replications)
+        _sweep_refusals(cfg.run)
     if cfg.run.g is not None:
-        _check_observed(cfg.run, model)
-        i = cfg.run.coordinate
-        require_horizon(model, i, _horizon(cfg.run, model.cycle_means[i]))
-        require_cycle_budget(cfg.run.n_cycles)
+        _stationary_refusals(cfg.run, model)
     print(canonical_json(scenario_to_json(cfg)))
     return EXIT_OK
 
@@ -138,23 +147,21 @@ def cmd_verify_independence(args) -> int:
         raise ConfigurationError("verify-independence needs a schedule "
                                  "section", "schedule")
     model = _build(cfg.model)
+    # reject a short run before the quantile pre-pass pays for it
+    _sweep_refusals(cfg.run)
     run = cfg.run
-    # a short run is a configuration error whatever the schedule; reject it
-    # before any output is written or the quantile pre-pass pays for it
-    require_replications(run.replications)
     seed = run.seed
-    out = _out_dir(cfg)
     threads = thread_count()
 
     verdict = check_hypotheses(cfg.schedule, model.cycle_means)
     if not verdict.passed and not run.allow_hypothesis_fail:
-        if "json" in cfg.output.formats:
-            _write_json(out / "verdict.json",
-                        {"passed": False, "reason": "hypothesis_failed",
-                         "hypothesis": verdict.to_json_dict()}, seed)
-        print("FAIL hypothesis: schedule does not separate the coordinates "
-              "(rerun with allow_hypothesis_fail for a negative control)")
-        return EXIT_HYPOTHESIS
+        return _report(
+            cfg, False, "hypothesis: schedule does not separate the "
+            "coordinates (rerun with allow_hypothesis_fail for a negative "
+            "control)",
+            {"verdict.json": {"passed": False, "reason": "hypothesis_failed",
+                              "hypothesis": verdict.to_json_dict()}},
+            fail=EXIT_HYPOTHESIS)
 
     burn = run.burn_in if run.burn_in is not None else default_burn_in(model)
     if run.test_functions == "exp_decay":
@@ -166,28 +173,21 @@ def cmd_verify_independence(args) -> int:
         model, cfg.schedule, run.t_grid, f_tuples, run.replications, seed,
         allow_hypothesis_fail=True, threads=threads)
 
-    if "csv" in cfg.output.formats:
-        rows = [[g.t, g.f_id, g.gap, g.se, float(g.n)] for g in sweep.gaps]
-        _write_csv(out / "gap.csv", ["t", "f_tuple_id", "gap", "se", "n"],
-                   rows, seed)
-
     finals = sweep.at_final_t()
     passed, per_tuple = final_gap_verdict(sweep)
-    payload = {
-        "passed": bool(passed),
-        "hypothesis": verdict.to_json_dict(),
-        "final_t": sweep.t_grid[-1],
-        "per_tuple": per_tuple,
-        "replications": run.replications,
-        "t_grid": list(sweep.t_grid),
-    }
-    if "json" in cfg.output.formats:
-        _write_json(out / "verdict.json", payload, seed)
-    worst = max(g.gap for g in finals)
-    status = "PASS" if passed else "FAIL"
-    print(f"{status} product-form gap at t={sweep.t_grid[-1]:g}: "
-          f"worst gap {worst:.5f} over {len(finals)} test-function tuples")
-    return EXIT_OK if passed else EXIT_STATISTICAL
+    return _report(
+        cfg, passed, f"product-form gap at t={sweep.t_grid[-1]:g}: worst gap "
+        f"{max(g.gap for g in finals):.5f} over {len(finals)} test-function "
+        "tuples",
+        {"gap.csv": (["t", "f_tuple_id", "gap", "se", "n"],
+                     [[g.t, g.f_id, g.gap, g.se, float(g.n)]
+                      for g in sweep.gaps]),
+         "verdict.json": {"passed": passed,
+                          "hypothesis": verdict.to_json_dict(),
+                          "final_t": sweep.t_grid[-1],
+                          "per_tuple": per_tuple,
+                          "replications": run.replications,
+                          "t_grid": list(sweep.t_grid)}})
 
 
 def cmd_status_pi(args) -> int:
@@ -198,42 +198,26 @@ def cmd_status_pi(args) -> int:
     model = _build(cfg.model)
     pi = pi_closed_form(cfg.model)
     run = cfg.run
-    seed = run.seed
     burn = run.burn_in if run.burn_in is not None else default_burn_in(model)
     n = run.replications
-    states = sample_states(model, [burn] * model.dimension, n, seed,
+    states = sample_states(model, [burn] * model.dimension, n, run.seed,
                            base_key=(3,), threads=thread_count())
     joint = np.ones(n, dtype=bool)
     for i in range(model.dimension):
         joint &= states[i][:, 0] > states[i][:, 1]
     pi_hat = float(joint.mean())
-    # the null value is known, so the z-score uses the exact binomial SE
+    # the null value is known, so the check uses the exact binomial SE
     se = math.sqrt(pi * (1.0 - pi) / n)
     z = _z(pi_hat - pi, se)
-    passed = bool(abs(z) <= Z_LIMIT)
-    payload = {"pi_closed_form": pi, "pi_simulated": pi_hat, "se": se,
-               "z_score": z if math.isfinite(z) else "inf",
-               "replications": n, "burn_in": burn,
-               "passed": passed}
-    out = _out_dir(cfg)
-    if "json" in cfg.output.formats:
-        _write_json(out / "pi.json", payload, seed)
-    if "csv" in cfg.output.formats:
-        _write_csv(out / "pi.csv",
-                   ["pi_closed_form", "pi_simulated", "se", "z_score", "n"],
-                   [[pi, pi_hat, se, z, float(n)]], seed)
-    status = "PASS" if passed else "FAIL"
-    print(f"{status} all-updated probability: closed form {pi:.6f}, "
-          f"simulated {pi_hat:.6f} (z={z:+.2f}, n={n})")
-    return EXIT_OK if passed else EXIT_STATISTICAL
-
-
-def _horizon(run, mu: float) -> float:
-    """The time-average horizon: ``run.horizon``, or 200 mean cycles and at
-    least 10 000."""
-    if run.horizon is not None:
-        return run.horizon
-    return max(10_000.0, 200.0 * mu)
+    passed = check(abs(pi_hat - pi), se)["ok"]
+    return _report(
+        cfg, passed, f"all-updated probability: closed form {pi:.6f}, "
+        f"simulated {pi_hat:.6f} (z={z:+.2f}, n={n})",
+        {"pi.json": {"pi_closed_form": pi, "pi_simulated": pi_hat, "se": se,
+                     "z_score": z if math.isfinite(z) else "inf",
+                     "replications": n, "burn_in": burn, "passed": passed},
+         "pi.csv": (["pi_closed_form", "pi_simulated", "se", "z_score", "n"],
+                    [[pi, pi_hat, se, z, float(n)]])})
 
 
 def cmd_stationary(args) -> int:
@@ -243,38 +227,31 @@ def cmd_stationary(args) -> int:
         raise ConfigurationError("stationary needs run.g naming a test "
                                  "function", "run.g")
     model = _build(cfg.model)
-    _check_observed(run, model)
-    g = run.g
-    seed = run.seed
-    i = run.coordinate
-    horizon = _horizon(run, model.cycle_means[i])
     # reject a short horizon before the cycle route pays for it
-    require_horizon(model, i, horizon)
+    horizon = _stationary_refusals(run, model)
+    g = run.g
+    i = run.coordinate
     rr = renewal_reward_estimate(model, i, g, run.n_cycles,
-                                 substream(seed, 11))
-    ta = time_average_estimate(model, i, g, horizon, substream(seed, 13))
-    z = _z(abs(rr.value - ta.value), math.sqrt(rr.se ** 2 + ta.se ** 2))
-    passed = bool(z <= Z_LIMIT)
-    out = _out_dir(cfg)
-    if "csv" in cfg.output.formats:
-        _write_csv(out / "stationary.csv",
-                   ["coordinate", "g", "renewal_reward", "rr_se",
-                    "time_average", "ta_se", "z"],
-                   [[float(i), g.label(), rr.value, rr.se, ta.value, ta.se,
-                     z]], seed)
-    if "json" in cfg.output.formats:
-        _write_json(out / "stationary.json",
-                    {"coordinate": i, "g": g.label(),
-                     "renewal_reward": rr.value, "rr_se": rr.se,
-                     "time_average": ta.value, "ta_se": ta.se,
-                     "z": z if math.isfinite(z) else "inf",
-                     "n_cycles": run.n_cycles, "horizon": horizon,
-                     "passed": passed}, seed)
-    status = "PASS" if passed else "FAIL"
-    print(f"{status} stationary mean of {g.label()} on coordinate {i}: "
-          f"cycle route {rr.value:.6f} (se {rr.se:.2g}), time-average route "
-          f"{ta.value:.6f} (se {ta.se:.2g}), z={z:.2f}")
-    return EXIT_OK if passed else EXIT_STATISTICAL
+                                 substream(run.seed, 11))
+    ta = time_average_estimate(model, i, g, horizon, substream(run.seed, 13))
+    diff = abs(rr.value - ta.value)
+    se = math.sqrt(rr.se ** 2 + ta.se ** 2)
+    z = _z(diff, se)
+    passed = check(diff, se)["ok"]
+    return _report(
+        cfg, passed, f"stationary mean of {g.label()} on coordinate {i}: "
+        f"cycle route {rr.value:.6f} (se {rr.se:.2g}), time-average route "
+        f"{ta.value:.6f} (se {ta.se:.2g}), z={z:.2f}",
+        {"stationary.csv": (["coordinate", "g", "renewal_reward", "rr_se",
+                             "time_average", "ta_se", "z"],
+                            [[float(i), g.label(), rr.value, rr.se, ta.value,
+                              ta.se, z]]),
+         "stationary.json": {"coordinate": i, "g": g.label(),
+                             "renewal_reward": rr.value, "rr_se": rr.se,
+                             "time_average": ta.value, "ta_se": ta.se,
+                             "z": z if math.isfinite(z) else "inf",
+                             "n_cycles": run.n_cycles, "horizon": horizon,
+                             "passed": passed}})
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -185,16 +185,9 @@ class MarginalSpec:
             raise ValueError(f"{k} marginal has no density")
         return out if np.ndim(x) else float(out)
 
-    def ppf(self, u):
-        us = np.asarray(u, dtype=float)
-        # written so that NaN fails the check too
-        if not np.all((us >= 0.0) & (us <= 1.0)):
-            raise ValueError("quantile levels must lie in [0, 1]")
-        out = self._quantile(us)
-        return out if np.ndim(u) else float(out)
-
     def _quantile(self, us: np.ndarray) -> np.ndarray:
-        """``ppf`` without the range check, for uniforms a generator drew."""
+        """The law's quantiles (inverse CDF) at levels ``us`` in [0, 1],
+        uniforms a generator drew; the levels are not range-checked."""
         k = self.kind
         if k in UNIT_RATE_KINDS:
             return self._unit_quantile(us, np.empty_like(us)) / self.rate

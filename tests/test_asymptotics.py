@@ -14,7 +14,7 @@ from regenverify import (ClearingCoordinate, ClearingSpec, ConfigurationError,
 from regenverify.engine import indicator_le
 from regenverify.randomness import substream
 from regenverify.asymptotics import (GapEstimate, ScheduleCoordinate,
-                                     SweepResult, _quantile,
+                                     SweepResult, _quantile, check,
                                      product_form_gap)
 
 EXP1 = MarginalSpec.exponential(1.0)
@@ -293,6 +293,22 @@ def test_final_gap_verdict_thresholds():
     passed, rows = final_gap_verdict(sweep_bad)
     assert not passed and not rows[0]["ok"]
     assert rows[0]["threshold"] == 0.02 and rows[0]["threshold_by"] == "floor"
+
+    # the rule's edges: a gap equal to its threshold passes, a tie between
+    # Z_LIMIT * SE and the floor is the floor's (the comparison is strict),
+    # and a NaN gap fails
+    sweep_edges = SweepResult(
+        t_grid=(10.0, 100.0),
+        gaps=(gap("at_se", 1.5, 0.5), gap("tie", 0.75, 0.25),
+              gap("nan", math.nan, 0.001)))
+    passed, rows = final_gap_verdict(sweep_edges, gap_floor=0.75)
+    assert not passed
+    assert [(r["threshold"], r["threshold_by"], r["ok"]) for r in rows] == [
+        (1.5, "se", True), (0.75, "floor", True), (0.75, "floor", False)]
+    # with no floor, as status-pi and stationary use it, 0 against SE 0
+    # passes
+    assert check(0.0, 0.0) == {"threshold": 0.0, "threshold_by": "floor",
+                               "ok": True}
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 command-line runner (exit codes, output files, determinism)."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -367,6 +368,37 @@ def test_stationary_two_routes_agree(tmp_path, capsys):
                       "ta_se,z")
 
 
+def test_status_pi_failure_exits_3(tmp_path, capsys, monkeypatch):
+    from regenverify.models import pi_closed_form
+    monkeypatch.setattr(cli, "pi_closed_form",
+                        lambda spec: pi_closed_form(spec) + 0.05)
+    rc = main(["status-pi", "--config", str(CONFIG_DIR / "status_pi.json"),
+               "--reps", "20000", "--out", str(tmp_path)])
+    assert rc == EXIT_STATISTICAL
+    assert capsys.readouterr().out.startswith("FAIL all-updated probability")
+    assert json.loads((tmp_path / "pi.json").read_text())["passed"] is False
+    assert (tmp_path / "pi.csv").exists()
+
+
+def test_stationary_failure_exits_3(tmp_path, capsys, monkeypatch):
+    import dataclasses
+    from regenverify.engine import time_average_estimate
+
+    def shifted(*args, **kwargs):
+        est = time_average_estimate(*args, **kwargs)
+        return dataclasses.replace(est, value=est.value + 0.1)
+
+    monkeypatch.setattr(cli, "time_average_estimate", shifted)
+    rc = main(["stationary", "--config",
+               str(CONFIG_DIR / "levy_stationary.json"),
+               "--out", str(tmp_path)])
+    assert rc == EXIT_STATISTICAL
+    assert capsys.readouterr().out.startswith("FAIL stationary mean")
+    payload = json.loads((tmp_path / "stationary.json").read_text())
+    assert payload["passed"] is False
+    assert (tmp_path / "stationary.csv").exists()
+
+
 def test_stationary_event_budget_exits_5(tmp_path, capsys, monkeypatch):
     from regenverify import models
     monkeypatch.setattr(models, "MAX_EVENTS_PER_CYCLE", 2)
@@ -592,6 +624,43 @@ def test_validate_refuses_what_the_command_refuses(tmp_path, capsys,
     assert codes[1] == codes[0]
     assert errors[1] == errors[0]
     assert not (tmp_path / "res").exists()
+
+
+# the replication floor of each command; stationary reads no replications
+FLOOR_REPS = {"verify-independence": ["--reps", "1000"],
+              "status-pi": ["--reps", "20000"], "stationary": []}
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in CONFIG_DIR.glob("*.json")
+    # its schedule fails the hypotheses, so it exits 4 and writes no numbers
+    if p.name != "clearing_negative.json"))
+def test_written_verdict_follows_from_written_numbers(tmp_path, capsys,
+                                                      name):
+    # every command passes when |diff| <= max(floor, 3 SE), with floor 0.02
+    # for the gap and 0 otherwise; its exit code follows from "passed"
+    command = refused_overrides(json.loads(
+        (CONFIG_DIR / name).read_text()))[0]
+    rc = main([command, "--config", str(CONFIG_DIR / name),
+               *FLOOR_REPS[command], "--out", str(tmp_path)])
+    capsys.readouterr()
+    if command == "verify-independence":
+        payload = json.loads((tmp_path / "verdict.json").read_text())
+        for row in payload["per_tuple"]:
+            assert row["threshold"] == max(0.02, 3.0 * row["se"])
+            assert row["ok"] == (row["gap"] <= row["threshold"])
+        passed = all(row["ok"] for row in payload["per_tuple"])
+    elif command == "status-pi":
+        payload = json.loads((tmp_path / "pi.json").read_text())
+        passed = (abs(payload["pi_simulated"] - payload["pi_closed_form"])
+                  <= 3.0 * payload["se"])
+    else:
+        payload = json.loads((tmp_path / "stationary.json").read_text())
+        passed = (abs(payload["renewal_reward"] - payload["time_average"])
+                  <= 3.0 * math.sqrt(payload["rr_se"] ** 2
+                                     + payload["ta_se"] ** 2))
+    assert payload["passed"] is passed
+    assert rc == (EXIT_OK if passed else EXIT_STATISTICAL)
 
 
 # ---------------------------------------------------------------------------

@@ -91,20 +91,6 @@ def test_every_kind_ecdf_within_ks_bound(spec):
     assert ks_distance(draws, cdf(spec)) < 0.01
 
 
-@pytest.mark.parametrize("spec", [
-    MarginalSpec.exponential(1.0),
-    MarginalSpec.gamma(2.0, 1.0),
-    MarginalSpec.deterministic(2.0),
-    MarginalSpec.lattice(1.0, {1: 0.5, 2: 0.5}),
-    MarginalSpec.shifted_uniform(1.0, 3.0),
-])
-def test_ppf_rejects_levels_outside_the_unit_interval(spec):
-    assert spec.ppf(0.0) == spec.ppf(np.array([0.0]))[0]
-    for bad in (-0.1, 1.1, math.nan, np.array([0.5, math.nan])):
-        with pytest.raises(ValueError, match="must lie in"):
-            spec.ppf(bad)
-
-
 @pytest.mark.parametrize("bad", [
     MarginalSpec.exponential(0.0),
     MarginalSpec.exponential(-1.0),
