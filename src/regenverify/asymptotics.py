@@ -176,7 +176,7 @@ class GapEstimate:
 def product_form_gap(samples: np.ndarray, *, t: float = math.nan,
                      f_id: str = "f") -> GapEstimate:
     """``| mean prod_i f_i  -  prod_i mean f_i |`` with the delta-method SE
-    of the signed gap.
+    of the signed gap, from a ``(replications, m)`` matrix.
 
     The signed gap is a smooth function of the sample means of the row
     product ``p = prod_i s_i`` and of each column ``s_i``; its influence
@@ -187,6 +187,13 @@ def product_form_gap(samples: np.ndarray, *, t: float = math.nan,
     tuple with a constant column has gap 0 by construction, so it is flagged
     as degenerate rather than counted as evidence of independence; its SE is
     0 up to rounding.
+
+    The matrix is read once as coordinate-major rows, one contiguous row
+    of replications per coordinate (no copy when ``samples`` is the
+    transpose of such a buffer), and every mean, product and spread runs
+    along those rows. Sums of 0/1 entries are exact in any order; sums of
+    continuous entries are numpy's pairwise sums along a row, which can
+    differ in the last bits from a sum taken down a column.
     """
     s = np.asarray(samples, dtype=float)
     if s.ndim != 2:
@@ -194,12 +201,13 @@ def product_form_gap(samples: np.ndarray, *, t: float = math.nan,
     n, m = s.shape
     if n < 1000:
         raise ValueError("need at least 1000 replications for a stable gap")
-    col_means = s.mean(axis=0)
-    products = s.prod(axis=1)
+    cols = np.ascontiguousarray(s.T)
+    col_means = cols.mean(axis=1)
+    products = cols.prod(axis=0)
     mean_of_products = float(products.mean())
     gap = abs(mean_of_products - float(col_means.prod()))
     others = np.array([np.delete(col_means, i).prod() for i in range(m)])
-    influence = products - (s * others).sum(axis=1)
+    influence = products - (cols * others[:, None]).sum(axis=0)
     # shifting by one row leaves the spread unchanged and keeps constant
     # columns at exactly zero
     se = float((influence - influence[0]).std(ddof=1) / math.sqrt(n))
@@ -207,9 +215,9 @@ def product_form_gap(samples: np.ndarray, *, t: float = math.nan,
         t=float(t), f_id=str(f_id), n=n, gap=gap, se=se,
         mean_of_products=mean_of_products,
         marginal_means=tuple(float(v) for v in col_means),
-        marginal_ses=tuple(float(v) for v in s.std(axis=0, ddof=1)
+        marginal_ses=tuple(float(v) for v in cols.std(axis=1, ddof=1)
                            / math.sqrt(n)),
-        degenerate=bool((s.min(axis=0) == s.max(axis=0)).any()))
+        degenerate=bool((cols.min(axis=1) == cols.max(axis=1)).any()))
 
 
 @dataclass(frozen=True)
@@ -244,9 +252,11 @@ def convergence_sweep(model: RegenModel, schedule: ScheduleSpec, t_grid,
         states = sample_states(model, schedule.values(t), replications, seed,
                                base_key=(101, k), threads=threads)
         for f_id, fs in f_tuples:
-            mat = np.column_stack([np.asarray(fs[i](states[i]), dtype=float)
-                                   for i in range(model.dimension)])
-            gaps.append(product_form_gap(mat, t=t, f_id=f_id))
+            # one row per coordinate, handed over as its (replications, m)
+            # transpose without a copy
+            rows = np.stack([np.asarray(fs[i](states[i]), dtype=float)
+                             for i in range(model.dimension)])
+            gaps.append(product_form_gap(rows.T, t=t, f_id=f_id))
     return SweepResult(t_grid=grid, gaps=tuple(gaps))
 
 

@@ -494,18 +494,20 @@ def window_sampler(dep, laws, expand, cycle_means,
 
     def chunk_states(gen: np.random.Generator, count: int,
                      taus: np.ndarray) -> list[np.ndarray]:
-        epochs = np.zeros((count, m))
-        comp = np.zeros((count, m))
+        # coordinate-major, one row of replications per coordinate
+        epochs = np.zeros((m, count))
+        comp = np.zeros((m, count))
         # coordinate i of a row is pending while its last epoch is still
         # <= tau_i, so a cycle ending exactly at tau_i is not the
         # straddling one
-        pending = np.ones((count, m), dtype=bool)
+        pending = np.ones((m, count), dtype=bool)
         out = [np.empty((count, d)) for d in state_dims]
         drawn = 0
         while pending.any():
-            rows = np.flatnonzero(pending.any(axis=1))
-            left = float(np.max(np.where(pending[rows],
-                                         (taus - epochs[rows]) / mu, 0.0)))
+            rows = np.flatnonzero(pending.any(axis=0))
+            left = float(np.max(np.where(
+                pending[:, rows],
+                (taus[:, None] - epochs[:, rows]) / mu[:, None], 0.0)))
             budget = DEFAULT_CYCLE_BUDGET
             if drawn + int(left) >= budget:
                 raise BudgetExceededError(f"stationary window exceeded "
@@ -518,7 +520,7 @@ def window_sampler(dep, laws, expand, cycle_means,
             draws = sample_cycle_vectors(dep, laws, gen, rows.size * b
                                          ).T.reshape(m, rows.size, b)
             for i in range(m):
-                sel = pending[rows, i]
+                sel = pending[i, rows]
                 r = rows[sel]
                 if not r.size:
                     continue
@@ -526,10 +528,10 @@ def window_sampler(dep, laws, expand, cycle_means,
                 # one coordinate's cycles at a time, released before the next
                 lengths, fill = expand(i, column.ravel(), gen)
                 lengths = lengths.reshape(r.size, b)
-                base = epochs[r, i]
-                y = lengths.sum(axis=1) - comp[r, i]
-                epochs[r, i] = top = base + y
-                comp[r, i] = (top - base) - y
+                base = epochs[i, r]
+                y = lengths.sum(axis=1) - comp[i, r]
+                epochs[i, r] = top = base + y
+                comp[i, r] = (top - base) - y
                 hit = np.flatnonzero(top > taus[i])
                 if hit.size:
                     # running epochs only in the rows whose window closes
@@ -546,7 +548,7 @@ def window_sampler(dep, laws, expand, cycle_means,
                     s = np.minimum(taus[i] - before,
                                    np.nextafter(steps[rows_hit, j], 0.0))
                     out[i][r[hit]] = fill(hit * b + j, s)
-                    pending[r[hit], i] = False
+                    pending[i, r[hit]] = False
                     del steps, pos
                 del column, lengths, fill
         return out

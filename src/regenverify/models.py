@@ -845,9 +845,13 @@ def _make_jackson_sampler(spec: JacksonSpec):
         # step counts at the sorted taus, as increments of one process
         order = np.argsort(taus, kind="stable")
         gaps = np.diff(taus[order], prepend=0.0)
-        steps = np.empty((m, count), dtype=np.int64)
-        steps[order] = np.cumsum(gen.poisson(total * gaps, (count, m)),
-                                 axis=1).T
+        # drawn (count, m), the stream's order, and summed one contiguous
+        # coordinate row at a time
+        counts = gen.poisson(total * gaps, (count, m)).T.copy()
+        for i in range(1, m):
+            counts[i] += counts[i - 1]
+        steps = np.empty_like(counts)
+        steps[order] = counts
         x = np.zeros((m, count), dtype=np.int32)
         flat = x.reshape(-1)
         refine = gen.spawn(1)[0]

@@ -11,7 +11,10 @@ The window reference takes running sums over every pending row in every
 round; its epochs are sequential sums, so it agrees with the package's
 row-total epochs to rounding. The cycle-route reference keeps every cycle's
 reward and length and takes their two-pass covariance; the package's
-streamed co-moments agree with it to rounding.
+streamed co-moments agree with it to rounding. The gap reference reduces a
+row-major (replications, m) matrix down its columns; it agrees with the
+package's coordinate-major rows bit for bit on 0/1 entries and to rounding
+on continuous ones.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from regenverify import BudgetExceededError, engine
+from regenverify.asymptotics import GapEstimate
 from regenverify.engine import (DEFAULT_CYCLE_BUDGET, CycleBatch, CyclePath,
                                 Estimate, RegenModel)
 from regenverify.models import JacksonSpec, _by_cycle
@@ -398,3 +402,32 @@ def jackson_batch(spec: JacksonSpec, gen: np.random.Generator,
     zero = np.zeros((len(starts), 1))
     return tuple(CycleBatch(starts, values[:, i:i + 1], zero, offsets,
                             lengths) for i in range(m))
+
+
+def product_form_gap_rows(samples: np.ndarray, *, t: float = math.nan,
+                          f_id: str = "f") -> GapEstimate:
+    """Reference ``asymptotics.product_form_gap``: every mean, product and
+    spread reduced over the rows of the C-ordered (replications, m)
+    matrix."""
+    s = np.asarray(samples, dtype=float)
+    if s.ndim != 2:
+        raise ValueError("samples must be a (replications, m) matrix")
+    n, m = s.shape
+    if n < 1000:
+        raise ValueError("need at least 1000 replications for a stable gap")
+    col_means = s.mean(axis=0)
+    products = s.prod(axis=1)
+    mean_of_products = float(products.mean())
+    gap = abs(mean_of_products - float(col_means.prod()))
+    others = np.array([np.delete(col_means, i).prod() for i in range(m)])
+    influence = products - (s * others).sum(axis=1)
+    # shifting by one row leaves the spread unchanged and keeps constant
+    # columns at exactly zero
+    se = float((influence - influence[0]).std(ddof=1) / math.sqrt(n))
+    return GapEstimate(
+        t=float(t), f_id=str(f_id), n=n, gap=gap, se=se,
+        mean_of_products=mean_of_products,
+        marginal_means=tuple(float(v) for v in col_means),
+        marginal_ses=tuple(float(v) for v in s.std(axis=0, ddof=1)
+                           / math.sqrt(n)),
+        degenerate=bool((s.min(axis=0) == s.max(axis=0)).any()))

@@ -11,11 +11,14 @@ from regenverify import (ClearingCoordinate, ClearingSpec, ConfigurationError,
                          ScheduleSpec, build_clearing, check_hypotheses,
                          convergence_sweep, final_gap_verdict,
                          quantile_indicator_tuples)
+from regenverify import asymptotics
 from regenverify.engine import indicator_le
 from regenverify.randomness import substream
 from regenverify.asymptotics import (GapEstimate, ScheduleCoordinate,
                                      SweepResult, _quantile, check,
                                      product_form_gap)
+
+from oracles import product_form_gap_rows
 
 EXP1 = MarginalSpec.exponential(1.0)
 
@@ -211,6 +214,56 @@ def test_gap_input_validation():
         product_form_gap(np.ones((999, 2)))
     with pytest.raises(ValueError):
         product_form_gap(np.ones(2000))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_gap_matches_row_major_reference(m):
+    gen = substream(318, m)
+    n = 10_000
+    # dependent 0/1 columns through a shared uniform, so the gap is not 0
+    shared = gen.random((n, 1))
+    ind = (0.5 * shared + 0.5 * gen.random((n, m))
+           < gen.uniform(0.3, 0.7, m)).astype(float)
+    ours = product_form_gap(ind, t=1.0)
+    ref = product_form_gap_rows(ind, t=1.0)
+    assert ours.gap == ref.gap
+    assert ours.se == ref.se
+    assert ours.degenerate == ref.degenerate
+    assert ours.marginal_means == ref.marginal_means
+    # continuous columns: sums along a row are pairwise, down a column
+    # sequential, so they agree to rounding; the gap is a difference of two
+    # terms of the size of the mean of products, and agrees on their scale
+    cont = gen.exponential(size=(n, m))
+    ours = product_form_gap(cont, t=1.0)
+    ref = product_form_gap_rows(cont, t=1.0)
+    assert ours.gap == pytest.approx(ref.gap, rel=1e-12,
+                                     abs=1e-12 * ref.mean_of_products)
+    assert ours.mean_of_products == pytest.approx(ref.mean_of_products,
+                                                  rel=1e-12)
+    assert ours.se == pytest.approx(ref.se, rel=1e-12)
+    assert ours.marginal_means == pytest.approx(ref.marginal_means, rel=1e-12)
+    assert ours.marginal_ses == pytest.approx(ref.marginal_ses, rel=1e-12)
+    assert ours.degenerate == ref.degenerate
+    # a C-ordered matrix and the transpose of a coordinate-major buffer
+    for mat in (ind, cont):
+        rows = np.ascontiguousarray(mat.T)
+        assert product_form_gap(mat, t=1.0) == product_form_gap(rows.T, t=1.0)
+
+
+def test_sweep_hands_over_coordinate_major_rows(monkeypatch):
+    seen = []
+
+    def spy(samples, **kwargs):
+        seen.append(samples.T.flags.c_contiguous)
+        return product_form_gap(samples, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "product_form_gap", spy)
+    model = drift_clearing([1.0, 0.5], DependenceSpec.comonotone())
+    fs = [("q50", (indicator_le(1.0), indicator_le(2.0))),
+          ("q25", (indicator_le(0.3), indicator_le(0.6)))]
+    convergence_sweep(model, affine([(1, 0), (1, 0)]), (10.0, 50.0, 200.0),
+                      fs, 1000, seed=319)
+    assert seen == [True] * 6
 
 
 # ---------------------------------------------------------------------------
