@@ -58,6 +58,10 @@ JACKSON_BLOCK = 1 << 16
 JACKSON_CHUNK = 1 << 14
 # most row-steps (rows times expected steps) one Jackson chunk may take
 MAX_JACKSON_WORK = 10_000_000_000
+# the Jackson sampler's station-count types, narrowest first, with the
+# largest count each holds, np.iinfo(t).max
+JACKSON_COUNTS = ((np.int8, 127), (np.int16, 32_767),
+                  (np.int32, 2_147_483_647))
 
 
 def _warn_arithmetic(which: list[int], family: str) -> None:
@@ -697,10 +701,12 @@ def _jackson_events(spec: JacksonSpec):
     ``m`` is the exit. From an empty station an event is a self-loop.
     Returns ``(total, src, classify, fire)``. Each step's event is a
     function of its own word alone, so a block of steps is classified
-    before any of them fires: ``classify(h, refine)`` takes the 16-bit
-    words of :func:`_jackson_words`, one row per step and one column per
-    chain, and returns their event codes and int32 masks, ``masks[k, e]``
-    being 1 in the columns where event ``e`` fires at step ``k``. A word
+    before any of them fires: ``classify(h, refine, dtype)`` takes the
+    16-bit words of :func:`_jackson_words`, one row per step and one column
+    per chain, and returns their event codes and masks of the state's
+    integer type ``dtype`` (``np.int8``, ``np.int16`` or ``np.int32``),
+    ``masks[k, e]`` being 1 in the columns where event ``e`` fires at step
+    ``k``. A word
     ``h`` stands for the uniform ``(h + U) / 2^16`` with ``U`` uniform on
     [0, 1), and its code is the number of scaled cut points ``s`` (the
     inner cut points times 2^16, which is exact) at or below ``h + U``.
@@ -714,9 +720,11 @@ def _jackson_events(spec: JacksonSpec):
     adds its mask to its destination and takes it from its source, capped
     at the source's count, which for counts >= 0 is the mask where the
     source is nonempty; one event fires per column, so the masks are
-    disjoint and the order of the updates does not matter. States are
-    int32: a station holds at most as many customers as the chain has taken
-    steps, which the event budget keeps far below 2^31."""
+    disjoint and the order of the updates does not matter. State and masks
+    share one signed integer type, so no update casts; a step adds at most
+    one customer to a station, so a station holds at most as many
+    customers as the chain has taken steps, which the event budget keeps
+    far below 2^31."""
     m = len(spec.arrival_rates)
     services = np.asarray(spec.service_rates, dtype=float)
     routing = np.asarray(spec.routing, dtype=float)
@@ -748,9 +756,10 @@ def _jackson_events(spec: JacksonSpec):
              if dst[e] != j])
         for j in range(m)]
 
-    def classify(h: np.ndarray, refine: np.random.Generator
-                 ) -> tuple[np.ndarray, np.ndarray]:
-        code = (h > below).sum(axis=0, dtype=code_type)
+    def classify(h: np.ndarray, refine: np.random.Generator,
+                 dtype: type) -> tuple[np.ndarray, np.ndarray]:
+        # summed as bytes, which numpy adds without a cast from bool
+        code = (h > below).view(np.uint8).sum(axis=0, dtype=code_type)
         if straddled.size:
             # one mask, so the U are drawn in (step, column) order
             hit = np.logical_or.reduce(h == straddled, axis=0)
@@ -759,9 +768,13 @@ def _jackson_events(spec: JacksonSpec):
                 k, j = np.divmod(at, h.shape[1])
                 code[k, j] = np.searchsorted(
                     scaled, h[k, j] + refine.random(at.size), side="right")
-        masks = np.empty((len(h), len(src), h.shape[1]), dtype=np.int32)
+        # a bool is one byte holding 0 or 1, so int8 masks are written as
+        # bools, which np.equal stores without a cast
+        byte = dtype is np.int8
+        masks = np.empty((len(h), len(src), h.shape[1]),
+                         dtype=np.bool_ if byte else dtype)
         np.equal(code[:, None], events, out=masks)
-        return code, masks
+        return code, masks.view(np.int8) if byte else masks
 
     def fire(x: np.ndarray, mask: np.ndarray) -> None:
         for e, d in arrivals:
@@ -797,7 +810,8 @@ def _jackson_batch(spec: JacksonSpec, i: int, gen: np.random.Generator,
     rows, times, states = [live], [t], [x[i].copy()]
     for _ in range(MAX_EVENTS_PER_CYCLE):
         t = t + gen.exponential(1.0 / total, live.size)
-        code, masks = classify(_jackson_words(gen, 1, live.size), refine)
+        code, masks = classify(_jackson_words(gen, 1, live.size), refine,
+                               np.int32)
         # a step changes its chain when its event's source is nonempty;
         # the outside, source m, never empties
         source = src[code[0]]
@@ -834,6 +848,15 @@ def _make_jackson_sampler(spec: JacksonSpec):
     per step, with straddling words refined from one stream spawned from
     the chunk's generator), and reads a (row, coordinate) pair at its step
     count.
+    Counts start as int8, the narrowest type of ``JACKSON_COUNTS``. A step
+    adds at most one customer to a station, so a block of ``size`` steps
+    cannot overflow while the largest count plus ``size`` fits the type.
+    A running bound, raised by each block's size, stands in for the
+    largest count; when it passes the type's largest value it is reset to
+    the largest count plus the block's size, and if that does not fit
+    either, the state is widened, before the block, to the narrowest type
+    that fits. Integer updates are exact in every type, so the states and
+    outputs are those of int32 counts.
     Before any chunk draws, a run is refused when a row's expected steps
     reach ``MAX_EVENTS_PER_CYCLE`` or its largest chunk's rows times those
     steps pass ``MAX_JACKSON_WORK``."""
@@ -852,8 +875,11 @@ def _make_jackson_sampler(spec: JacksonSpec):
             counts[i] += counts[i - 1]
         steps = np.empty_like(counts)
         steps[order] = counts
-        x = np.zeros((m, count), dtype=np.int32)
+        dtype, top = JACKSON_COUNTS[0]
+        x = np.zeros((m, count), dtype=dtype)
         flat = x.reshape(-1)
+        # an upper bound on every count in x, raised by each block
+        bound = 0
         refine = gen.spawn(1)[0]
         # visit the (coordinate, row) pairs in step order; the ones with no
         # step read the empty start
@@ -863,8 +889,18 @@ def _make_jackson_sampler(spec: JacksonSpec):
         last = len(ready) - 1
         block = max(1, JACKSON_BLOCK // count)
         for first in range(1, last + 1, block):
-            words = _jackson_words(gen, min(block, last + 1 - first), count)
-            _, masks = classify(words, refine)
+            size = min(block, last + 1 - first)
+            # a step adds at most one customer to a station
+            bound += size
+            if bound > top:
+                bound = int(x.max()) + size
+                if bound > top:
+                    dtype, top = next(c for c in JACKSON_COUNTS
+                                      if c[1] >= bound)
+                    x = x.astype(dtype)
+                    flat = x.reshape(-1)
+            words = _jackson_words(gen, size, count)
+            _, masks = classify(words, refine, dtype)
             for step, mask in enumerate(masks, first):
                 fire(x, mask)
                 lo, hi = ready[step - 1], ready[step]

@@ -657,6 +657,35 @@ def test_jackson_sampler_states_do_not_depend_on_block_edges(spec, chunk,
         assert a.tobytes() == b.tobytes()
 
 
+# stations near saturation, where a few rows of a few thousand pass 127
+# customers, the largest count of the sampler's narrowest type
+SATURATED = {
+    "single": (JacksonSpec(arrival_rates=(0.97,), service_rates=(1.0,),
+                           routing=((0.0,),)), (3000.0,)),
+    "tandem": (JacksonSpec(arrival_rates=(0.96, 0.0),
+                           service_rates=(1.0, 1.0),
+                           routing=((0.0, 1.0), (0.0, 0.0))),
+               (3000.0, 2500.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SATURATED))
+def test_jackson_sampler_widens_its_counts_bit_for_bit(name, monkeypatch):
+    spec, taus = SATURATED[name]
+    taus = np.asarray(taus)
+    n = 3000
+    slow = engine.chunked_sampler(jackson_chunk_states(spec), 16384)(
+        taus, n, 137, (1003,), 1)
+    assert max(b.max() for b in slow) > 127
+    fast = build_jackson(spec).joint_state_sampler(taus, n, 137, (1003,), 1)
+    # blocks of 5 steps, so the widening falls on another block edge
+    monkeypatch.setattr(models, "JACKSON_BLOCK", 5 * n)
+    fives = build_jackson(spec).joint_state_sampler(taus, n, 137, (1003,), 1)
+    for a, b, c in zip(fast, fives, slow):
+        assert a.shape == (n, 1)
+        assert a.tobytes() == b.tobytes() == c.tobytes()
+
+
 def jackson_rates(spec: JacksonSpec) -> np.ndarray:
     """The nonzero event rates in the order of the sampler's table:
     arrivals, then each station's service rate split by its routing row."""
@@ -677,7 +706,8 @@ def test_jackson_event_codes_follow_the_rates(spec):
     p = jackson_rates(spec) / total
     counts = np.zeros(len(p), dtype=np.int64)
     for _ in range(16):
-        code, _ = classify(models._jackson_words(gen, 64, 1024), refine)
+        code, _ = classify(models._jackson_words(gen, 64, 1024), refine,
+                           np.int32)
         counts += np.bincount(code.ravel(), minlength=len(p))
     n = 16 * 64 * 1024
     assert np.all(np.abs(counts - n * p) <= 4.0 * np.sqrt(n * p * (1 - p)))
@@ -692,7 +722,7 @@ def test_jackson_cut_on_the_word_grid_draws_no_refinement():
     refine = substream(135, 1)
     before = refine.bit_generator.state
     words = models._jackson_words(gen, 16, 1 << 16)
-    code, _ = classify(words, refine)
+    code, _ = classify(words, refine, np.int32)
     assert refine.bit_generator.state == before
     assert np.array_equal(code, words >= 16384)
 
@@ -705,14 +735,47 @@ def test_jackson_straddling_word_splits_by_the_cut_fraction():
     _, _, classify, _ = models._jackson_events(spec)
     refine = substream(136, 0)
     words = np.full((4, 25_000), 21845, dtype=np.uint16)
-    code, masks = classify(words, refine)
+    code, masks = classify(words, refine, np.int32)
     n, want = words.size, 2.0 / 3.0
     assert abs(code.mean() - want) <= 4.0 * math.sqrt(want * (1 - want) / n)
     assert np.array_equal(masks[:, 1], code)
     # its neighbours sit wholly on either side of the cut
     for word, event in ((21844, 0), (21846, 1)):
-        code, _ = classify(np.full((1, 8), word, dtype=np.uint16), refine)
+        code, _ = classify(np.full((1, 8), word, dtype=np.uint16), refine,
+                           np.int32)
         assert np.all(code == event)
+
+
+def test_jackson_count_types_widen_to_their_own_maxima():
+    types = [t for t, _ in models.JACKSON_COUNTS]
+    assert types == [np.int8, np.int16, np.int32]
+    assert [top for _, top in models.JACKSON_COUNTS] == [
+        np.iinfo(t).max for t in types]
+
+
+# rates 1 and 2: the one cut point, 2^16 / 3, falls inside the word 21845
+STRADDLE = JacksonSpec(arrival_rates=(1.0,), service_rates=(2.0,),
+                       routing=((0.0,),))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
+@pytest.mark.parametrize("spec", [TANDEM, FEEDBACK_3, STRADDLE],
+                         ids=["tandem", "feedback_3", "straddle"])
+def test_jackson_masks_are_one_hot_on_the_event_code(spec, dtype):
+    _, src, classify, _ = models._jackson_events(spec)
+    words = models._jackson_words(substream(138, 0), 16, 4096)
+    # every other step's words straddle the rate-1/rate-2 cut
+    words[::2] = 21845
+    code, masks = classify(words, substream(138, 1), dtype)
+    assert masks.dtype == dtype
+    assert masks.shape == (16, len(src), 4096)
+    assert np.all(masks.sum(axis=1) == 1)
+    assert np.array_equal(masks.argmax(axis=1), code)
+    # the same words and refinement stream give the same codes in any type
+    wide, _ = classify(words, substream(138, 1), np.int32)
+    assert np.array_equal(code, wide)
+    if spec is STRADDLE:
+        assert set(np.unique(code[::2])) == {0, 1}
 
 
 def test_dependent_cycles_flow_through_fast_sampler():
