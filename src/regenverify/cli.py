@@ -24,8 +24,8 @@ from .config import (ScenarioConfig, canonical_json, load_scenario,
                      scenario_to_json)
 from .engine import (RegenModel, default_burn_in, exp_neg,
                      renewal_reward_estimate, require_cycle_budget,
-                     require_horizon, sample_states, thread_count,
-                     time_average_estimate)
+                     require_horizon, require_window_budget, sample_states,
+                     thread_count, time_average_estimate)
 from .errors import (ArithmeticCyclesWarning, BudgetExceededError,
                      ConfigurationError)
 from .models import StatusSpec, build_model, pi_closed_form
@@ -100,10 +100,19 @@ def _report(cfg: ScenarioConfig, passed: bool, line: str, files: dict,
     return EXIT_OK if passed else fail
 
 
-def _sweep_refusals(run) -> None:
-    """What verify-independence refuses before drawing: a short run is a
-    configuration error whatever the schedule."""
+def _sweep_refusals(cfg: ScenarioConfig, model: RegenModel) -> float:
+    """What verify-independence refuses before drawing: a short run, which
+    is a configuration error whatever the schedule, and a window over
+    ``require_window_budget`` at the quantile pre-pass's burn-in or at the
+    last grid time, where every schedule is at its largest. Returns the
+    burn-in: ``run.burn_in``, or ``default_burn_in``."""
+    run = cfg.run
     require_replications(run.replications)
+    burn = run.burn_in if run.burn_in is not None else default_burn_in(model)
+    if run.test_functions == "quantile_indicators":
+        require_window_budget(model, [burn] * model.dimension)
+    require_window_budget(model, cfg.schedule.values(run.t_grid[-1]))
+    return burn
 
 
 def _stationary_refusals(run, model: RegenModel) -> float:
@@ -134,7 +143,7 @@ def cmd_validate(args) -> int:
     cfg = _load(args)
     model = _build(cfg.model)
     if cfg.schedule is not None:
-        _sweep_refusals(cfg.run)
+        _sweep_refusals(cfg, model)
     if cfg.run.g is not None:
         _stationary_refusals(cfg.run, model)
     print(canonical_json(scenario_to_json(cfg)))
@@ -148,7 +157,7 @@ def cmd_verify_independence(args) -> int:
                                  "section", "schedule")
     model = _build(cfg.model)
     # reject a short run before the quantile pre-pass pays for it
-    _sweep_refusals(cfg.run)
+    burn = _sweep_refusals(cfg, model)
     run = cfg.run
     seed = run.seed
     threads = thread_count()
@@ -163,7 +172,6 @@ def cmd_verify_independence(args) -> int:
                               "hypothesis": verdict.to_json_dict()}},
             fail=EXIT_HYPOTHESIS)
 
-    burn = run.burn_in if run.burn_in is not None else default_burn_in(model)
     if run.test_functions == "exp_decay":
         f_tuples = [("exp", tuple(exp_neg() for _ in range(model.dimension)))]
     else:

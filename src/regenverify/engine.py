@@ -296,7 +296,9 @@ class RegenModel:
     i.i.d. vector drives each joint cycle; the coupling across coordinates
     is read only there. ``cycle_generator(gen)`` draws one joint cycle as a
     tuple of per coordinate :class:`CyclePath`; it is the reference the
-    test suite cross-checks the other two against.
+    test suite cross-checks the other two against. ``event_rates``, when
+    given, are the jumps per unit time that coordinate ``i``'s window
+    state draws in each replication besides its cycles.
     """
 
     state_dims: tuple[int, ...]
@@ -304,6 +306,7 @@ class RegenModel:
     cycle_generator: Callable[[np.random.Generator], tuple[CyclePath, ...]]
     joint_state_sampler: JointStateSampler
     cycle_batch: Callable[[int, np.random.Generator, int], CycleBatch]
+    event_rates: tuple[float, ...] = ()
 
     @property
     def dimension(self) -> int:
@@ -581,41 +584,54 @@ def bridge_window_sampler(dep, laws, state) -> JointStateSampler:
     :func:`bridge_processes` accepts, reading coordinate ``i`` in its
     straddling cycle without drawing the cycles before it.
 
-    Coordinate ``i`` reads its process G at the level ``tau_i * rate_i``:
-    its straddling cycle is the increment (G_{n-1}, G_n] holding the level.
-    A process whose shape is an integer k takes :func:`_poisson_cycles`, an
-    O(1) draw per row and level from the Poisson count of the points below
-    the level; any other shape takes :func:`_bisected_cycles`. Both visit a
-    process's levels so that the joint law of comonotone straddling cycles
-    is exact. ``state(i, age, length, gen)`` fills the straddling cycle.
+    Coordinate ``i`` reads its process G at the level ``tau_i * rate_i``,
+    the same in every row: its straddling cycle is the increment
+    (G_{n-1}, G_n] holding the level, drawn by :func:`straddling_cycles`.
+    ``state(i, age, length, gen)`` fills the straddling cycle.
     """
     groups = bridge_processes(dep, laws)
     rates = np.array([sp.rate for sp in laws])
-    shapes = np.array([1.0 if sp.kind == "exponential" else sp.shape
-                       for sp in laws])
 
     def chunk_states(gen: np.random.Generator, count: int,
                      taus: np.ndarray) -> list[np.ndarray]:
-        levels = taus * rates
+        levels = (taus * rates)[:, None]
         out = [None] * len(laws)
-        for coords in groups:
-            shape = float(shapes[coords[0]])
-            cycles = (_poisson_cycles if shape.is_integer()
-                      else _bisected_cycles)
-            for i, lo, hi in cycles(gen, count, shape, coords, levels):
-                length = (hi - lo) / rates[i]
-                # the level difference can round a hair past the cycle end
-                age = np.minimum((levels[i] - lo) / rates[i],
-                                 np.nextafter(length, 0.0))
-                out[i] = state(i, age, length, gen)
+        for i, lo, hi in straddling_cycles(gen, count, groups, laws, levels):
+            length = (hi - lo) / rates[i]
+            # the level difference can round a hair past the cycle end
+            age = np.minimum((levels[i] - lo) / rates[i],
+                             np.nextafter(length, 0.0))
+            out[i] = state(i, age, length, gen)
         return out
 
     return chunked_sampler(chunk_states, WINDOW_CHUNK)
 
 
+def straddling_cycles(gen: np.random.Generator, count: int, groups, laws,
+                      levels: np.ndarray):
+    """Yield ``(i, lo, hi)`` for every coordinate ``i`` of ``groups``, the
+    coordinates reading each process as :func:`bridge_processes` returns
+    them: the ends G_{n-1} <= levels[i] < G_n, one per row, of the
+    straddling cycle of the unit-rate gamma process that coordinate ``i``
+    reads. ``levels`` has one row per coordinate and one column per
+    replication, or a single column that every replication shares.
+
+    A process whose shape is an integer k takes :func:`_poisson_cycles`, an
+    O(1) draw per row and level from the Poisson count of the points below
+    the level; any other shape takes :func:`_bisected_cycles`. Both visit a
+    process's levels so that the joint law of comonotone straddling cycles
+    is exact.
+    """
+    for coords in groups:
+        law = laws[coords[0]]
+        shape = 1.0 if law.kind == "exponential" else float(law.shape)
+        cycles = _poisson_cycles if shape.is_integer() else _bisected_cycles
+        yield from cycles(gen, count, shape, coords, levels)
+
+
 def _poisson_cycles(gen: np.random.Generator, count: int, shape: float,
                     coords: list[int], levels: np.ndarray):
-    """Yield ``(i, lo, hi)``, the ends G_{n-1} <= level_i < G_n of each
+    """Yield ``(i, lo, hi)``, the ends G_{n-1} <= levels[i] < G_n of each
     row's straddling cycle, for a gamma process of integer shape k.
 
     Its points G_n are every k-th point of a unit-rate Poisson process. At
@@ -623,22 +639,35 @@ def _poisson_cycles(gen: np.random.Generator, count: int, shape: float,
     J = N mod k of them in the straddling cycle. Given N the points are
     uniform order statistics on [0, L] (Kingman, 1993), so the age is
     L * X / (X + Y), X ~ Gamma(J + 1) and Y ~ Gamma(N - J), or L when
-    N < k; the residual is Gamma(k - J) by memorylessness. Levels are
-    visited in ascending order: a level below the end of the row's last
-    cycle reads that cycle, and one at or past it restarts the process at
-    that renewal epoch. Each row draws at most four variates per level.
+    N < k; the residual is Gamma(k - J) by memorylessness. Each row visits
+    its own levels in ascending order, ties in the order of ``coords``: a
+    level below the end of the row's last cycle reads that cycle, and one
+    at or past it restarts the process at that renewal epoch. Each row
+    draws at most four variates per level. A coordinate is yielded once
+    every row has visited its level, so levels that every row shares are
+    visited, and yielded, one coordinate at a time.
     """
     k = int(shape)
     budget = DEFAULT_CYCLE_BUDGET
+    own = levels[coords]
+    # the visit at which each row reads each position of coords
+    rank = np.argsort(np.argsort(own, axis=0, kind="stable"), axis=0,
+                      kind="stable")
+    last = rank.max(axis=1)
+    ends = np.empty((2, len(coords), count))
     lo = np.zeros(count)
     hi = np.zeros(count)
     # cycles ended before each row's current one; the origin ends cycle -1
     ended = np.full(count, -1, dtype=np.int64)
-    for i in sorted(coords, key=lambda i: levels[i]):
-        level = levels[i]
+    for visit in range(len(coords)):
+        now = rank == visit
+        # the one level each row reads now; levels are >= 0
+        level = np.broadcast_to(own.max(axis=0, where=now, initial=0.0),
+                                (count,))
         fresh = np.flatnonzero(hi <= level)
         if fresh.size:
-            span = level - hi[fresh]
+            start = level[fresh]
+            span = start - hi[fresh]
             n = gen.poisson(span)
             j = n % k
             ended[fresh] += 1 + n // k
@@ -650,28 +679,31 @@ def _poisson_cycles(gen: np.random.Generator, count: int, shape: float,
             # from the stream
             y = gen.standard_gamma((n - j).astype(float))
             split = np.divide(x, x + y, out=np.ones_like(x), where=y > 0.0)
-            lo[fresh] = level - span * split
-            hi[fresh] = level + gen.standard_gamma(k - j.astype(float))
-        yield i, lo, hi
+            lo[fresh] = start - span * split
+            hi[fresh] = start + gen.standard_gamma(k - j.astype(float))
+        np.copyto(ends[0], lo, where=now)
+        np.copyto(ends[1], hi, where=now)
+        for p in np.flatnonzero(last == visit):
+            yield coords[p], ends[0, p], ends[1, p]
 
 
 def _bisected_cycles(gen: np.random.Generator, count: int, shape: float,
                      coords: list[int], levels: np.ndarray):
-    """Yield ``(i, lo, hi)``, the ends G_{n-1} <= level_i < G_n of each
+    """Yield ``(i, lo, hi)``, the ends G_{n-1} <= levels[i] < G_n of each
     row's straddling cycle, for a gamma process of any shape.
 
-    Draws G_K, a Gamma(K * shape) block sum past every level, and bisects
-    the bracket G_lo <= level < G_hi on the cycle index with G_mid = G_lo +
-    (G_hi - G_lo) * Beta((mid - lo) * shape, (hi - mid) * shape), the exact
-    law of a gamma sum split at ``mid`` (Devroye, 1986, ch. IX), in about
-    log2(level / shape) steps. Bridges between drawn points are
-    independent, so a level starts from the tightest bracket among the
-    points earlier levels drew.
+    Draws G_K, a Gamma(K * shape) block sum past every level of its row,
+    and bisects the bracket G_lo <= level < G_hi on the cycle index with
+    G_mid = G_lo + (G_hi - G_lo) * Beta((mid - lo) * shape, (hi - mid) *
+    shape), the exact law of a gamma sum split at ``mid`` (Devroye, 1986,
+    ch. IX), in about log2(level / shape) steps. Bridges between drawn
+    points are independent, so a level starts from the tightest bracket
+    among the points earlier levels drew, whatever the order of the levels.
     """
     budget = DEFAULT_CYCLE_BUDGET
     rows = np.arange(count)
-    top = float(levels[coords].max())
-    mean = top / shape
+    top = np.broadcast_to(levels[coords].max(axis=0), (count,))
+    mean = float(top.max()) / shape
     k = min(int(mean + BRIDGE_SPREAD * math.sqrt(mean)) + 2, budget)
     # the points of G drawn so far, one column per draw; a row that a draw
     # skips repeats a point it already has
@@ -686,7 +718,7 @@ def _bisected_cycles(gen: np.random.Generator, count: int, shape: float,
         if np.any(reach >= budget):
             raise BudgetExceededError(f"stationary window exceeded "
                                       f"{budget} cycles")
-        left = (top - value[-1][short]) / shape
+        left = (top[short] - value[-1][short]) / shape
         more = np.minimum(
             (left + BRIDGE_SPREAD * np.sqrt(left)).astype(np.int64) + 2,
             budget - reach)
@@ -698,7 +730,7 @@ def _bisected_cycles(gen: np.random.Generator, count: int, shape: float,
         level = levels[i]
         known_i = np.column_stack(index)
         known_v = np.column_stack(value)
-        below = known_v <= level
+        below = known_v <= level[:, None]
         lo_col = np.where(below, known_i, -1).argmax(axis=1)
         hi_col = np.where(below, budget + 1, known_i).argmin(axis=1)
         lo_i, lo_v = known_i[rows, lo_col], known_v[rows, lo_col]
@@ -736,15 +768,31 @@ def default_burn_in(model: RegenModel) -> float:
     return max(1000.0, 100.0 * max(model.cycle_means))
 
 
+def require_window_budget(model: RegenModel, times) -> None:
+    """Refuse a window at ``times`` in which some coordinate expects
+    ``DEFAULT_CYCLE_BUDGET`` cycles (``int(times[i] / cycle_means[i])``
+    reaches it) or, for a model with ``event_rates``, as many jumps
+    (``event_rates[i] * times[i]`` reaches it) per replication, before
+    any is drawn."""
+    budget = DEFAULT_CYCLE_BUDGET
+    times = np.asarray(times, dtype=float)
+    if int(np.max(times / np.asarray(model.cycle_means))) >= budget:
+        raise BudgetExceededError(f"stationary window exceeded {budget} "
+                                  f"cycles")
+    if (model.event_rates
+            and np.max(times * np.asarray(model.event_rates)) >= budget):
+        raise BudgetExceededError(f"stationary window expects {budget} or "
+                                  f"more jumps per replication")
+
+
 def sample_states(model: RegenModel, times, n: int, seed: int, *,
                   base_key: tuple[int, ...] = (1003,),
                   threads: int | None = None) -> list[np.ndarray]:
     """``n`` i.i.d. joint observations, coordinate ``i`` at ``times[i]``,
     from the model's vectorised sampler.
 
-    Returns one (n, state_dim_i) array per coordinate. A run whose
-    expected cycle count ``max times[i] / cycle_means[i]`` reaches
-    ``DEFAULT_CYCLE_BUDGET`` is refused before the sampler draws.
+    Returns one (n, state_dim_i) array per coordinate. A run over
+    :func:`require_window_budget` is refused before the sampler draws.
     """
     if n < 1:
         raise ValueError("need at least 1 replication")
@@ -754,9 +802,6 @@ def sample_states(model: RegenModel, times, n: int, seed: int, *,
     # written so that NaN fails the check too
     if not np.all((times >= 0.0) & (times < math.inf)):
         raise ValueError("observation times must be finite and nonnegative")
-    budget = DEFAULT_CYCLE_BUDGET
-    if int(np.max(times / np.asarray(model.cycle_means))) >= budget:
-        raise BudgetExceededError(f"stationary window exceeded {budget} "
-                                  f"cycles")
+    require_window_budget(model, times)
     return model.joint_state_sampler(times, int(n), int(seed),
                                      tuple(base_key), thread_count(threads))

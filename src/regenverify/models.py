@@ -17,7 +17,10 @@ into its :class:`CycleBatch`. :func:`_vector_batch` makes the
 ``cycle_batch`` of it, and the window samplers read it too: renewal
 families build it for the straddling cycles alone and read them at their
 ages (:func:`_renewal_window` on the bridge or round sampler), Levy queues
-for every cycle of a round of :func:`engine.window_sampler`. Jackson
+for every cycle of a round of :func:`engine.window_sampler` unless the
+bridge accepts their restart levels: then the window state is the free
+path reflected at its infimum plus the residual restart level there
+(:func:`_levy_window`), and no busy period is drawn. Jackson
 networks' batch and sampler drive one step of uniformised transitions
 (:func:`_jackson_events`): masked updates of a station-major state, one
 16-bit random word per chain and step picking its event exactly (a word
@@ -44,14 +47,18 @@ import numpy as np
 
 from .errors import (ArithmeticCyclesWarning, BudgetExceededError,
                      ConfigurationError, error_path)
-from .engine import (CycleBatch, CyclePath, RegenModel, bridge_processes,
-                     bridge_window_sampler, chunked_sampler, linear_path,
-                     window_sampler)
+from .engine import (WINDOW_CHUNK, CycleBatch, CyclePath, RegenModel,
+                     bridge_processes, bridge_window_sampler, chunked_sampler,
+                     linear_path, straddling_cycles, window_sampler)
 from .randomness import (DependenceSpec, MarginalSpec, effective_arithmetic,
                          effective_cycle_mean, sample_cycle_vectors)
 from .renewal import equilibrium_tail, mean_excess
 
 MAX_EVENTS_PER_CYCLE = 10_000_000
+# most jump-time spacings one block of Levy free paths draws, unless the
+# block is one replication: below engine.WINDOW_ELEMENTS, and small enough
+# that a block's arrays stay in cache
+FREE_PATH_BLOCK = 1 << 16
 # most row-steps the Jackson sampler classifies at once, one 16-bit word each
 JACKSON_BLOCK = 1 << 16
 # rows per chunk of the Jackson sampler
@@ -253,6 +260,91 @@ def _levy_batch(coord: LevyQueueCoordinate, start_levels: np.ndarray,
                       lengths)
 
 
+def _free_paths(coord: LevyQueueCoordinate, tau: float, count: int,
+                gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` free paths Y(s) of one coordinate, its jumps up to ``s``
+    minus ``s``, to time ``tau``: each row's depth D = -inf_{s<=tau} Y(s)
+    and its reflected end Y(tau) + D. Every row draws its Poisson jump
+    count first; :func:`_reflected_walks` then draws the rest a block of
+    consecutive rows at a time, each block's N + 1 spacings per row
+    summing to at most ``FREE_PATH_BLOCK`` unless the block is one row.
+    The blocks depend on the counts alone, never on the thread count."""
+    if coord.jump_rate == 0.0:
+        return np.full(count, tau), np.zeros(count)
+    jumps = gen.poisson(coord.jump_rate * tau, count)
+    ends = np.cumsum(jumps + 1)
+    depth = np.empty(count)
+    lifted = np.empty(count)
+    lo = 0
+    while lo < count:
+        cap = (ends[lo - 1] if lo else 0) + FREE_PATH_BLOCK
+        hi = max(int(np.searchsorted(ends, cap, side="right")), lo + 1)
+        depth[lo:hi], lifted[lo:hi] = _reflected_walks(coord, tau,
+                                                       jumps[lo:hi], gen)
+        lo = hi
+    return depth, lifted
+
+
+def _reflected_walks(coord: LevyQueueCoordinate, tau: float,
+                     jumps: np.ndarray, gen: np.random.Generator
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Depth and reflected end of free paths with ``jumps`` jumps by
+    ``tau``. Given its count N, a row's jump times are uniform order
+    statistics on [0, tau], drawn without a sort as the partial sums of
+    N + 1 exponential spacings scaled to sum to ``tau``. The infimum of Y is
+    reached just before a jump or at ``tau``, so D is the largest of
+    t_k - S_{k-1}, k = 1..N+1, with S the jump sizes so far and t_{N+1} =
+    ``tau``: the walk of steps ``tau * E_k / sum E - X_{k-1}`` (X_0 = 0),
+    which ends at -Y(tau). Sizes are drawn for every step and the first of
+    each row's is dropped, which costs one draw per row and spares a
+    masked update of every step."""
+    segs = jumps + 1
+    offsets = np.cumsum(segs) - segs
+    steps = gen.standard_exponential(int(segs.sum()))
+    steps *= np.repeat(tau / np.add.reduceat(steps, offsets), segs)
+    sizes = np.asarray(coord.jump_size.sample(gen, steps.size), dtype=float)
+    sizes[offsets] = 0.0
+    steps -= sizes
+    # one cumsum over every row: a row's walk is its stretch less the sum
+    # before it, and offsets[0] - 1 reads the end, replaced by 0
+    walk = np.cumsum(steps, out=steps)
+    before = walk[offsets - 1]
+    before[0] = 0.0
+    top = np.maximum.reduceat(walk, offsets)
+    return top - before, top - walk[offsets + jumps]
+
+
+def _levy_window(coords, restarts, groups):
+    """Stationary-window sampler of Levy queues whose restart levels
+    :func:`bridge_processes` accepts (``groups``), drawing no busy period.
+
+    With Y_i coordinate i's free process and G^i_n = U^i_1 + ... + U^i_n
+    the sums of its restart levels, the workload at tau is
+    W_i = (G^i_n - D_i) + (Y_i(tau) + D_i), with D_i = -inf_{s<=tau}
+    Y_i(s) and n the first index with G^i_n > D_i: the residual of the
+    restart-level process at level D_i plus the free process reflected at
+    its infimum, the Fuhrmann-Cooper decomposition at a finite time
+    (Fuhrmann & Cooper, 1985). The Y_i are independent and the coupling
+    enters only through G, so each chunk draws every coordinate's free
+    paths (:func:`_free_paths`), then the straddling cycles of G at the
+    levels D_i * rate_i (:func:`engine.straddling_cycles`)."""
+    rates = np.array([sp.rate for sp in restarts])[:, None]
+
+    def chunk_states(gen: np.random.Generator, count: int,
+                     taus: np.ndarray) -> list[np.ndarray]:
+        depth = np.empty((len(coords), count))
+        out = np.empty((len(coords), count))
+        for i, coord in enumerate(coords):
+            depth[i], out[i] = _free_paths(coord, float(taus[i]), count, gen)
+        levels = depth * rates
+        for i, _, hi in straddling_cycles(gen, count, groups, restarts,
+                                          levels):
+            out[i] += (hi - levels[i]) / rates[i]
+        return [row[:, None] for row in out]
+
+    return chunked_sampler(chunk_states, WINDOW_CHUNK)
+
+
 def build_levy_queue(spec: LevyQueueSpec) -> RegenModel:
     spec.validate()
     coords = spec.coordinates
@@ -281,10 +373,15 @@ def build_levy_queue(spec: LevyQueueSpec) -> RegenModel:
         batch = cycles(i, levels, gen)
         return batch.lengths, batch.at
 
-    sampler = window_sampler(dep, restarts, expand, means,
-                             (1,) * len(coords))
+    groups = bridge_processes(dep, restarts)
+    if groups is None:
+        sampler = window_sampler(dep, restarts, expand, means,
+                                 (1,) * len(coords))
+    else:
+        sampler = _levy_window(coords, restarts, groups)
     return RegenModel((1,) * len(coords), means, generate, sampler,
-                      _vector_batch(dep, restarts, cycles))
+                      _vector_batch(dep, restarts, cycles),
+                      tuple(c.jump_rate for c in coords))
 
 
 # ---------------------------------------------------------------------------

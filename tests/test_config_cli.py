@@ -592,7 +592,8 @@ def refused_overrides(obj: dict) -> tuple[str, list]:
             ("short-horizon", {"horizon": 1.0}, [])]
     if "schedule" in obj:
         return "verify-independence", cases + [
-            ("too-few-replications", {}, ["--reps", "999"])]
+            ("too-few-replications", {}, ["--reps", "999"]),
+            ("over-window-budget", {"t_grid": [10.0, 100.0, 1e12]}, [])]
     return "status-pi", cases
 
 
@@ -623,6 +624,26 @@ def test_validate_refuses_what_the_command_refuses(tmp_path, capsys,
     assert codes[0] in (EXIT_CONFIG, EXIT_BUDGET), errors[0]
     assert codes[1] == codes[0]
     assert errors[1] == errors[0]
+    assert not (tmp_path / "res").exists()
+
+
+def test_validate_refuses_the_levy_jump_budget(tmp_path, capsys,
+                                               monkeypatch):
+    # restart levels of mean 10^4 keep both coordinates under 10^4 cycles
+    # at t = 10^8, where they expect 5 * 10^7 and 2.5 * 10^7 jumps
+    for stage in ("quantile_indicator_tuples", "convergence_sweep",
+                  "sample_states"):
+        monkeypatch.setattr(cli, stage, refuse)
+    obj = json.loads((CONFIG_DIR / "levy_parallel.json").read_text())
+    for coord in obj["model"]["coordinates"]:
+        coord["restart_level"]["rate"] = 1e-4
+    obj["run"]["t_grid"] = [10.0, 100.0, 1e8]
+    obj["output"]["directory"] = str(tmp_path / "res")
+    path = write_config(tmp_path, obj)
+    for command in ("verify-independence", "validate"):
+        assert main([command, "--config", str(path)]) == EXIT_BUDGET
+        assert ("ERROR budget: stationary window expects 10000000 or more "
+                "jumps per replication" in capsys.readouterr().err), command
     assert not (tmp_path / "res").exists()
 
 

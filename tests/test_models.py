@@ -228,6 +228,15 @@ def test_levy_batch_event_budget_enforced(monkeypatch):
                                            jump_size=EXP1))
     with pytest.raises(BudgetExceededError):
         model.cycle_batch(0, substream(106, 0), 1000)
+
+
+def test_levy_round_sampler_event_budget_enforced(monkeypatch,
+                                                  round_sampler):
+    # only the round sampler walks busy periods, so only it reads the
+    # per-cycle event budget
+    monkeypatch.setattr(models, "MAX_EVENTS_PER_CYCLE", 2)
+    model = levy_model(LevyQueueCoordinate(restart_level=EXP1, jump_rate=0.9,
+                                           jump_size=EXP1))
     with pytest.raises(BudgetExceededError):
         sample_states(model, [50.0], 1000, seed=106)
 
@@ -836,9 +845,9 @@ def spy_on_draws(monkeypatch) -> list[tuple[int, int]]:
 
 @pytest.fixture
 def round_sampler(monkeypatch):
-    """Renewal families built while this is active take the round sampler
-    (``engine.window_sampler``) on any laws, as copulas, common shocks and
-    laws outside the rate families always do."""
+    """Renewal families and Levy queues built while this is active take the
+    round sampler (``engine.window_sampler``) on any laws, as copulas,
+    common shocks and laws outside the rate families always do."""
     monkeypatch.setattr(models, "bridge_processes", lambda dep, laws: None)
 
 
@@ -1204,6 +1213,102 @@ def test_bridge_budget_enforced(monkeypatch):
     with pytest.raises(BudgetExceededError, match="100 cycles"):
         sample_states(model, [90.0, 90.0], 1000, seed=124)
     assert opened
+
+
+# ---------------------------------------------------------------------------
+# the Levy decomposition sampler
+
+
+def levy_pair(restarts, jumps=(EXP1, EXP1)):
+    """Coordinates with jump rates 0.5 and 0.25, loads 1/2 and 1/4 for
+    unit-mean jumps."""
+    return tuple(LevyQueueCoordinate(restart_level=u, jump_rate=rate,
+                                     jump_size=x)
+                 for u, rate, x in zip(restarts, (0.5, 0.25), jumps))
+
+
+@pytest.mark.parametrize("dep, coords", [
+    (DependenceSpec.comonotone(), LEVY_SWEEP),
+    (DependenceSpec.comonotone(),
+     levy_pair((GAMMA_2_1, MarginalSpec.gamma(2.0, 2.0)))),
+    # shape 2.5 takes the bisection
+    (DependenceSpec.comonotone(),
+     levy_pair((MarginalSpec.gamma(2.5, 1.0), MarginalSpec.gamma(2.5, 2.0)))),
+    (DependenceSpec.independent(),
+     levy_pair((GAMMA_2_1, MarginalSpec.exponential(0.5)),
+               (EXP1, MarginalSpec.gamma(2.0, 2.0)))),
+    (DependenceSpec.comonotone(),
+     levy_pair((EXP1, MarginalSpec.exponential(0.5)),
+               (MarginalSpec.shifted_uniform(0.2, 1.8), EXP1))),
+], ids=["comonotone_exp", "comonotone_gamma_2", "comonotone_gamma_2_5",
+        "independent_gamma_jumps", "comonotone_uniform_jumps"])
+def test_levy_decomposition_matches_round_sampler(dep, coords, round_sampler):
+    restarts = tuple(c.restart_level for c in coords)
+    groups = engine.bridge_processes(dep, restarts)
+    assert groups is not None
+    n = 4000
+    # D_0 and D_1 / 2 are both near 10: rows visit the shared process's
+    # levels in either order
+    taus = np.array([20.0, 26.0])
+    fast = models._levy_window(coords, restarts, groups)(
+        taus, n, 150, (1003,), 1)
+    walk = sample_states(levy_model(*coords, dependence=dep), taus, n,
+                         seed=151)
+    for a, b in zip(fast, walk):
+        assert a.shape == (n, 1)
+        assert two_sample_ks(a[:, 0], b[:, 0]) < ks_critical(n)
+    # the coupling: both coordinates at most their medians
+    medians = [np.median(b[:, 0]) for b in walk]
+    p_fast, p_walk = (np.mean((s[0][:, 0] <= medians[0])
+                              & (s[1][:, 0] <= medians[1]))
+                      for s in (fast, walk))
+    se = math.sqrt((p_fast * (1.0 - p_fast) + p_walk * (1.0 - p_walk)) / n)
+    assert abs(p_fast - p_walk) <= 4.0 * se
+
+
+def test_levy_window_mean_matches_fuhrmann_cooper():
+    # at tau = 1000 the window state is stationary: the Pollaczek-Khinchine
+    # workload plus the equilibrium restart level, E exp(-W) = 1/3 and 2/7
+    # (test_levy_second_coordinate_matches_fuhrmann_cooper)
+    model = levy_model(*LEVY_SWEEP, dependence=DependenceSpec.comonotone())
+    n = 20_000
+    states = sample_states(model, [1000.0, 1000.0], n, seed=152)
+    for column, want in zip(states, (1.0 / 3.0, 2.0 / 7.0)):
+        decay = np.exp(-column[:, 0])
+        assert abs(decay.mean() - want) <= 4.0 * decay.std() / math.sqrt(n)
+
+
+def test_levy_decomposition_budgets(monkeypatch):
+    # restart levels of mean 1000 keep the cycle count low, so only the
+    # jumps reach the budget
+    coord = LevyQueueCoordinate(restart_level=MarginalSpec.exponential(1e-3),
+                                jump_rate=0.5, jump_size=EXP1)
+    model = levy_model(coord)
+    monkeypatch.setattr(engine, "DEFAULT_CYCLE_BUDGET", 100)
+    opened = []
+    stream = engine.substream
+    monkeypatch.setattr(engine, "substream",
+                        lambda *key: opened.append(key) or stream(*key))
+    with pytest.raises(BudgetExceededError, match="100 or more jumps"):
+        sample_states(model, [200.0], 1000, seed=153)
+    assert opened == []
+    monkeypatch.undo()
+    # a small block bound splits each chunk's free paths into blocks
+    monkeypatch.setattr(models, "FREE_PATH_BLOCK", 500)
+    blocks = []
+    walks = models._reflected_walks
+
+    def spy(coord, tau, jumps, gen):
+        blocks.append(jumps)
+        return walks(coord, tau, jumps, gen)
+
+    monkeypatch.setattr(models, "_reflected_walks", spy)
+    n = engine.WINDOW_CHUNK + 904
+    sample_states(model, [100.0], n, seed=153)
+    assert len(blocks) > 100
+    assert sum(len(jumps) for jumps in blocks) == n
+    assert all(len(jumps) == 1 or np.sum(jumps + 1) <= 500
+               for jumps in blocks)
 
 
 # ---------------------------------------------------------------------------
