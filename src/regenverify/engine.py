@@ -8,8 +8,9 @@ state component (:class:`StateFunction`, which is also a scenario's
 stationary state sampling. Both stationary routes draw cycles in blocks of
 flat segment arrays (:class:`CycleBatch`) and integrate them in closed form;
 the cycle route keeps only running means and co-moments across blocks, so
-its memory does not depend on the number of cycles. The window sampler
-reads each coordinate in its straddling cycle.
+its memory does not depend on the number of cycles. The window samplers
+read each coordinate in its straddling cycle, which
+:func:`straddling_cycles` alone draws.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import numpy as np
 
 from .errors import BudgetExceededError, ConfigurationError
 from .randomness import (UNIT_RATE_KINDS, as_generator,
-                         sample_cycle_vectors, substream)
+                         effective_cycle_mean, sample_cycle_vectors,
+                         substream)
 
 DEFAULT_CYCLE_BUDGET = 10_000_000
 TIME_AVERAGE_BATCHES = 32
@@ -292,7 +294,7 @@ class RegenModel:
     coordinate ``i`` as one :class:`CycleBatch`; both stationary routes
     read cycles only through it, one coordinate at a time, so it builds no
     other coordinate's cycles. ``joint_state_sampler`` draws i.i.d.
-    stationary-window states, through :func:`window_sampler` where one
+    stationary-window states, through :func:`straddling_cycles` where one
     i.i.d. vector drives each joint cycle; the coupling across coordinates
     is read only there. ``cycle_generator(gen)`` draws one joint cycle as a
     tuple of per coordinate :class:`CyclePath`; it is the reference the
@@ -477,88 +479,6 @@ def chunked_sampler(chunk_states, chunk: int) -> JointStateSampler:
     return sampler
 
 
-def window_sampler(dep, laws, expand, cycle_means,
-                   state_dims) -> JointStateSampler:
-    """Stationary-window sampler for models whose joint cycle ``n`` is
-    driven by the ``n``-th i.i.d. vector drawn from ``laws`` under ``dep``.
-
-    Each round draws ``b`` vectors per row with a pending coordinate in one
-    call, cycle ``j`` of row ``r`` at index ``r * b + j``: the most cycles a
-    pending coordinate still expects plus a margin, capped at
-    ``WINDOW_ELEMENTS`` entries per round. ``expand(i, column, gen)`` turns
-    coordinate ``i``'s entries for its pending rows into cycle lengths and
-    ``fill(k, s)``, the states ``s`` into cycles ``k``. Epochs are
-    compensated sums of each round's row totals; only the rows whose window
-    closes in a round take running sums, to find the straddling cycle in
-    which the coordinate is read.
-    """
-    m = len(laws)
-    mu = np.asarray(cycle_means, dtype=float)
-
-    def chunk_states(gen: np.random.Generator, count: int,
-                     taus: np.ndarray) -> list[np.ndarray]:
-        # coordinate-major, one row of replications per coordinate
-        epochs = np.zeros((m, count))
-        comp = np.zeros((m, count))
-        # coordinate i of a row is pending while its last epoch is still
-        # <= tau_i, so a cycle ending exactly at tau_i is not the
-        # straddling one
-        pending = np.ones((m, count), dtype=bool)
-        out = [np.empty((count, d)) for d in state_dims]
-        drawn = 0
-        while pending.any():
-            rows = np.flatnonzero(pending.any(axis=0))
-            left = float(np.max(np.where(
-                pending[:, rows],
-                (taus[:, None] - epochs[:, rows]) / mu[:, None], 0.0)))
-            budget = DEFAULT_CYCLE_BUDGET
-            if drawn + int(left) >= budget:
-                raise BudgetExceededError(f"stationary window exceeded "
-                                          f"{budget} cycles")
-            b = max(1, min(int(left + math.sqrt(left)) + 2, budget - drawn,
-                           WINDOW_ELEMENTS // (rows.size * m)))
-            drawn += b
-            # coordinate i's entries as a (rows, b) block, contiguous when
-            # the draw is stored coordinate-major
-            draws = sample_cycle_vectors(dep, laws, gen, rows.size * b
-                                         ).T.reshape(m, rows.size, b)
-            for i in range(m):
-                sel = pending[i, rows]
-                r = rows[sel]
-                if not r.size:
-                    continue
-                column = draws[i] if r.size == rows.size else draws[i, sel]
-                # one coordinate's cycles at a time, released before the next
-                lengths, fill = expand(i, column.ravel(), gen)
-                lengths = lengths.reshape(r.size, b)
-                base = epochs[i, r]
-                y = lengths.sum(axis=1) - comp[i, r]
-                epochs[i, r] = top = base + y
-                comp[i, r] = (top - base) - y
-                hit = np.flatnonzero(top > taus[i])
-                if hit.size:
-                    # running epochs only in the rows whose window closes
-                    steps = lengths[hit]
-                    pos = np.cumsum(steps, axis=1)
-                    pos += base[hit, None]
-                    # the round ends at the compensated sum, so every hit
-                    # row crosses tau_i
-                    pos[:, -1] = top[hit]
-                    j = np.argmax(pos > taus[i], axis=1)
-                    rows_hit = np.arange(hit.size)
-                    before = np.where(j > 0, pos[rows_hit, j - 1], base[hit])
-                    # the epoch sum can round a hair past the true cycle end
-                    s = np.minimum(taus[i] - before,
-                                   np.nextafter(steps[rows_hit, j], 0.0))
-                    out[i][r[hit]] = fill(hit * b + j, s)
-                    pending[i, r[hit]] = False
-                    del steps, pos
-                del column, lengths, fill
-        return out
-
-    return chunked_sampler(chunk_states, WINDOW_CHUNK)
-
-
 def bridge_processes(dep, laws) -> list[list[int]] | None:
     """The coordinates reading each unit-rate gamma process, or None when
     the cycle lengths have no closed-form block sums.
@@ -579,24 +499,29 @@ def bridge_processes(dep, laws) -> list[list[int]] | None:
     return None
 
 
-def bridge_window_sampler(dep, laws, state) -> JointStateSampler:
-    """Stationary-window sampler for renewal cycles that
-    :func:`bridge_processes` accepts, reading coordinate ``i`` in its
-    straddling cycle without drawing the cycles before it.
+def level_rates(dep, laws) -> np.ndarray:
+    """The rate that turns coordinate ``i``'s times into its levels in
+    :func:`straddling_cycles`: its law's rate where
+    :func:`bridge_processes` accepts the laws, whose gamma processes run at
+    unit rate, and 1 where the round kernel sums cycle lengths as drawn."""
+    if bridge_processes(dep, laws) is None:
+        return np.ones(len(laws))
+    return np.array([sp.rate for sp in laws])
 
-    Coordinate ``i`` reads its process G at the level ``tau_i * rate_i``,
-    the same in every row: its straddling cycle is the increment
-    (G_{n-1}, G_n] holding the level, drawn by :func:`straddling_cycles`.
-    ``state(i, age, length, gen)`` fills the straddling cycle.
+
+def renewal_window_sampler(dep, laws, state) -> JointStateSampler:
+    """Stationary-window sampler of renewal cycles drawn from ``laws`` under
+    ``dep``: coordinate ``i`` reads the cycle straddling the level ``tau_i
+    * rate_i`` (:func:`level_rates`), the same in every row, from
+    :func:`straddling_cycles`, and ``state(i, age, length, gen)`` fills it.
     """
-    groups = bridge_processes(dep, laws)
-    rates = np.array([sp.rate for sp in laws])
+    rates = level_rates(dep, laws)
 
     def chunk_states(gen: np.random.Generator, count: int,
                      taus: np.ndarray) -> list[np.ndarray]:
         levels = (taus * rates)[:, None]
         out = [None] * len(laws)
-        for i, lo, hi in straddling_cycles(gen, count, groups, laws, levels):
+        for i, lo, hi in straddling_cycles(gen, count, dep, laws, levels):
             length = (hi - lo) / rates[i]
             # the level difference can round a hair past the cycle end
             age = np.minimum((levels[i] - lo) / rates[i],
@@ -607,26 +532,103 @@ def bridge_window_sampler(dep, laws, state) -> JointStateSampler:
     return chunked_sampler(chunk_states, WINDOW_CHUNK)
 
 
-def straddling_cycles(gen: np.random.Generator, count: int, groups, laws,
+def straddling_cycles(gen: np.random.Generator, count: int, dep, laws,
                       levels: np.ndarray):
-    """Yield ``(i, lo, hi)`` for every coordinate ``i`` of ``groups``, the
-    coordinates reading each process as :func:`bridge_processes` returns
-    them: the ends G_{n-1} <= levels[i] < G_n, one per row, of the
-    straddling cycle of the unit-rate gamma process that coordinate ``i``
-    reads. ``levels`` has one row per coordinate and one column per
-    replication, or a single column that every replication shares.
+    """Yield ``(i, lo, hi)`` for every coordinate ``i``: the ends
+    G_{n-1} <= levels[i] < G_n, one per row, of the straddling cycle of
+    G_n, the sums of coordinate ``i``'s cycle lengths drawn from ``laws``
+    under ``dep``, times its :func:`level_rates`. ``levels`` has one row
+    per coordinate and one column per replication, or a single column that
+    every replication shares. It is the only reader of straddling cycles,
+    with three kernels.
 
-    A process whose shape is an integer k takes :func:`_poisson_cycles`, an
-    O(1) draw per row and level from the Poisson count of the points below
-    the level; any other shape takes :func:`_bisected_cycles`. Both visit a
-    process's levels so that the joint law of comonotone straddling cycles
-    is exact.
+    Each process of :func:`bridge_processes`, a unit-rate gamma process,
+    is read without drawing the cycles before the level: one whose shape
+    is an integer k takes :func:`_poisson_cycles`, an O(1) draw per row
+    and level from the Poisson count of the points below the level; any
+    other shape takes :func:`_bisected_cycles`. Both visit a process's
+    levels so that the joint law of comonotone straddling cycles is exact.
+    Every other law or coupling takes :func:`_round_cycles`, which draws
+    every joint cycle up to the levels.
     """
+    groups = bridge_processes(dep, laws)
+    if groups is None:
+        yield from _round_cycles(gen, count, dep, laws, levels)
+        return
     for coords in groups:
         law = laws[coords[0]]
         shape = 1.0 if law.kind == "exponential" else float(law.shape)
         cycles = _poisson_cycles if shape.is_integer() else _bisected_cycles
         yield from cycles(gen, count, shape, coords, levels)
+
+
+def _round_cycles(gen: np.random.Generator, count: int, dep, laws,
+                  levels: np.ndarray):
+    """Yield ``(i, lo, hi)``, the ends G_{n-1} <= levels[i] < G_n of each
+    row's straddling cycle, by drawing joint cycles from ``laws`` under
+    ``dep`` in rounds until every row passes its levels.
+
+    Each round draws ``b`` i.i.d. vectors per row with a pending coordinate
+    in one call, cycle ``j`` of row ``r`` at index ``r * b + j``: the most
+    cycles a pending coordinate still expects at its
+    :func:`randomness.effective_cycle_mean` plus a margin, capped at
+    ``WINDOW_ELEMENTS`` entries per round. Epochs are compensated sums of
+    each round's row totals; only the rows whose level a round passes take
+    running sums, to find their straddling cycle. Every coordinate is
+    yielded after the last round.
+    """
+    m = len(laws)
+    mu = np.array([effective_cycle_mean(dep, sp) for sp in laws])[:, None]
+    levels = np.broadcast_to(levels, (m, count))
+    # coordinate-major, one row of replications per coordinate
+    epochs = np.zeros((m, count))
+    comp = np.zeros((m, count))
+    # coordinate i of a row is pending while its last epoch is still <= its
+    # level, so a cycle ending exactly at the level is not the straddling one
+    pending = np.ones((m, count), dtype=bool)
+    ends = np.empty((2, m, count))
+    budget = DEFAULT_CYCLE_BUDGET
+    drawn = 0
+    while pending.any():
+        rows = np.flatnonzero(pending.any(axis=0))
+        left = float(np.max(np.where(
+            pending[:, rows], (levels[:, rows] - epochs[:, rows]) / mu, 0.0)))
+        if drawn + int(left) >= budget:
+            raise BudgetExceededError(f"stationary window exceeded "
+                                      f"{budget} cycles")
+        b = max(1, min(int(left + math.sqrt(left)) + 2, budget - drawn,
+                       WINDOW_ELEMENTS // (rows.size * m)))
+        drawn += b
+        # coordinate i's entries as a (rows, b) block, contiguous when the
+        # draw is stored coordinate-major
+        draws = sample_cycle_vectors(dep, laws, gen, rows.size * b
+                                     ).T.reshape(m, rows.size, b)
+        for i in range(m):
+            sel = pending[i, rows]
+            r = rows[sel]
+            if not r.size:
+                continue
+            lengths = draws[i] if r.size == rows.size else draws[i, sel]
+            base = epochs[i, r]
+            y = lengths.sum(axis=1) - comp[i, r]
+            epochs[i, r] = top = base + y
+            comp[i, r] = (top - base) - y
+            level = levels[i, r]
+            hit = np.flatnonzero(top > level)
+            if hit.size:
+                # running epochs only in the rows whose level the round
+                # passes; it ends at the compensated sum, so each crosses
+                pos = np.cumsum(lengths[hit], axis=1)
+                pos += base[hit, None]
+                pos[:, -1] = top[hit]
+                j = np.argmax(pos > level[hit, None], axis=1)
+                at = np.arange(hit.size)
+                done = r[hit]
+                ends[0, i, done] = np.where(j > 0, pos[at, j - 1], base[hit])
+                ends[1, i, done] = pos[at, j]
+                pending[i, done] = False
+    for i in range(m):
+        yield i, ends[0, i], ends[1, i]
 
 
 def _poisson_cycles(gen: np.random.Generator, count: int, shape: float,

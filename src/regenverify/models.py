@@ -14,13 +14,14 @@ networks joint cycle ``n`` is driven by the ``n``-th i.i.d. vector of
 restart levels or cycle lengths, and the family writes its within-cycle
 law once, as ``cycles(i, column, gen)``: coordinate ``i``'s entries turned
 into its :class:`CycleBatch`. :func:`_vector_batch` makes the
-``cycle_batch`` of it, and the window samplers read it too: renewal
-families build it for the straddling cycles alone and read them at their
-ages (:func:`_renewal_window` on the bridge or round sampler), Levy queues
-for every cycle of a round of :func:`engine.window_sampler` unless the
-bridge accepts their restart levels: then the window state is the free
-path reflected at its infimum plus the residual restart level there
-(:func:`_levy_window`), and no busy period is drawn. Jackson
+``cycle_batch`` of it. The window samplers read one straddling cycle of
+the vectors' sums per coordinate from :func:`engine.straddling_cycles`,
+whatever the laws and coupling; its kernels (two gamma-process bridges
+and a round kernel) are chosen there. Renewal families build ``cycles``
+for the straddling cycles alone and read them at their ages
+(:func:`_renewal_window`); a Levy queue's window state is its free path
+reflected at its infimum plus the residual restart level there
+(:func:`_levy_window`), so no window draws a busy period. Jackson
 networks' batch and sampler drive one step of uniformised transitions
 (:func:`_jackson_events`): masked updates of a station-major state, one
 16-bit random word per chain and step picking its event exactly (a word
@@ -48,8 +49,8 @@ import numpy as np
 from .errors import (ArithmeticCyclesWarning, BudgetExceededError,
                      ConfigurationError, error_path)
 from .engine import (WINDOW_CHUNK, CycleBatch, CyclePath, RegenModel,
-                     bridge_processes, bridge_window_sampler, chunked_sampler,
-                     linear_path, straddling_cycles, window_sampler)
+                     chunked_sampler, level_rates, linear_path,
+                     renewal_window_sampler, straddling_cycles)
 from .randomness import (DependenceSpec, MarginalSpec, effective_arithmetic,
                          effective_cycle_mean, sample_cycle_vectors)
 from .renewal import equilibrium_tail, mean_excess
@@ -140,25 +141,17 @@ def _check_jumps(rate: float, size: MarginalSpec | None) -> None:
         size.validate()
 
 
-def _renewal_window(dep: DependenceSpec, marginals, cycles, means,
-                    state_dims: tuple[int, ...]):
+def _renewal_window(dep: DependenceSpec, marginals, cycles):
     """Stationary-window sampler of a renewal-driven family: the drawn
     entries are the cycle lengths, and the straddling cycles are drawn by
     ``cycles(i, lengths, gen)``, the family's own batch, and read at their
-    ages. Laws and couplings with closed-form block sums take the bridge
-    sampler, all others the round sampler."""
+    ages."""
 
     def state(i: int, age: np.ndarray, length: np.ndarray,
               gen: np.random.Generator) -> np.ndarray:
         return cycles(i, length, gen).at(np.arange(len(age)), age)
 
-    if bridge_processes(dep, marginals) is not None:
-        return bridge_window_sampler(dep, marginals, state)
-
-    def expand(i: int, lengths: np.ndarray, gen: np.random.Generator):
-        return lengths, lambda k, s: state(i, s, lengths[k], gen)
-
-    return window_sampler(dep, marginals, expand, means, state_dims)
+    return renewal_window_sampler(dep, marginals, state)
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +307,9 @@ def _reflected_walks(coord: LevyQueueCoordinate, tau: float,
     return top - before, top - walk[offsets + jumps]
 
 
-def _levy_window(coords, restarts, groups):
-    """Stationary-window sampler of Levy queues whose restart levels
-    :func:`bridge_processes` accepts (``groups``), drawing no busy period.
+def _levy_window(coords, dep: DependenceSpec, restarts):
+    """Stationary-window sampler of Levy queues with restart levels drawn
+    from ``restarts`` under ``dep``, drawing no busy period.
 
     With Y_i coordinate i's free process and G^i_n = U^i_1 + ... + U^i_n
     the sums of its restart levels, the workload at tau is
@@ -327,8 +320,9 @@ def _levy_window(coords, restarts, groups):
     (Fuhrmann & Cooper, 1985). The Y_i are independent and the coupling
     enters only through G, so each chunk draws every coordinate's free
     paths (:func:`_free_paths`), then the straddling cycles of G at the
-    levels D_i * rate_i (:func:`engine.straddling_cycles`)."""
-    rates = np.array([sp.rate for sp in restarts])[:, None]
+    levels D_i * rate_i (:func:`engine.straddling_cycles`,
+    :func:`engine.level_rates`), on every coupling."""
+    rates = level_rates(dep, restarts)[:, None]
 
     def chunk_states(gen: np.random.Generator, count: int,
                      taus: np.ndarray) -> list[np.ndarray]:
@@ -337,7 +331,7 @@ def _levy_window(coords, restarts, groups):
         for i, coord in enumerate(coords):
             depth[i], out[i] = _free_paths(coord, float(taus[i]), count, gen)
         levels = depth * rates
-        for i, _, hi in straddling_cycles(gen, count, groups, restarts,
+        for i, _, hi in straddling_cycles(gen, count, dep, restarts,
                                           levels):
             out[i] += (hi - levels[i]) / rates[i]
         return [row[:, None] for row in out]
@@ -369,17 +363,8 @@ def build_levy_queue(spec: LevyQueueSpec) -> RegenModel:
                ) -> CycleBatch:
         return _levy_batch(coords[i], levels, gen)
 
-    def expand(i: int, levels: np.ndarray, gen: np.random.Generator):
-        batch = cycles(i, levels, gen)
-        return batch.lengths, batch.at
-
-    groups = bridge_processes(dep, restarts)
-    if groups is None:
-        sampler = window_sampler(dep, restarts, expand, means,
-                                 (1,) * len(coords))
-    else:
-        sampler = _levy_window(coords, restarts, groups)
-    return RegenModel((1,) * len(coords), means, generate, sampler,
+    return RegenModel((1,) * len(coords), means, generate,
+                      _levy_window(coords, dep, restarts),
                       _vector_batch(dep, restarts, cycles),
                       tuple(c.jump_rate for c in coords))
 
@@ -491,9 +476,8 @@ def build_clearing(spec: ClearingSpec) -> RegenModel:
                ) -> CycleBatch:
         return _clearing_batch(coords[i], lengths, gen)
 
-    sampler = _renewal_window(dep, marginals, cycles, means,
-                              (1,) * len(coords))
-    return RegenModel((1,) * len(coords), means, generate, sampler,
+    return RegenModel((1,) * len(coords), means, generate,
+                      _renewal_window(dep, marginals, cycles),
                       _vector_batch(dep, marginals, cycles))
 
 
@@ -558,9 +542,8 @@ def build_status(spec: StatusSpec) -> RegenModel:
             np.column_stack([np.zeros(len(lengths)), hurdles]), (1.0, 0.0),
             lengths)
 
-    sampler = _renewal_window(dep, marginals, cycles, means,
-                              (2,) * len(sources))
-    return RegenModel((2,) * len(sources), means, generate, sampler,
+    return RegenModel((2,) * len(sources), means, generate,
+                      _renewal_window(dep, marginals, cycles),
                       _vector_batch(dep, marginals, cycles))
 
 
@@ -645,8 +628,8 @@ def build_age_residual(spec: AgeResidualSpec) -> RegenModel:
             lengths)
 
     means = (spec.cycle_length.mean(),) * m
-    sampler = _renewal_window(dep, marginals, cycles, means, (2,) * m)
-    return RegenModel((2,) * m, means, generate, sampler,
+    return RegenModel((2,) * m, means, generate,
+                      _renewal_window(dep, marginals, cycles),
                       _vector_batch(dep, marginals, cycles))
 
 

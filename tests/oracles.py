@@ -9,7 +9,8 @@ cycle-vector reference takes each coordinate's quantile on its own and
 stacks the columns into a row-major array; it too must agree bit for bit.
 The window reference takes running sums over every pending row in every
 round; its epochs are sequential sums, so it agrees with the package's
-row-total epochs to rounding. The cycle-route reference keeps every cycle's
+round kernel to rounding. Driven by a busy-period walk, it is also the
+reference for the Levy window's Fuhrmann-Cooper decomposition. The cycle-route reference keeps every cycle's
 reward and length and takes their two-pass covariance; the package's
 streamed co-moments agree with it to rounding. The gap reference reduces a
 row-major (replications, m) matrix down its columns; it agrees with the
@@ -25,13 +26,14 @@ from typing import Sequence
 
 import numpy as np
 
-from regenverify import BudgetExceededError, engine
+from regenverify import BudgetExceededError, engine, models
 from regenverify.asymptotics import GapEstimate
 from regenverify.engine import (DEFAULT_CYCLE_BUDGET, CycleBatch, CyclePath,
                                 Estimate, RegenModel)
 from regenverify.models import JacksonSpec, _by_cycle
 from regenverify.randomness import (DependenceSpec, MarginalSpec,
-                                    as_generator, substream)
+                                    as_generator, effective_cycle_mean,
+                                    substream)
 
 
 class Realization:
@@ -237,59 +239,93 @@ def row_major_cycle_vectors(dep: DependenceSpec, marginals, rng,
                             for i in range(m)])
 
 
-def full_cumsum_window_sampler(dep, laws, expand, cycle_means, state_dims):
-    """Reference ``engine.window_sampler``: the same rounds and draws, but
-    every round takes running sums over all its pending rows and ends each
-    row at the compensated sum of the last of them. It reads
-    ``engine.WINDOW_ELEMENTS`` when it runs, so a patched bound applies."""
+def full_cumsum_states(gen: np.random.Generator, count: int, levels, dep,
+                       laws, expand, cycle_means, state_dims
+                       ) -> list[np.ndarray]:
+    """Reference round kernel of ``engine.straddling_cycles``: the same
+    rounds and draws, but every round takes running sums over all its
+    pending rows and ends each row at the compensated sum of the last of
+    them. ``levels`` is (m, count), or (m, 1) shared by every row.
+    ``expand(i, column, gen)`` turns coordinate ``i``'s entries for its
+    pending rows into cycle lengths and ``fill(k, s)``, the states ``s``
+    time units into cycles ``k``. It reads ``engine.WINDOW_ELEMENTS`` and
+    ``engine.DEFAULT_CYCLE_BUDGET`` when it runs, so patched bounds
+    apply."""
     m = len(laws)
     mu = np.asarray(cycle_means, dtype=float)
+    # row-major, one row per replication
+    level = np.broadcast_to(np.asarray(levels, dtype=float).T, (count, m))
+    epochs = np.zeros((count, m))
+    comp = np.zeros((count, m))
+    pending = np.ones((count, m), dtype=bool)
+    out = [np.empty((count, d)) for d in state_dims]
+    drawn = 0
+    while pending.any():
+        rows = np.flatnonzero(pending.any(axis=1))
+        left = float(np.max(np.where(pending[rows],
+                                     (level[rows] - epochs[rows]) / mu, 0.0)))
+        budget = engine.DEFAULT_CYCLE_BUDGET
+        if drawn + int(left) >= budget:
+            raise BudgetExceededError(f"stationary window exceeded "
+                                      f"{budget} cycles")
+        b = max(1, min(int(left + math.sqrt(left)) + 2, budget - drawn,
+                       engine.WINDOW_ELEMENTS // (rows.size * m)))
+        drawn += b
+        draws = engine.sample_cycle_vectors(dep, laws, gen, rows.size * b
+                                            ).T.reshape(m, rows.size, b)
+        for i in range(m):
+            sel = pending[rows, i]
+            r = rows[sel]
+            if not r.size:
+                continue
+            lengths, fill = expand(i, draws[i, sel].ravel(), gen)
+            lengths = lengths.reshape(r.size, b)
+            pos = np.cumsum(lengths, axis=1)
+            base = epochs[r, i]
+            y = pos[:, -1] - comp[r, i]
+            epochs[r, i] = top = base + y
+            comp[r, i] = (top - base) - y
+            pos += base[:, None]
+            pos[:, -1] = top
+            hit = np.flatnonzero(top > level[r, i])
+            if hit.size:
+                at = level[r[hit], i]
+                j = np.argmax(pos[hit] > at[:, None], axis=1)
+                before = np.where(j > 0, pos[hit, j - 1], base[hit])
+                s = np.minimum(at - before,
+                               np.nextafter(lengths[hit, j], 0.0))
+                out[i][r[hit]] = fill(hit * b + j, s)
+                pending[r[hit], i] = False
+    return out
+
+
+def full_cumsum_window_sampler(dep, laws, expand, cycle_means, state_dims):
+    """:func:`full_cumsum_states` at the levels ``tau_i`` that every row
+    shares, as a joint state sampler on the package's chunks."""
 
     def chunk_states(gen: np.random.Generator, count: int,
                      taus: np.ndarray) -> list[np.ndarray]:
-        epochs = np.zeros((count, m))
-        comp = np.zeros((count, m))
-        pending = np.ones((count, m), dtype=bool)
-        out = [np.empty((count, d)) for d in state_dims]
-        drawn = 0
-        while pending.any():
-            rows = np.flatnonzero(pending.any(axis=1))
-            left = float(np.max(np.where(pending[rows],
-                                         (taus - epochs[rows]) / mu, 0.0)))
-            budget = engine.DEFAULT_CYCLE_BUDGET
-            if drawn + int(left) >= budget:
-                raise BudgetExceededError(f"stationary window exceeded "
-                                          f"{budget} cycles")
-            b = max(1, min(int(left + math.sqrt(left)) + 2, budget - drawn,
-                           engine.WINDOW_ELEMENTS // (rows.size * m)))
-            drawn += b
-            draws = engine.sample_cycle_vectors(dep, laws, gen, rows.size * b
-                                                ).T.reshape(m, rows.size, b)
-            for i in range(m):
-                sel = pending[rows, i]
-                r = rows[sel]
-                if not r.size:
-                    continue
-                lengths, fill = expand(i, draws[i, sel].ravel(), gen)
-                lengths = lengths.reshape(r.size, b)
-                pos = np.cumsum(lengths, axis=1)
-                base = epochs[r, i]
-                y = pos[:, -1] - comp[r, i]
-                epochs[r, i] = top = base + y
-                comp[r, i] = (top - base) - y
-                pos += base[:, None]
-                pos[:, -1] = top
-                hit = np.flatnonzero(top > taus[i])
-                if hit.size:
-                    j = np.argmax(pos[hit] > taus[i], axis=1)
-                    before = np.where(j > 0, pos[hit, j - 1], base[hit])
-                    s = np.minimum(taus[i] - before,
-                                   np.nextafter(lengths[hit, j], 0.0))
-                    out[i][r[hit]] = fill(hit * b + j, s)
-                    pending[r[hit], i] = False
-        return out
+        return full_cumsum_states(gen, count, taus[:, None], dep, laws,
+                                  expand, cycle_means, state_dims)
 
     return engine.chunked_sampler(chunk_states, engine.WINDOW_CHUNK)
+
+
+def levy_busy_period_window(coords, dep):
+    """Reference window sampler of Levy queues, independent of the
+    Fuhrmann-Cooper decomposition: every busy period of every round is
+    walked (``models._levy_batch``) and read at the window's elapsed time.
+    Rounds are sized by the busy periods' means."""
+    restarts = tuple(c.restart_level for c in coords)
+    means = [effective_cycle_mean(dep, c.restart_level) / (1.0 - c.load())
+             for c in coords]
+
+    def expand(i: int, levels: np.ndarray, gen: np.random.Generator):
+        batch = models._levy_batch(coords[i], levels, gen)
+        return batch.lengths, batch.at
+
+    return full_cumsum_window_sampler(dep, restarts, expand, means,
+                                      (1,) * len(coords))
 
 
 def jackson_fire(spec: JacksonSpec):

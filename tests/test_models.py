@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from oracles import (Realization, full_cumsum_window_sampler, jackson_batch,
-                     jackson_chunk_states, realization_states,
-                     row_major_cycle_vectors, tail)
+from oracles import (Realization, full_cumsum_states, jackson_batch,
+                     jackson_chunk_states, levy_busy_period_window,
+                     realization_states, row_major_cycle_vectors, tail)
 from regenverify import (ArithmeticCyclesWarning, BudgetExceededError,
                          ClearingCoordinate, ClearingSpec, ConfigurationError,
                          DependenceSpec, MarginalSpec, build_clearing)
@@ -23,10 +23,11 @@ from regenverify.models import (AgeResidualSpec, JacksonSpec,
                                 build_jackson, build_levy_queue, build_status,
                                 jackson_cycle_mean, jackson_utilizations,
                                 pi_closed_form, traffic_solve)
-from regenverify.randomness import substream
+from regenverify.randomness import effective_cycle_mean, substream
 from regenverify import engine, models
 
 EXP1 = MarginalSpec.exponential(1.0)
+GAMMA_2_1 = MarginalSpec.gamma(2.0, 1.0)
 
 
 def quadrature_pi_factor(rate: float, y_over_c: float) -> float:
@@ -228,17 +229,6 @@ def test_levy_batch_event_budget_enforced(monkeypatch):
                                            jump_size=EXP1))
     with pytest.raises(BudgetExceededError):
         model.cycle_batch(0, substream(106, 0), 1000)
-
-
-def test_levy_round_sampler_event_budget_enforced(monkeypatch,
-                                                  round_sampler):
-    # only the round sampler walks busy periods, so only it reads the
-    # per-cycle event budget
-    monkeypatch.setattr(models, "MAX_EVENTS_PER_CYCLE", 2)
-    model = levy_model(LevyQueueCoordinate(restart_level=EXP1, jump_rate=0.9,
-                                           jump_size=EXP1))
-    with pytest.raises(BudgetExceededError):
-        sample_states(model, [50.0], 1000, seed=106)
 
 
 def test_jackson_batch_event_budget_enforced(monkeypatch):
@@ -845,15 +835,23 @@ def spy_on_draws(monkeypatch) -> list[tuple[int, int]]:
 
 @pytest.fixture
 def round_sampler(monkeypatch):
-    """Renewal families and Levy queues built while this is active take the
-    round sampler (``engine.window_sampler``) on any laws, as copulas,
-    common shocks and laws outside the rate families always do."""
-    monkeypatch.setattr(models, "bridge_processes", lambda dep, laws: None)
+    """Window samplers built and run while this is active read every
+    straddling cycle from the round kernel of ``engine.straddling_cycles``,
+    as copulas, common shocks and laws outside the rate families always
+    do."""
+    monkeypatch.setattr(engine, "bridge_processes", lambda dep, laws: None)
 
 
-@pytest.mark.parametrize("family", sorted(WINDOW_MODELS))
+RHO_09 = DependenceSpec.gaussian_copula(((1.0, 0.9), (0.9, 1.0)))
+
+# a Levy queue off the bridge: its restart levels take the round kernel
+THREAD_MODELS = {**WINDOW_MODELS, "levy_copula": lambda: levy_model(
+    *LEVY_SWEEP, dependence=RHO_09)}
+
+
+@pytest.mark.parametrize("family", sorted(THREAD_MODELS))
 def test_window_sampler_is_thread_count_invariant(family):
-    model = WINDOW_MODELS[family]()
+    model = THREAD_MODELS[family]()
     n = engine.WINDOW_CHUNK + 904
     one = sample_states(model, [20.0, 30.0], n, seed=107, threads=1)
     for threads in (2, 4):
@@ -885,19 +883,53 @@ def test_window_sampler_reads_draws_in_either_memory_order(family,
         assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("family", sorted(WINDOW_MODELS))
+# the restart levels or cycle lengths each window family draws, with levels
+# that differ by row where the family reads them so (Levy queues, at the
+# depths of their free paths), and one copula on a law outside the rate
+# families
+ROUND_KERNEL_CASES = {
+    "levy_queue": (DependenceSpec.comonotone(),
+                   (EXP1, MarginalSpec.exponential(0.5)), (5.0, 40.0)),
+    "clearing_jumps": (DependenceSpec.comonotone(),
+                       (EXP1, MarginalSpec.exponential(0.5)), None),
+    "status": (DependenceSpec.independent(),
+               (EXP1, MarginalSpec.gamma(2.0, 2.0)), None),
+    "age_residual": (DependenceSpec.comonotone(), (GAMMA_2_1, GAMMA_2_1),
+                     None),
+    "per_row_levels": (RHO_09, (MarginalSpec.shifted_uniform(0.5, 1.5),
+                                MarginalSpec.exponential(0.5)), (5.0, 40.0)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(ROUND_KERNEL_CASES))
 def test_window_sampler_matches_full_cumsum_oracle(family, monkeypatch,
                                                     round_sampler):
+    dep, laws, spread = ROUND_KERNEL_CASES[family]
     n = 1500
-    times = [20.0, 30.0]
+    levels = np.array([[20.0], [30.0]])
+    if spread is not None:
+        levels = substream(127, 0).uniform(*spread, (2, n))
     # the first round holds at most 2 cycles per replication
     monkeypatch.setattr(engine, "WINDOW_ELEMENTS", n * 2 * 2)
     calls = spy_on_draws(monkeypatch)
-    fast = sample_states(WINDOW_MODELS[family](), times, n, seed=126)
+    # (age, length) read from the kernel as engine.renewal_window_sampler
+    # reads it; the rates are 1 on the round kernel
+    fast = [None, None]
+    for i, lo, hi in engine.straddling_cycles(substream(126, 0), n, dep,
+                                              laws, levels):
+        length = hi - lo
+        fast[i] = age_and_length(
+            i, np.minimum(levels[i] - lo, np.nextafter(length, 0.0)),
+            length, None)
     rounds = len(calls)
     assert rounds >= 5
-    monkeypatch.setattr(models, "window_sampler", full_cumsum_window_sampler)
-    slow = sample_states(WINDOW_MODELS[family](), times, n, seed=126)
+
+    def expand(i, lengths, gen):
+        return lengths, lambda k, s: np.column_stack([s, lengths[k]])
+
+    means = [effective_cycle_mean(dep, sp) for sp in laws]
+    slow = full_cumsum_states(substream(126, 0), n, levels, dep, laws, expand,
+                              means, (2, 2))
     # the same rounds draw the same number of cycle vectors
     assert calls[rounds:] == calls[:rounds]
     for a, b in zip(fast, slow):
@@ -920,6 +952,16 @@ def test_window_ages_at_exact_epochs(monkeypatch):
     # the cycle that ends exactly at tau is not the straddling one
     assert np.all(on == 0.0)
     assert np.all(off == 0.25)
+    # a Levy queue without jumps is its restart residual at the level tau:
+    # 501 - 500 and 501 - 500.25
+    unit = LevyQueueCoordinate(restart_level=MarginalSpec.deterministic(1.0))
+    with pytest.warns(ArithmeticCyclesWarning):
+        model = levy_model(unit, unit)
+    del calls[:]
+    on, off = sample_states(model, [500.0, 500.25], n, seed=134)
+    assert len(calls) >= 20
+    assert np.all(on == 1.0)
+    assert np.all(off == 0.75)
 
 
 def test_jackson_sampler_is_thread_count_invariant():
@@ -1019,21 +1061,17 @@ def test_clearing_window_mean_matches_closed_form(jump, cycle, second_moment):
 # the bridge window sampler
 
 
-GAMMA_2_1 = MarginalSpec.gamma(2.0, 1.0)
-
-
 def age_and_length(i, age, length, gen):
     return np.column_stack([age, length])
 
 
-def round_window(dep, laws):
-    """``engine.window_sampler`` on ``laws`` with (age, length) states."""
-    def expand(i, lengths, gen):
-        return lengths, lambda k, s: np.column_stack([s, lengths[k]])
-
-    return engine.window_sampler(dep, laws, expand,
-                                 [sp.mean() for sp in laws],
-                                 (2,) * len(laws))
+def round_window(dep, laws, taus, n, seed):
+    """(age, length) states of ``engine.renewal_window_sampler`` with every
+    law on the round kernel."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "bridge_processes", lambda dep, laws: None)
+        return engine.renewal_window_sampler(dep, laws, age_and_length)(
+            taus, n, seed, (1003,), 1)
 
 
 def ks_critical(n: int, alpha: float = 0.001) -> float:
@@ -1068,9 +1106,9 @@ def test_bridge_matches_round_sampler(dep, laws, taus):
     assert engine.bridge_processes(dep, laws) is not None
     n = 4000
     taus = np.array(taus)
-    bridge = engine.bridge_window_sampler(dep, laws, age_and_length)(
+    bridge = engine.renewal_window_sampler(dep, laws, age_and_length)(
         taus, n, 140, (1003,), 1)
-    walk = round_window(dep, laws)(taus, n, 141, (1003,), 1)
+    walk = round_window(dep, laws, taus, n, 141)
     for a, b in zip(bridge, walk):
         assert two_sample_ks(a[:, 0], b[:, 0]) < ks_critical(n)
         assert two_sample_ks(a[:, 1], b[:, 1]) < ks_critical(n)
@@ -1085,7 +1123,7 @@ def test_bridge_matches_round_sampler(dep, laws, taus):
 def test_bridge_edges():
     dep = DependenceSpec.comonotone()
     laws = (EXP1, MarginalSpec.exponential(0.5))
-    sampler = engine.bridge_window_sampler(dep, laws, age_and_length)
+    sampler = engine.renewal_window_sampler(dep, laws, age_and_length)
     # at time 0 the straddling cycle is the first one, entered at 0
     for states in sampler(np.zeros(2), 500, 142, (1003,), 1):
         assert np.all(states[:, 0] == 0.0)
@@ -1118,10 +1156,10 @@ def test_bridge_split_survives_gamma_underflow(monkeypatch):
     laws = (MarginalSpec.gamma(0.004, 1.0), MarginalSpec.gamma(0.004, 2.0))
     n = 4000
     taus = np.array([0.08, 0.04])
-    bridge = engine.bridge_window_sampler(dep, laws, age_and_length)(
+    bridge = engine.renewal_window_sampler(dep, laws, age_and_length)(
         taus, n, 144, (1003,), 1)
     assert betas
-    walk = round_window(dep, laws)(taus, n, 145, (1003,), 1)
+    walk = round_window(dep, laws, taus, n, 145)
     for a, b in zip(bridge, walk):
         assert np.all((0.0 <= a[:, 0]) & (a[:, 0] < a[:, 1]))
         assert two_sample_ks(a[:, 0], b[:, 0]) < ks_critical(n)
@@ -1162,7 +1200,7 @@ def test_integer_shape_bridge_draws_at_most_four_variates(monkeypatch, dep,
                         lambda *key: SpyGenerator(stream(*key).bit_generator))
     n = 1000
     taus = 1e6 * np.array([sp.mean() for sp in laws])
-    states = engine.bridge_window_sampler(dep, laws, age_and_length)(
+    states = engine.renewal_window_sampler(dep, laws, age_and_length)(
         taus, n, 147, (1003,), 1)
     assert 0 < sum(drawn) <= 4 * n * len(laws)
     for a in states:
@@ -1240,20 +1278,23 @@ def levy_pair(restarts, jumps=(EXP1, EXP1)):
     (DependenceSpec.comonotone(),
      levy_pair((EXP1, MarginalSpec.exponential(0.5)),
                (MarginalSpec.shifted_uniform(0.2, 1.8), EXP1))),
+    # off the bridge: the round kernel reads the restart levels
+    (RHO_09, levy_pair((EXP1, MarginalSpec.exponential(0.5)))),
+    (DependenceSpec.common_shock(MarginalSpec.exponential(2.0)),
+     levy_pair((EXP1, MarginalSpec.exponential(0.5)))),
+    (DependenceSpec.comonotone(),
+     levy_pair((MarginalSpec.shifted_uniform(0.5, 1.5),) * 2)),
 ], ids=["comonotone_exp", "comonotone_gamma_2", "comonotone_gamma_2_5",
-        "independent_gamma_jumps", "comonotone_uniform_jumps"])
-def test_levy_decomposition_matches_round_sampler(dep, coords, round_sampler):
-    restarts = tuple(c.restart_level for c in coords)
-    groups = engine.bridge_processes(dep, restarts)
-    assert groups is not None
+        "independent_gamma_jumps", "comonotone_uniform_jumps",
+        "gaussian_copula", "common_shock", "shifted_uniform_restarts"])
+def test_levy_decomposition_matches_round_sampler(dep, coords):
     n = 4000
     # D_0 and D_1 / 2 are both near 10: rows visit the shared process's
     # levels in either order
     taus = np.array([20.0, 26.0])
-    fast = models._levy_window(coords, restarts, groups)(
-        taus, n, 150, (1003,), 1)
-    walk = sample_states(levy_model(*coords, dependence=dep), taus, n,
-                         seed=151)
+    fast = sample_states(levy_model(*coords, dependence=dep), taus, n,
+                         seed=150)
+    walk = levy_busy_period_window(coords, dep)(taus, n, 151, (1003,), 1)
     for a, b in zip(fast, walk):
         assert a.shape == (n, 1)
         assert two_sample_ks(a[:, 0], b[:, 0]) < ks_critical(n)
@@ -1264,6 +1305,28 @@ def test_levy_decomposition_matches_round_sampler(dep, coords, round_sampler):
                       for s in (fast, walk))
     se = math.sqrt((p_fast * (1.0 - p_fast) + p_walk * (1.0 - p_walk)) / n)
     assert abs(p_fast - p_walk) <= 4.0 * se
+
+
+@pytest.mark.parametrize("dep", [
+    DependenceSpec.independent(), DependenceSpec.comonotone(), RHO_09,
+    DependenceSpec.common_shock(MarginalSpec.exponential(2.0)),
+], ids=["independent", "comonotone", "gaussian_copula", "common_shock"])
+def test_levy_window_walks_no_busy_period(dep, monkeypatch):
+    walked = []
+    levy_batch = models._levy_batch
+
+    def spy(coord, levels, gen):
+        walked.append(len(levels))
+        return levy_batch(coord, levels, gen)
+
+    monkeypatch.setattr(models, "_levy_batch", spy)
+    model = levy_model(*LEVY_SWEEP, dependence=dep)
+    states = sample_states(model, [20.0, 26.0], 1000, seed=154)
+    assert [a.shape for a in states] == [(1000, 1)] * 2
+    assert walked == []
+    # the stationary routes still walk them
+    model.cycle_batch(0, substream(154, 0), 10)
+    assert walked == [10]
 
 
 def test_levy_window_mean_matches_fuhrmann_cooper():
@@ -1291,6 +1354,11 @@ def test_levy_decomposition_budgets(monkeypatch):
                         lambda *key: opened.append(key) or stream(*key))
     with pytest.raises(BudgetExceededError, match="100 or more jumps"):
         sample_states(model, [200.0], 1000, seed=153)
+    # a copula, whose restart levels take the round kernel, is refused by
+    # the same jump bound
+    copula = levy_model(coord, coord, dependence=RHO_09)
+    with pytest.raises(BudgetExceededError, match="100 or more jumps"):
+        sample_states(copula, [200.0, 10.0], 1000, seed=153)
     assert opened == []
     monkeypatch.undo()
     # a small block bound splits each chunk's free paths into blocks
