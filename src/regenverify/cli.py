@@ -25,7 +25,7 @@ from .config import (ScenarioConfig, canonical_json, load_scenario,
 from .engine import (RegenModel, default_burn_in, exp_neg,
                      renewal_reward_estimate, require_cycle_budget,
                      require_horizon, require_window_budget, sample_states,
-                     thread_count, time_average_estimate)
+                     time_average_estimate)
 from .errors import (ArithmeticCyclesWarning, BudgetExceededError,
                      ConfigurationError)
 from .models import StatusSpec, build_model, pi_closed_form
@@ -103,15 +103,27 @@ def _report(cfg: ScenarioConfig, passed: bool, line: str, files: dict,
 def _sweep_refusals(cfg: ScenarioConfig, model: RegenModel) -> float:
     """What verify-independence refuses before drawing: a short run, which
     is a configuration error whatever the schedule, and a window over
-    ``require_window_budget`` at the quantile pre-pass's burn-in or at the
-    last grid time, where every schedule is at its largest. Returns the
-    burn-in: ``run.burn_in``, or ``default_burn_in``."""
+    ``require_window_budget`` for the pre-pass's rows at the burn-in or the
+    run's replications at the last grid time, where every schedule is at
+    its largest. Returns the burn-in: ``run.burn_in``, or
+    ``default_burn_in``."""
     run = cfg.run
     require_replications(run.replications)
     burn = run.burn_in if run.burn_in is not None else default_burn_in(model)
     if run.test_functions == "quantile_indicators":
-        require_window_budget(model, [burn] * model.dimension)
-    require_window_budget(model, cfg.schedule.values(run.t_grid[-1]))
+        require_window_budget(model, [burn] * model.dimension,
+                              run.quantile_prepass)
+    require_window_budget(model, cfg.schedule.values(run.t_grid[-1]),
+                          run.replications)
+    return burn
+
+
+def _status_refusals(run, model: RegenModel) -> float:
+    """What status-pi refuses before drawing: a window over
+    ``require_window_budget`` for the run's replications at the burn-in,
+    which it returns."""
+    burn = run.burn_in if run.burn_in is not None else default_burn_in(model)
+    require_window_budget(model, [burn] * model.dimension, run.replications)
     return burn
 
 
@@ -146,6 +158,11 @@ def cmd_validate(args) -> int:
         _sweep_refusals(cfg, model)
     if cfg.run.g is not None:
         _stationary_refusals(cfg.run, model)
+    # another family's model alone is a model check, which status-pi's
+    # budget does not apply to
+    if (cfg.schedule is None and cfg.run.g is None
+            and isinstance(cfg.model, StatusSpec)):
+        _status_refusals(cfg.run, model)
     print(canonical_json(scenario_to_json(cfg)))
     return EXIT_OK
 
@@ -160,7 +177,6 @@ def cmd_verify_independence(args) -> int:
     burn = _sweep_refusals(cfg, model)
     run = cfg.run
     seed = run.seed
-    threads = thread_count()
 
     verdict = check_hypotheses(cfg.schedule, model.cycle_means)
     if not verdict.passed and not run.allow_hypothesis_fail:
@@ -176,10 +192,10 @@ def cmd_verify_independence(args) -> int:
         f_tuples = [("exp", tuple(exp_neg() for _ in range(model.dimension)))]
     else:
         f_tuples = quantile_indicator_tuples(
-            model, burn, seed, prepass=run.quantile_prepass, threads=threads)
+            model, burn, seed, prepass=run.quantile_prepass)
     sweep = convergence_sweep(
         model, cfg.schedule, run.t_grid, f_tuples, run.replications, seed,
-        allow_hypothesis_fail=True, threads=threads)
+        allow_hypothesis_fail=True)
 
     finals = sweep.at_final_t()
     passed, per_tuple = final_gap_verdict(sweep)
@@ -204,12 +220,13 @@ def cmd_status_pi(args) -> int:
         raise ConfigurationError("status-pi needs a status model",
                                  "model.kind")
     model = _build(cfg.model)
-    pi = pi_closed_form(cfg.model)
     run = cfg.run
-    burn = run.burn_in if run.burn_in is not None else default_burn_in(model)
+    # refuse before the closed form's quadrature pays for it
+    burn = _status_refusals(run, model)
+    pi = pi_closed_form(cfg.model)
     n = run.replications
     states = sample_states(model, [burn] * model.dimension, n, run.seed,
-                           base_key=(3,), threads=thread_count())
+                           base_key=(3,))
     joint = np.ones(n, dtype=bool)
     for i in range(model.dimension):
         joint &= states[i][:, 0] > states[i][:, 1]

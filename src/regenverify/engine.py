@@ -8,9 +8,10 @@ state component (:class:`StateFunction`, which is also a scenario's
 stationary state sampling. Both stationary routes draw cycles in blocks of
 flat segment arrays (:class:`CycleBatch`) and integrate them in closed form;
 the cycle route keeps only running means and co-moments across blocks, so
-its memory does not depend on the number of cycles. The window samplers
-read each coordinate in its straddling cycle, which
-:func:`straddling_cycles` alone draws.
+its memory does not depend on the number of cycles. A model's ``window``
+reads each coordinate in its straddling cycle, which
+:func:`straddling_cycles` alone draws; only :func:`sample_states` runs it,
+on chunks of replications, once :func:`require_window_budget` admits them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,6 +40,9 @@ BATCH_CYCLES = 4096
 # x cycles x coordinates) one of its rounds draws; fixed for the same reasons
 WINDOW_CHUNK = 4096
 WINDOW_ELEMENTS = 1 << 20
+# most row-events (rows times the events each expects) one window chunk may
+# draw, for a model with event rates
+MAX_WINDOW_WORK = 10_000_000_000
 # cycles past the expected count that the bisecting bridge's first block
 # sum spans, in square roots of that count; integer shapes draw no block sum
 BRIDGE_SPREAD = 4.0
@@ -280,12 +284,6 @@ def path_integral(path: CyclePath, g: StateFunction, lo: float = 0.0,
                                      (e - s)[keep]).sum())
 
 
-class JointStateSampler(Protocol):
-    def __call__(self, times: np.ndarray, n: int, seed: int,
-                 base_key: tuple[int, ...], threads: int
-                 ) -> list[np.ndarray]: ...
-
-
 @dataclass(frozen=True)
 class RegenModel:
     """A joint regenerative model.
@@ -293,22 +291,24 @@ class RegenModel:
     ``cycle_batch(i, gen, count)`` draws ``count`` i.i.d. cycles of
     coordinate ``i`` as one :class:`CycleBatch`; both stationary routes
     read cycles only through it, one coordinate at a time, so it builds no
-    other coordinate's cycles. ``joint_state_sampler`` draws i.i.d.
-    stationary-window states, through :func:`straddling_cycles` where one
-    i.i.d. vector drives each joint cycle; the coupling across coordinates
-    is read only there. ``cycle_generator(gen)`` draws one joint cycle as a
-    tuple of per coordinate :class:`CyclePath`; it is the reference the
-    test suite cross-checks the other two against. ``event_rates``, when
-    given, are the jumps per unit time that coordinate ``i``'s window
-    state draws in each replication besides its cycles.
+    other coordinate's cycles. ``window(gen, count, taus)`` draws one
+    chunk of ``count`` i.i.d. stationary-window states, coordinate ``i`` at
+    ``taus[i]``; the coupling across coordinates is read only there, and
+    :func:`sample_states` alone runs it, on chunks of ``window_chunk``.
+    ``cycle_generator(gen)`` draws one joint cycle as a tuple of per
+    coordinate :class:`CyclePath`; it is the reference the test suite
+    cross-checks the other two against. ``event_rates``, when given, are
+    the events per unit time (jumps, or uniformised steps) that coordinate
+    ``i``'s window draws in each replication besides its cycles.
     """
 
     state_dims: tuple[int, ...]
     cycle_means: tuple[float, ...]
     cycle_generator: Callable[[np.random.Generator], tuple[CyclePath, ...]]
-    joint_state_sampler: JointStateSampler
+    window: Callable[[np.random.Generator, int, np.ndarray], list[np.ndarray]]
     cycle_batch: Callable[[int, np.random.Generator, int], CycleBatch]
     event_rates: tuple[float, ...] = ()
+    window_chunk: int = WINDOW_CHUNK
 
     @property
     def dimension(self) -> int:
@@ -461,24 +461,6 @@ def time_average_estimate(model: RegenModel, i: int, g, horizon: float,
     return Estimate(value, se)
 
 
-def chunked_sampler(chunk_states, chunk: int) -> JointStateSampler:
-    """A joint state sampler running ``chunk_states(gen, count, taus)`` on
-    fixed chunks of replications, chunk ``k`` on substream ``(seed,
-    *base_key, k)``, with the results concatenated in chunk order."""
-
-    def sampler(times: np.ndarray, n: int, seed: int,
-                base_key: tuple[int, ...], threads: int) -> list[np.ndarray]:
-        taus = np.asarray(times, dtype=float)
-
-        def work(start: int, count: int, k: int) -> list[np.ndarray]:
-            return chunk_states(substream(seed, *base_key, k), count, taus)
-
-        parts = run_chunked(n, chunk, work, threads)
-        return [np.concatenate(cols) for cols in zip(*parts)]
-
-    return sampler
-
-
 def bridge_processes(dep, laws) -> list[list[int]] | None:
     """The coordinates reading each unit-rate gamma process, or None when
     the cycle lengths have no closed-form block sums.
@@ -509,16 +491,16 @@ def level_rates(dep, laws) -> np.ndarray:
     return np.array([sp.rate for sp in laws])
 
 
-def renewal_window_sampler(dep, laws, state) -> JointStateSampler:
-    """Stationary-window sampler of renewal cycles drawn from ``laws`` under
-    ``dep``: coordinate ``i`` reads the cycle straddling the level ``tau_i
-    * rate_i`` (:func:`level_rates`), the same in every row, from
+def renewal_window_sampler(dep, laws, state):
+    """The ``window`` of renewal cycles drawn from ``laws`` under ``dep``:
+    coordinate ``i`` reads the cycle straddling the level ``tau_i *
+    rate_i`` (:func:`level_rates`), the same in every row, from
     :func:`straddling_cycles`, and ``state(i, age, length, gen)`` fills it.
     """
     rates = level_rates(dep, laws)
 
-    def chunk_states(gen: np.random.Generator, count: int,
-                     taus: np.ndarray) -> list[np.ndarray]:
+    def window(gen: np.random.Generator, count: int,
+               taus: np.ndarray) -> list[np.ndarray]:
         levels = (taus * rates)[:, None]
         out = [None] * len(laws)
         for i, lo, hi in straddling_cycles(gen, count, dep, laws, levels):
@@ -529,7 +511,7 @@ def renewal_window_sampler(dep, laws, state) -> JointStateSampler:
             out[i] = state(i, age, length, gen)
         return out
 
-    return chunked_sampler(chunk_states, WINDOW_CHUNK)
+    return window
 
 
 def straddling_cycles(gen: np.random.Generator, count: int, dep, laws,
@@ -770,31 +752,42 @@ def default_burn_in(model: RegenModel) -> float:
     return max(1000.0, 100.0 * max(model.cycle_means))
 
 
-def require_window_budget(model: RegenModel, times) -> None:
-    """Refuse a window at ``times`` in which some coordinate expects
-    ``DEFAULT_CYCLE_BUDGET`` cycles (``int(times[i] / cycle_means[i])``
-    reaches it) or, for a model with ``event_rates``, as many jumps
-    (``event_rates[i] * times[i]`` reaches it) per replication, before
-    any is drawn."""
+def require_window_budget(model: RegenModel, times, n: int) -> None:
+    """Refuse ``n`` replications of a window at ``times`` before any is
+    drawn: when a coordinate expects ``DEFAULT_CYCLE_BUDGET`` cycles
+    (``times[i] / cycle_means[i]``) or, with ``event_rates``, as many
+    events (``event_rates[i] * times[i]``) per replication, or when the
+    largest chunk, ``min(n, window_chunk)`` replications, expects more
+    than ``MAX_WINDOW_WORK`` row-events at the largest of those counts."""
     budget = DEFAULT_CYCLE_BUDGET
     times = np.asarray(times, dtype=float)
-    if int(np.max(times / np.asarray(model.cycle_means))) >= budget:
+    # an infinite clock expects infinitely many cycles
+    if np.max(times / np.asarray(model.cycle_means)) >= budget:
         raise BudgetExceededError(f"stationary window exceeded {budget} "
                                   f"cycles")
-    if (model.event_rates
-            and np.max(times * np.asarray(model.event_rates)) >= budget):
+    if not model.event_rates:
+        return
+    events = float(np.max(times * np.asarray(model.event_rates)))
+    if events >= budget:
         raise BudgetExceededError(f"stationary window expects {budget} or "
-                                  f"more jumps per replication")
+                                  f"more events per replication")
+    rows = min(n, model.window_chunk)
+    if rows * events > MAX_WINDOW_WORK:
+        raise BudgetExceededError(f"stationary window expects more than "
+                                  f"{MAX_WINDOW_WORK} row-events in a chunk "
+                                  f"of {rows} replications")
 
 
 def sample_states(model: RegenModel, times, n: int, seed: int, *,
                   base_key: tuple[int, ...] = (1003,),
                   threads: int | None = None) -> list[np.ndarray]:
     """``n`` i.i.d. joint observations, coordinate ``i`` at ``times[i]``,
-    from the model's vectorised sampler.
+    from the model's ``window`` on chunks of ``window_chunk`` replications,
+    chunk ``k`` on substream ``(seed, *base_key, k)``, concatenated in
+    chunk order.
 
     Returns one (n, state_dim_i) array per coordinate. A run over
-    :func:`require_window_budget` is refused before the sampler draws.
+    :func:`require_window_budget` is refused before any chunk draws.
     """
     if n < 1:
         raise ValueError("need at least 1 replication")
@@ -804,6 +797,12 @@ def sample_states(model: RegenModel, times, n: int, seed: int, *,
     # written so that NaN fails the check too
     if not np.all((times >= 0.0) & (times < math.inf)):
         raise ValueError("observation times must be finite and nonnegative")
-    require_window_budget(model, times)
-    return model.joint_state_sampler(times, int(n), int(seed),
-                                     tuple(base_key), thread_count(threads))
+    n = int(n)
+    require_window_budget(model, times, n)
+    key = (int(seed), *base_key)
+
+    def work(start: int, count: int, k: int) -> list[np.ndarray]:
+        return model.window(substream(*key, k), count, times)
+
+    parts = run_chunked(n, model.window_chunk, work, thread_count(threads))
+    return [np.concatenate(cols) for cols in zip(*parts)]

@@ -8,32 +8,32 @@
 
 Every family draws one coordinate's cycles natively in batches of flat
 segment arrays (``cycle_batch(i, gen, count)``), which both stationary
-routes integrate, and carries a vectorised stationary-window sampler, the
-only reader of the coupling across coordinates. In all but Jackson
-networks joint cycle ``n`` is driven by the ``n``-th i.i.d. vector of
-restart levels or cycle lengths, and the family writes its within-cycle
-law once, as ``cycles(i, column, gen)``: coordinate ``i``'s entries turned
-into its :class:`CycleBatch`. :func:`_vector_batch` makes the
-``cycle_batch`` of it. The window samplers read one straddling cycle of
+routes integrate, and a ``window(gen, count, taus)``, one chunk of its
+stationary-window sampler and the only reader of the coupling across
+coordinates. In all but Jackson networks joint cycle ``n`` is driven by the
+``n``-th i.i.d. vector of restart levels or cycle lengths, and the family
+writes its within-cycle law once, as ``cycles(i, column, gen)``: coordinate
+``i``'s entries turned into its :class:`CycleBatch`. :func:`_vector_batch`
+makes the ``cycle_batch`` of it. The windows read one straddling cycle of
 the vectors' sums per coordinate from :func:`engine.straddling_cycles`,
-whatever the laws and coupling; its kernels (two gamma-process bridges
-and a round kernel) are chosen there. Renewal families build ``cycles``
-for the straddling cycles alone and read them at their ages
+whatever the laws and coupling; its kernels (two gamma-process bridges and
+a round kernel) are chosen there. Renewal families build ``cycles`` for the
+straddling cycles alone and read them at their ages
 (:func:`_renewal_window`); a Levy queue's window state is its free path
 reflected at its infimum plus the residual restart level there
-(:func:`_levy_window`), so no window draws a busy period. Jackson
-networks' batch and sampler drive one step of uniformised transitions
+(:func:`_levy_window`), so no window draws a busy period. Jackson networks'
+batch and window drive one step of uniformised transitions
 (:func:`_jackson_events`): masked updates of a station-major state, one
 16-bit random word per chain and step picking its event exactly (a word
 that straddles a cut point draws a double to settle it), with a block of
-words classified into event masks before its steps fire. The batch runs
-the whole network, records station ``i`` alone and draws its clock and
-event words step by step, a block of one step; the sampler has no clock,
-runs to Poisson step counts and draws its words a block of steps at a
-time, the same stream as one draw per step. Every family also keeps a
-per-cycle generator (``cycle_generator``); nothing in the package calls
-it, it is the oracle the tests cross-check the batches and samplers
-against.
+words classified into event masks before its steps fire. The batch runs the
+whole network, records station ``i`` alone and draws its clock and event
+words step by step, a block of one step; the window has no clock, runs to
+Poisson step counts at the total rate (its ``event_rates``) and draws its
+words a block of steps at a time, the same stream as one draw per step.
+Every family also keeps a per-cycle generator (``cycle_generator``);
+nothing in the package calls it, it is the oracle the tests cross-check the
+batches and samplers against.
 """
 
 from __future__ import annotations
@@ -48,9 +48,8 @@ import numpy as np
 
 from .errors import (ArithmeticCyclesWarning, BudgetExceededError,
                      ConfigurationError, error_path)
-from .engine import (WINDOW_CHUNK, CycleBatch, CyclePath, RegenModel,
-                     chunked_sampler, level_rates, linear_path,
-                     renewal_window_sampler, straddling_cycles)
+from .engine import (CycleBatch, CyclePath, RegenModel, level_rates,
+                     linear_path, renewal_window_sampler, straddling_cycles)
 from .randomness import (DependenceSpec, MarginalSpec, effective_arithmetic,
                          effective_cycle_mean, sample_cycle_vectors)
 from .renewal import equilibrium_tail, mean_excess
@@ -64,8 +63,6 @@ FREE_PATH_BLOCK = 1 << 16
 JACKSON_BLOCK = 1 << 16
 # rows per chunk of the Jackson sampler
 JACKSON_CHUNK = 1 << 14
-# most row-steps (rows times expected steps) one Jackson chunk may take
-MAX_JACKSON_WORK = 10_000_000_000
 # the Jackson sampler's station-count types, narrowest first, with the
 # largest count each holds, np.iinfo(t).max
 JACKSON_COUNTS = ((np.int8, 127), (np.int16, 32_767),
@@ -142,10 +139,9 @@ def _check_jumps(rate: float, size: MarginalSpec | None) -> None:
 
 
 def _renewal_window(dep: DependenceSpec, marginals, cycles):
-    """Stationary-window sampler of a renewal-driven family: the drawn
-    entries are the cycle lengths, and the straddling cycles are drawn by
-    ``cycles(i, lengths, gen)``, the family's own batch, and read at their
-    ages."""
+    """The ``window`` of a renewal-driven family: the drawn entries are the
+    cycle lengths, and the straddling cycles are drawn by ``cycles(i,
+    lengths, gen)``, the family's own batch, and read at their ages."""
 
     def state(i: int, age: np.ndarray, length: np.ndarray,
               gen: np.random.Generator) -> np.ndarray:
@@ -308,8 +304,8 @@ def _reflected_walks(coord: LevyQueueCoordinate, tau: float,
 
 
 def _levy_window(coords, dep: DependenceSpec, restarts):
-    """Stationary-window sampler of Levy queues with restart levels drawn
-    from ``restarts`` under ``dep``, drawing no busy period.
+    """The ``window`` of Levy queues with restart levels drawn from
+    ``restarts`` under ``dep``, drawing no busy period.
 
     With Y_i coordinate i's free process and G^i_n = U^i_1 + ... + U^i_n
     the sums of its restart levels, the workload at tau is
@@ -324,8 +320,8 @@ def _levy_window(coords, dep: DependenceSpec, restarts):
     :func:`engine.level_rates`), on every coupling."""
     rates = level_rates(dep, restarts)[:, None]
 
-    def chunk_states(gen: np.random.Generator, count: int,
-                     taus: np.ndarray) -> list[np.ndarray]:
+    def window(gen: np.random.Generator, count: int,
+               taus: np.ndarray) -> list[np.ndarray]:
         depth = np.empty((len(coords), count))
         out = np.empty((len(coords), count))
         for i, coord in enumerate(coords):
@@ -336,7 +332,7 @@ def _levy_window(coords, dep: DependenceSpec, restarts):
             out[i] += (hi - levels[i]) / rates[i]
         return [row[:, None] for row in out]
 
-    return chunked_sampler(chunk_states, WINDOW_CHUNK)
+    return window
 
 
 def build_levy_queue(spec: LevyQueueSpec) -> RegenModel:
@@ -919,15 +915,16 @@ def _jackson_batch(spec: JacksonSpec, i: int, gen: np.random.Generator,
     return CycleBatch(starts, values, np.zeros_like(values), offsets, lengths)
 
 
-def _make_jackson_sampler(spec: JacksonSpec):
-    """Uniformisation without a clock: the state at time tau is the jump
-    chain of :func:`_jackson_events` after N(tau) steps, where N is a
-    Poisson process at the total rate independent of the chain. A chunk
-    draws its step counts, then the chain's words a block of steps at a
-    time (``JACKSON_BLOCK`` row-steps at most, the same stream as one draw
-    per step, with straddling words refined from one stream spawned from
-    the chunk's generator), and reads a (row, coordinate) pair at its step
-    count.
+def _jackson_window(spec: JacksonSpec):
+    """``(total, window)``: the uniformised total rate and the ``window``
+    of a Jackson network, uniformisation without a clock. The state at
+    time tau is the jump chain of :func:`_jackson_events` after N(tau)
+    steps, where N is a Poisson process at the total rate independent of
+    the chain. A chunk draws its step counts, then the chain's words a
+    block of steps at a time (``JACKSON_BLOCK`` row-steps at most, the
+    same stream as one draw per step, with straddling words refined from
+    one stream spawned from the chunk's generator), and reads a (row,
+    coordinate) pair at its step count.
     Counts start as int8, the narrowest type of ``JACKSON_COUNTS``. A step
     adds at most one customer to a station, so a block of ``size`` steps
     cannot overflow while the largest count plus ``size`` fits the type.
@@ -936,15 +933,12 @@ def _make_jackson_sampler(spec: JacksonSpec):
     the largest count plus the block's size, and if that does not fit
     either, the state is widened, before the block, to the narrowest type
     that fits. Integer updates are exact in every type, so the states and
-    outputs are those of int32 counts.
-    Before any chunk draws, a run is refused when a row's expected steps
-    reach ``MAX_EVENTS_PER_CYCLE`` or its largest chunk's rows times those
-    steps pass ``MAX_JACKSON_WORK``."""
+    outputs are those of int32 counts."""
     m = len(spec.arrival_rates)
     total, _, classify, fire = _jackson_events(spec)
 
-    def chunk_states(gen: np.random.Generator, count: int,
-                     taus: np.ndarray) -> list[np.ndarray]:
+    def window(gen: np.random.Generator, count: int,
+               taus: np.ndarray) -> list[np.ndarray]:
         # step counts at the sorted taus, as increments of one process
         order = np.argsort(taus, kind="stable")
         gaps = np.diff(taus[order], prepend=0.0)
@@ -989,32 +983,18 @@ def _make_jackson_sampler(spec: JacksonSpec):
                     out[k] = flat[k]
         return [column[:, None] for column in out.reshape(m, count)]
 
-    chunked = chunked_sampler(chunk_states, JACKSON_CHUNK)
-
-    def sampler(times: np.ndarray, n: int, seed: int,
-                base_key: tuple[int, ...], threads: int) -> list[np.ndarray]:
-        # refuse before any chunk draws; the first chunk is the largest
-        steps_due = total * float(np.max(times))
-        if steps_due >= MAX_EVENTS_PER_CYCLE:
-            raise BudgetExceededError(
-                f"network sampler would exceed {MAX_EVENTS_PER_CYCLE} events")
-        rows = min(n, JACKSON_CHUNK)
-        if rows * steps_due > MAX_JACKSON_WORK:
-            raise BudgetExceededError(
-                f"network sampler would exceed {MAX_JACKSON_WORK} row-steps"
-                f" in a chunk of {rows} replications")
-        return chunked(times, n, seed, base_key, threads)
-
-    return sampler
+    return total, window
 
 
 def build_jackson(spec: JacksonSpec) -> RegenModel:
     spec.validate()
     m = len(spec.arrival_rates)
     mean = jackson_cycle_mean(spec)
+    total, window = _jackson_window(spec)
+    # the window steps the whole network to each station's time
     return RegenModel((1,) * m, (mean,) * m, partial(_jackson_cycle, spec),
-                      _make_jackson_sampler(spec),
-                      partial(_jackson_batch, spec))
+                      window, partial(_jackson_batch, spec), (total,) * m,
+                      JACKSON_CHUNK)
 
 
 # ---------------------------------------------------------------------------

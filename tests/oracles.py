@@ -301,18 +301,18 @@ def full_cumsum_states(gen: np.random.Generator, count: int, levels, dep,
 
 def full_cumsum_window_sampler(dep, laws, expand, cycle_means, state_dims):
     """:func:`full_cumsum_states` at the levels ``tau_i`` that every row
-    shares, as a joint state sampler on the package's chunks."""
+    shares, as a model's ``window(gen, count, taus)``."""
 
-    def chunk_states(gen: np.random.Generator, count: int,
-                     taus: np.ndarray) -> list[np.ndarray]:
+    def window(gen: np.random.Generator, count: int,
+               taus: np.ndarray) -> list[np.ndarray]:
         return full_cumsum_states(gen, count, taus[:, None], dep, laws,
                                   expand, cycle_means, state_dims)
 
-    return engine.chunked_sampler(chunk_states, engine.WINDOW_CHUNK)
+    return window
 
 
 def levy_busy_period_window(coords, dep):
-    """Reference window sampler of Levy queues, independent of the
+    """Reference ``window`` of Levy queues, independent of the
     Fuhrmann-Cooper decomposition: every busy period of every round is
     walked (``models._levy_batch``) and read at the window's elapsed time.
     Rounds are sized by the busy periods' means."""
@@ -380,7 +380,7 @@ def _empty_network(count: int, m: int) -> np.ndarray:
 
 
 def jackson_chunk_states(spec: JacksonSpec):
-    """Reference ``chunk_states(gen, count, taus)`` of the Jackson sampler:
+    """Reference ``window(gen, count, taus)`` of the Jackson sampler:
     Poisson step counts at the sorted taus, then one :func:`jackson_fire`
     step at a time, reading each (row, coordinate) pair at its count.
     Straddling words refine from one stream spawned from ``gen``."""

@@ -439,8 +439,10 @@ def test_verify_independence_cycle_budget_exits_5(tmp_path, capsys,
 
 def test_verify_independence_jackson_event_budget_exits_5(tmp_path, capsys,
                                                         monkeypatch):
-    from regenverify import models
-    monkeypatch.setattr(models, "MAX_EVENTS_PER_CYCLE", 1000)
+    from regenverify import engine
+    monkeypatch.setattr(engine, "DEFAULT_CYCLE_BUDGET", 1000)
+    # refused before the quantile pre-pass draws
+    monkeypatch.setattr(cli, "quantile_indicator_tuples", refuse)
     # the tandem steps at total rate 2.5 and is read at t^3 = 1000
     path = write_config(tmp_path, {
         "model": {"kind": "jackson", "arrival_rates": [0.5, 0.0],
@@ -453,14 +455,14 @@ def test_verify_independence_jackson_event_budget_exits_5(tmp_path, capsys,
         "output": {"directory": str(tmp_path / "res")},
     })
     assert main(["verify-independence", "--config", str(path)]) == EXIT_BUDGET
-    assert "1000 events" in capsys.readouterr().err
+    assert "1000 or more events" in capsys.readouterr().err
 
 
-def test_verify_independence_jackson_work_budget_exits_5(tmp_path, capsys):
-    # a full chunk of 16384 rows on the tandem (total rate 2.5) read at
-    # t = 244141 takes 16384 * 2.5 * 244141 > 10^10 expected row-steps;
-    # t = 244140 would be admitted and run for minutes
-    path = write_config(tmp_path, {
+def jackson_work_scenario() -> dict:
+    """A full chunk of 16384 rows on the tandem (total rate 2.5) read at
+    t = 244141, which takes 16384 * 2.5 * 244141 > 10^10 expected
+    row-steps; t = 244140 would be admitted and run for minutes."""
+    return {
         "model": {"kind": "jackson", "arrival_rates": [0.5, 0.0],
                   "service_rates": [1.0, 1.0],
                   "routing": [[0.0, 1.0], [0.0, 0.0]]},
@@ -469,10 +471,19 @@ def test_verify_independence_jackson_work_budget_exits_5(tmp_path, capsys):
         "run": {"seed": 7, "replications": 16384,
                 "t_grid": [10.0, 20.0, 244141.0],
                 "quantile_prepass": 1000, "burn_in": 20.0},
-        "output": {"directory": str(tmp_path / "res")},
-    })
+        "output": {"directory": "out"},
+    }
+
+
+def test_verify_independence_jackson_work_budget_exits_5(tmp_path, capsys,
+                                                       monkeypatch):
+    # refused before the quantile pre-pass draws
+    monkeypatch.setattr(cli, "quantile_indicator_tuples", refuse)
+    obj = jackson_work_scenario()
+    obj["output"]["directory"] = str(tmp_path / "res")
+    path = write_config(tmp_path, obj)
     assert main(["verify-independence", "--config", str(path)]) == EXIT_BUDGET
-    assert "10000000000 row-steps" in capsys.readouterr().err
+    assert "10000000000 row-events" in capsys.readouterr().err
 
 
 def test_stationary_short_horizon_rejected_before_cycle_route(
@@ -594,7 +605,8 @@ def refused_overrides(obj: dict) -> tuple[str, list]:
         return "verify-independence", cases + [
             ("too-few-replications", {}, ["--reps", "999"]),
             ("over-window-budget", {"t_grid": [10.0, 100.0, 1e12]}, [])]
-    return "status-pi", cases
+    return "status-pi", cases + [
+        ("over-window-budget", {"burn_in": 1e12}, [])]
 
 
 PARITY_CASES = [
@@ -627,23 +639,61 @@ def test_validate_refuses_what_the_command_refuses(tmp_path, capsys,
     assert not (tmp_path / "res").exists()
 
 
-def test_validate_refuses_the_levy_jump_budget(tmp_path, capsys,
-                                               monkeypatch):
+def levy_jumps_case():
     # restart levels of mean 10^4 keep both coordinates under 10^4 cycles
     # at t = 10^8, where they expect 5 * 10^7 and 2.5 * 10^7 jumps
-    for stage in ("quantile_indicator_tuples", "convergence_sweep",
-                  "sample_states"):
-        monkeypatch.setattr(cli, stage, refuse)
     obj = json.loads((CONFIG_DIR / "levy_parallel.json").read_text())
     for coord in obj["model"]["coordinates"]:
         coord["restart_level"]["rate"] = 1e-4
     obj["run"]["t_grid"] = [10.0, 100.0, 1e8]
+    return obj, [], ("stationary window expects 10000000 or more events per "
+                     "replication")
+
+
+def jackson_steps_case():
+    # the tandem steps at total rate 2.5 and station 0 is read at 3t + 1:
+    # about 1.5 * 10^7 steps per replication at t = 2 * 10^6
+    obj = json.loads((CONFIG_DIR / "jackson_tandem.json").read_text())
+    obj["run"]["t_grid"] = [10.0, 100.0, 2e6]
+    return obj, ["--reps", "1000"], (
+        "stationary window expects 10000000 or more events per replication")
+
+
+def power_clock_case():
+    # 1000^200 overflows a double: an infinite clock expects infinitely
+    # many cycles
+    obj = json.loads((CONFIG_DIR / "clearing_comonotone.json").read_text())
+    obj["schedule"]["coordinates"] = [
+        {"family": "power", "a": 1.0, "p": 200.0},
+        {"family": "power", "a": 1.0, "p": 150.0}]
+    return obj, [], "stationary window exceeded 10000000 cycles"
+
+
+WINDOW_BUDGET_CASES = {
+    "levy_jumps": levy_jumps_case,
+    "jackson_steps": jackson_steps_case,
+    "jackson_work": lambda: (
+        jackson_work_scenario(), [], "stationary window expects more than "
+        "10000000000 row-events in a chunk of 16384 replications"),
+    "power_clock": power_clock_case,
+}
+
+
+@pytest.mark.parametrize("case", list(WINDOW_BUDGET_CASES))
+def test_validate_refuses_the_levy_jump_budget(tmp_path, capsys,
+                                               monkeypatch, case):
+    for stage in ("quantile_indicator_tuples", "convergence_sweep",
+                  "sample_states"):
+        monkeypatch.setattr(cli, stage, refuse)
+    obj, flags, message = WINDOW_BUDGET_CASES[case]()
     obj["output"]["directory"] = str(tmp_path / "res")
     path = write_config(tmp_path, obj)
+    errors = []
     for command in ("verify-independence", "validate"):
-        assert main([command, "--config", str(path)]) == EXIT_BUDGET
-        assert ("ERROR budget: stationary window expects 10000000 or more "
-                "jumps per replication" in capsys.readouterr().err), command
+        assert main([command, "--config", str(path), *flags]) == EXIT_BUDGET
+        errors.append(capsys.readouterr().err)
+        assert f"ERROR budget: {message}" in errors[-1], command
+    assert errors[1] == errors[0]
     assert not (tmp_path / "res").exists()
 
 

@@ -2,6 +2,7 @@
 native cycle batches and vectorised state samplers with the per-cycle
 generator."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -516,7 +517,7 @@ def test_jackson_cycles_are_stationary_in_index():
 ])
 def test_fast_sampler_matches_generic_engine(make_model, comp):
     model = make_model()
-    assert model.joint_state_sampler is not None
+    assert model.window is not None
     times = [60.0] * model.dimension
     n = 4000
     fast = sample_states(model, times, n, seed=115)
@@ -545,7 +546,7 @@ def test_jackson_sampler_matches_generic_engine():
     spec = JacksonSpec(arrival_rates=(0.5,), service_rates=(1.0,),
                        routing=((0.0,),))
     model = build_jackson(spec)
-    assert model.joint_state_sampler is not None
+    assert model.window is not None
     n = 3000
     fast = sample_states(model, [30.0], n, seed=119)
     slow = realization_states(model, [30.0], n, seed=120)
@@ -572,10 +573,10 @@ def test_jackson_sampler_matches_generic_engine():
 
 
 def test_jackson_sampler_event_budget_enforced(monkeypatch):
-    monkeypatch.setattr(models, "MAX_EVENTS_PER_CYCLE", 1000)
+    monkeypatch.setattr(engine, "DEFAULT_CYCLE_BUDGET", 1000)
     model = build_jackson(TANDEM)
     # the tandem steps at total rate 2.5: 2500 expected steps by t=1000
-    with pytest.raises(BudgetExceededError, match="1000 events"):
+    with pytest.raises(BudgetExceededError, match="1000 or more events"):
         sample_states(model, [1000.0, 10.0], 100, seed=127)
     states = sample_states(model, [300.0, 10.0], 100, seed=127)
     assert states[0].shape == (100, 1)
@@ -583,22 +584,30 @@ def test_jackson_sampler_event_budget_enforced(monkeypatch):
 
 def test_jackson_sampler_work_budget_bounds_one_chunk(monkeypatch):
     # the tandem steps at total rate 2.5: 100 rows to t=400 take 100 000
-    # expected row-steps, which the budget still admits
-    monkeypatch.setattr(models, "MAX_JACKSON_WORK", 100_000)
+    # expected row-events, which the budget still admits
+    monkeypatch.setattr(engine, "MAX_WINDOW_WORK", 100_000)
     model = build_jackson(TANDEM)
     states = sample_states(model, [400.0, 10.0], 100, seed=127)
     assert states[0].shape == (100, 1)
     for threads in (1, 2):
-        with pytest.raises(BudgetExceededError, match="100000 row-steps"):
+        with pytest.raises(BudgetExceededError, match="100000 row-events"):
             sample_states(model, [400.4, 10.0], 100, seed=127,
                           threads=threads)
     # the bound is per chunk: rows past the first chunk add no work to it
     rows = models.JACKSON_CHUNK
-    monkeypatch.setattr(models, "MAX_JACKSON_WORK", rows * 10)
+    monkeypatch.setattr(engine, "MAX_WINDOW_WORK", rows * 10)
     states = sample_states(model, [4.0, 1.0], 2 * rows + 1, seed=127)
     assert states[0].shape == (2 * rows + 1, 1)
     with pytest.raises(BudgetExceededError, match=f"chunk of {rows} "):
         sample_states(model, [4.1, 1.0], 2 * rows + 1, seed=127)
+
+
+def step_oracle_states(spec: JacksonSpec, taus, n: int, seed: int):
+    """States of the network's model with the one-step reference
+    ``jackson_chunk_states`` as its window, on the model's chunks."""
+    model = dataclasses.replace(build_jackson(spec),
+                                window=jackson_chunk_states(spec))
+    return sample_states(model, taus, n, seed, threads=1)
 
 
 # external arrivals at stations 0 and 2, a three-way split out of station
@@ -617,9 +626,8 @@ def test_jackson_sampler_matches_step_oracle_bit_for_bit(spec, taus):
     m = len(spec.arrival_rates)
     taus = np.asarray(taus[:m])
     n = 3000
-    fast = build_jackson(spec).joint_state_sampler(taus, n, 131, (1003,), 1)
-    slow = engine.chunked_sampler(jackson_chunk_states(spec), 16384)(
-        taus, n, 131, (1003,), 1)
+    fast = sample_states(build_jackson(spec), taus, n, 131, threads=1)
+    slow = step_oracle_states(spec, taus, n, 131)
     for a, b in zip(fast, slow):
         assert a.shape == b.shape == (n, 1)
         assert a.tobytes() == b.tobytes()
@@ -646,11 +654,11 @@ def test_jackson_sampler_states_do_not_depend_on_block_edges(spec, chunk,
         monkeypatch.setattr(models, "JACKSON_CHUNK", chunk)
     n = 600 if chunk is None else 40
     taus = np.array([20.0, 30.0, 25.0][:len(spec.arrival_rates)])
-    whole = build_jackson(spec).joint_state_sampler(taus, n, 133, (1003,), 1)
+    whole = sample_states(build_jackson(spec), taus, n, 133, threads=1)
     # blocks of 5 steps each, where the default holds 100 or more
     rows = min(n, models.JACKSON_CHUNK)
     monkeypatch.setattr(models, "JACKSON_BLOCK", 5 * rows)
-    fives = build_jackson(spec).joint_state_sampler(taus, n, 133, (1003,), 1)
+    fives = sample_states(build_jackson(spec), taus, n, 133, threads=1)
     for a, b in zip(whole, fives):
         assert a.shape == (n, 1)
         assert a.tobytes() == b.tobytes()
@@ -673,13 +681,12 @@ def test_jackson_sampler_widens_its_counts_bit_for_bit(name, monkeypatch):
     spec, taus = SATURATED[name]
     taus = np.asarray(taus)
     n = 3000
-    slow = engine.chunked_sampler(jackson_chunk_states(spec), 16384)(
-        taus, n, 137, (1003,), 1)
+    slow = step_oracle_states(spec, taus, n, 137)
     assert max(b.max() for b in slow) > 127
-    fast = build_jackson(spec).joint_state_sampler(taus, n, 137, (1003,), 1)
+    fast = sample_states(build_jackson(spec), taus, n, 137, threads=1)
     # blocks of 5 steps, so the widening falls on another block edge
     monkeypatch.setattr(models, "JACKSON_BLOCK", 5 * n)
-    fives = build_jackson(spec).joint_state_sampler(taus, n, 137, (1003,), 1)
+    fives = sample_states(build_jackson(spec), taus, n, 137, threads=1)
     for a, b, c in zip(fast, fives, slow):
         assert a.shape == (n, 1)
         assert a.tobytes() == b.tobytes() == c.tobytes()
@@ -1065,13 +1072,20 @@ def age_and_length(i, age, length, gen):
     return np.column_stack([age, length])
 
 
+def renewal_states(dep, laws, taus, n, seed):
+    """(age, length) states of ``engine.renewal_window_sampler``, drawn by
+    ``sample_states`` for a model with that window and the laws' means."""
+    model = engine.RegenModel(
+        (2,) * len(laws), tuple(effective_cycle_mean(dep, sp) for sp in laws),
+        None, engine.renewal_window_sampler(dep, laws, age_and_length), None)
+    return sample_states(model, taus, n, seed, threads=1)
+
+
 def round_window(dep, laws, taus, n, seed):
-    """(age, length) states of ``engine.renewal_window_sampler`` with every
-    law on the round kernel."""
+    """:func:`renewal_states` with every law on the round kernel."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "bridge_processes", lambda dep, laws: None)
-        return engine.renewal_window_sampler(dep, laws, age_and_length)(
-            taus, n, seed, (1003,), 1)
+        return renewal_states(dep, laws, taus, n, seed)
 
 
 def ks_critical(n: int, alpha: float = 0.001) -> float:
@@ -1106,8 +1120,7 @@ def test_bridge_matches_round_sampler(dep, laws, taus):
     assert engine.bridge_processes(dep, laws) is not None
     n = 4000
     taus = np.array(taus)
-    bridge = engine.renewal_window_sampler(dep, laws, age_and_length)(
-        taus, n, 140, (1003,), 1)
+    bridge = renewal_states(dep, laws, taus, n, 140)
     walk = round_window(dep, laws, taus, n, 141)
     for a, b in zip(bridge, walk):
         assert two_sample_ks(a[:, 0], b[:, 0]) < ks_critical(n)
@@ -1123,16 +1136,15 @@ def test_bridge_matches_round_sampler(dep, laws, taus):
 def test_bridge_edges():
     dep = DependenceSpec.comonotone()
     laws = (EXP1, MarginalSpec.exponential(0.5))
-    sampler = engine.renewal_window_sampler(dep, laws, age_and_length)
     # at time 0 the straddling cycle is the first one, entered at 0
-    for states in sampler(np.zeros(2), 500, 142, (1003,), 1):
+    for states in renewal_states(dep, laws, np.zeros(2), 500, 142):
         assert np.all(states[:, 0] == 0.0)
         assert np.all(states[:, 1] > 0.0)
     # 4 million mean cycles past the origin: the gamma sums are near 4e6
     # and the ages O(1), and no age reaches its cycle's end
     n = 256
     taus = 4e6 * np.array([sp.mean() for sp in laws])
-    for states, sp in zip(sampler(taus, n, 143, (1003,), 1), laws):
+    for states, sp in zip(renewal_states(dep, laws, taus, n, 143), laws):
         age, length = states[:, 0], states[:, 1]
         assert np.all((0.0 <= age) & (age < length))
         # the stationary age of an exponential cycle has the cycle's law
@@ -1156,8 +1168,7 @@ def test_bridge_split_survives_gamma_underflow(monkeypatch):
     laws = (MarginalSpec.gamma(0.004, 1.0), MarginalSpec.gamma(0.004, 2.0))
     n = 4000
     taus = np.array([0.08, 0.04])
-    bridge = engine.renewal_window_sampler(dep, laws, age_and_length)(
-        taus, n, 144, (1003,), 1)
+    bridge = renewal_states(dep, laws, taus, n, 144)
     assert betas
     walk = round_window(dep, laws, taus, n, 145)
     for a, b in zip(bridge, walk):
@@ -1200,8 +1211,7 @@ def test_integer_shape_bridge_draws_at_most_four_variates(monkeypatch, dep,
                         lambda *key: SpyGenerator(stream(*key).bit_generator))
     n = 1000
     taus = 1e6 * np.array([sp.mean() for sp in laws])
-    states = engine.renewal_window_sampler(dep, laws, age_and_length)(
-        taus, n, 147, (1003,), 1)
+    states = renewal_states(dep, laws, taus, n, 147)
     assert 0 < sum(drawn) <= 4 * n * len(laws)
     for a in states:
         assert np.all((0.0 <= a[:, 0]) & (a[:, 0] < a[:, 1]))
@@ -1292,9 +1302,11 @@ def test_levy_decomposition_matches_round_sampler(dep, coords):
     # D_0 and D_1 / 2 are both near 10: rows visit the shared process's
     # levels in either order
     taus = np.array([20.0, 26.0])
-    fast = sample_states(levy_model(*coords, dependence=dep), taus, n,
-                         seed=150)
-    walk = levy_busy_period_window(coords, dep)(taus, n, 151, (1003,), 1)
+    model = levy_model(*coords, dependence=dep)
+    fast = sample_states(model, taus, n, seed=150)
+    walk = sample_states(dataclasses.replace(
+        model, window=levy_busy_period_window(coords, dep)), taus, n, seed=151,
+        threads=1)
     for a, b in zip(fast, walk):
         assert a.shape == (n, 1)
         assert two_sample_ks(a[:, 0], b[:, 0]) < ks_critical(n)
@@ -1352,13 +1364,18 @@ def test_levy_decomposition_budgets(monkeypatch):
     stream = engine.substream
     monkeypatch.setattr(engine, "substream",
                         lambda *key: opened.append(key) or stream(*key))
-    with pytest.raises(BudgetExceededError, match="100 or more jumps"):
+    with pytest.raises(BudgetExceededError, match="100 or more events"):
         sample_states(model, [200.0], 1000, seed=153)
     # a copula, whose restart levels take the round kernel, is refused by
     # the same jump bound
     copula = levy_model(coord, coord, dependence=RHO_09)
-    with pytest.raises(BudgetExceededError, match="100 or more jumps"):
+    with pytest.raises(BudgetExceededError, match="100 or more events"):
         sample_states(copula, [200.0, 10.0], 1000, seed=153)
+    # and so is a chunk over the work bound: 1000 rows of 75 jumps each
+    monkeypatch.setattr(engine, "MAX_WINDOW_WORK", 70_000)
+    with pytest.raises(BudgetExceededError,
+                       match="70000 row-events in a chunk of 1000 "):
+        sample_states(model, [150.0], 1000, seed=153)
     assert opened == []
     monkeypatch.undo()
     # a small block bound splits each chunk's free paths into blocks
