@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import RegenModel, StateFunction, indicator_le, sample_states
+from .engine import (Moments, RegenModel, StateFunction, indicator_le,
+                     sample_states)
 from .errors import ConfigurationError, HypothesisError
 
 # each family and the fields it reads
@@ -177,51 +178,44 @@ class GapEstimate:
     degenerate: bool = False
 
 
-def product_form_gap(samples: np.ndarray, *, t: float = math.nan,
+def product_form_gap(totals: Moments, *, t: float = math.nan,
                      f_id: str = "f") -> GapEstimate:
     """``| mean prod_i f_i  -  prod_i mean f_i |`` with the delta-method SE
-    of the signed gap, from a ``(replications, m)`` matrix.
+    of the signed gap, from the :class:`engine.Moments` of the rows
+    ``(p, s_1, ..., s_m)`` over the replications, ``s_i`` the values of
+    coordinate ``i``'s test function and ``p = prod_i s_i``.
 
-    The signed gap is a smooth function of the sample means of the row
-    product ``p = prod_i s_i`` and of each column ``s_i``; its influence
-    function is ``p - sum_i (prod_{j != i} mean s_j) s_i`` up to a constant,
-    so the SE is that quantity's standard deviation over sqrt(n) (van der
-    Vaart, Asymptotic Statistics, ch. 3 and 20). The statistic only sees the
-    sample matrix, so it is invariant under permuting replications. A
-    tuple with a constant column has gap 0 by construction, so it is flagged
-    as degenerate rather than counted as evidence of independence; its SE is
-    0 up to rounding.
-
-    The matrix is read once as coordinate-major rows, one contiguous row
-    of replications per coordinate (no copy when ``samples`` is the
-    transpose of such a buffer), and every mean, product and spread runs
-    along those rows. Sums of 0/1 entries are exact in any order; sums of
-    continuous entries are numpy's pairwise sums along a row, which can
-    differ in the last bits from a sum taken down a column.
+    The signed gap is a smooth function of the sample means of ``p`` and of
+    each ``s_i``; its influence function is ``p - sum_i (prod_{j != i} mean
+    s_j) s_i`` up to a constant, so the SE is ``sqrt(w C w / n)``, ``C``
+    the rows' ``ddof=1`` covariance and ``w = (1, -prod_{j != i} mean
+    s_j)`` (van der Vaart, Asymptotic Statistics, ch. 3 and 20). A tuple
+    with a constant ``s_i`` (min equals max) has gap 0 by construction, so
+    it is flagged as degenerate, not counted as evidence of independence.
+    Indicator gaps are exact however the replications were chunked; SEs
+    and continuous means can move in the last bits with the chunking.
     """
-    s = np.asarray(samples, dtype=float)
-    if s.ndim != 2:
-        raise ValueError("samples must be a (replications, m) matrix")
-    n, m = s.shape
+    n = totals.count
+    if totals.sums.size < 2:
+        raise ValueError("totals need a product row and a coordinate row")
     if n < 1000:
         raise ValueError("need at least 1000 replications for a stable gap")
-    cols = np.ascontiguousarray(s.T)
-    col_means = cols.mean(axis=1)
-    products = cols.prod(axis=0)
-    mean_of_products = float(products.mean())
+    means = totals.mean
+    col_means = means[1:]
+    m = len(col_means)
+    mean_of_products = float(means[0])
     gap = abs(mean_of_products - float(col_means.prod()))
     others = np.array([np.delete(col_means, i).prod() for i in range(m)])
-    influence = products - (cols * others[:, None]).sum(axis=0)
-    # shifting by one row leaves the spread unchanged and keeps constant
-    # columns at exactly zero
-    se = float((influence - influence[0]).std(ddof=1) / math.sqrt(n))
+    w = np.concatenate(([1.0], -others))
+    cov = totals.comoment / (n - 1)
+    se = math.sqrt(max(float(w @ cov @ w), 0.0) / n)
     return GapEstimate(
         t=float(t), f_id=str(f_id), n=n, gap=gap, se=se,
         mean_of_products=mean_of_products,
         marginal_means=tuple(float(v) for v in col_means),
-        marginal_ses=tuple(float(v) for v in cols.std(axis=1, ddof=1)
-                           / math.sqrt(n)),
-        degenerate=bool((cols.min(axis=1) == cols.max(axis=1)).any()))
+        marginal_ses=tuple(math.sqrt(float(v) / n)
+                           for v in np.diag(cov)[1:]),
+        degenerate=bool((totals.lo[1:] == totals.hi[1:]).any()))
 
 
 @dataclass(frozen=True)
@@ -242,7 +236,8 @@ def require_replications(replications: int) -> None:
 def convergence_sweep(model: RegenModel, schedule: ScheduleSpec, t_grid,
                       f_tuples, replications: int, seed: int, *,
                       allow_hypothesis_fail: bool = False) -> SweepResult:
-    """Gap estimates over an increasing time grid."""
+    """Gap estimates over an increasing time grid, each from the totals
+    its chunks of states fold into, one :class:`Moments` per tuple."""
     grid = tuple(float(t) for t in t_grid)
     if len(grid) < 3 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("t_grid must be strictly increasing with >= 3 points")
@@ -250,16 +245,18 @@ def convergence_sweep(model: RegenModel, schedule: ScheduleSpec, t_grid,
     verdict = check_hypotheses(schedule, model.cycle_means)
     if not verdict.passed and not allow_hypothesis_fail:
         raise HypothesisError(verdict)
+
+    def fold(states) -> list[Moments]:
+        cols = [np.array([f(x) for f, x in zip(fs, states)], dtype=float)
+                for _, fs in f_tuples]
+        return [Moments.of(np.vstack([c.prod(axis=0), c])) for c in cols]
+
     gaps = []
     for k, t in enumerate(grid):
-        states = sample_states(model, schedule.values(t), replications, seed,
-                               base_key=(101, k))
-        for f_id, fs in f_tuples:
-            # one row per coordinate, handed over as its (replications, m)
-            # transpose without a copy
-            rows = np.stack([np.asarray(fs[i](states[i]), dtype=float)
-                             for i in range(model.dimension)])
-            gaps.append(product_form_gap(rows.T, t=t, f_id=f_id))
+        totals = sample_states(model, schedule.values(t), replications, seed,
+                               base_key=(101, k), reduce=fold)
+        gaps += [product_form_gap(tot, t=t, f_id=f_id)
+                 for (f_id, _), tot in zip(f_tuples, totals)]
     return SweepResult(t_grid=grid, gaps=tuple(gaps))
 
 

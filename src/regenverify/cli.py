@@ -22,7 +22,7 @@ from .asymptotics import (check, check_hypotheses, convergence_sweep,
                           require_replications)
 from .config import (ScenarioConfig, canonical_json, load_scenario,
                      scenario_to_json)
-from .engine import (RegenModel, default_burn_in, exp_neg,
+from .engine import (Moments, RegenModel, default_burn_in, exp_neg,
                      renewal_reward_estimate, require_cycle_budget,
                      require_horizon, require_window_budget, sample_states,
                      time_average_estimate)
@@ -225,12 +225,12 @@ def cmd_status_pi(args) -> int:
     burn = _status_refusals(run, model)
     pi = pi_closed_form(cfg.model)
     n = run.replications
-    states = sample_states(model, [burn] * model.dimension, n, run.seed,
-                           base_key=(3,))
-    joint = np.ones(n, dtype=bool)
-    for i in range(model.dimension):
-        joint &= states[i][:, 0] > states[i][:, 1]
-    pi_hat = float(joint.mean())
+    # folds 1 where every source has completed its current update
+    [totals] = sample_states(
+        model, [burn] * model.dimension, n, run.seed, base_key=(3,),
+        reduce=lambda states: [Moments.of([np.logical_and.reduce(
+            [x[:, 0] > x[:, 1] for x in states])])])
+    pi_hat = float(totals.mean[0])
     # the null value is known, so the check uses the exact binomial SE
     se = math.sqrt(pi * (1.0 - pi) / n)
     z = _z(pi_hat - pi, se)

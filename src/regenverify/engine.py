@@ -7,15 +7,16 @@ state component (:class:`StateFunction`, which is also a scenario's
 ``run.g``), a cycle-ratio estimator, a long-run time-average estimator, and
 stationary state sampling. Both stationary routes draw cycles in blocks of
 flat segment arrays (:class:`CycleBatch`) and integrate them in closed form;
-the cycle route keeps only running means and co-moments across blocks, so
-its memory does not depend on the number of cycles. A model's ``window``
-reads each coordinate in its straddling cycle, which
-:func:`straddling_cycles` alone draws; only :func:`sample_states` runs it,
-on chunks of replications, once :func:`require_window_budget` admits them.
+the cycle route folds each block into :class:`Moments`, so its memory does
+not depend on the number of cycles. A model's ``window`` reads each
+coordinate in its straddling cycle, which :func:`straddling_cycles` alone
+draws; only :func:`sample_states` runs it, on chunks of replications, once
+:func:`require_window_budget` admits them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from bisect import bisect_right
@@ -41,18 +42,16 @@ BATCH_CYCLES = 4096
 WINDOW_CHUNK = 4096
 WINDOW_ELEMENTS = 1 << 20
 # most row-events (rows times the events each expects) one window chunk may
-# draw, for a model with event rates
+# draw, for a model that counts its window events
 MAX_WINDOW_WORK = 10_000_000_000
 # cycles past the expected count that the bisecting bridge's first block
 # sum spans, in square roots of that count; integer shapes draw no block sum
 BRIDGE_SPREAD = 4.0
 
 
-def thread_count(explicit: int | None = None) -> int:
-    """Worker count: an explicit argument wins, then REGEN_VERIFY_THREADS,
-    then 1. Thread count never changes sampled values, only wall time."""
-    if explicit is not None:
-        return max(1, int(explicit))
+def thread_count() -> int:
+    """Worker count: REGEN_VERIFY_THREADS, or 1. Thread count never changes
+    sampled values, only wall time."""
     raw = os.environ.get("REGEN_VERIFY_THREADS", "")
     try:
         return max(1, int(raw))
@@ -60,22 +59,60 @@ def thread_count(explicit: int | None = None) -> int:
         return 1
 
 
-def run_chunked(total: int, chunk_size: int, work, threads: int = 1) -> list:
-    """Evaluate ``work(start, count, chunk_index)`` over fixed-size chunks.
-
-    Chunk boundaries depend only on ``total`` and ``chunk_size``, and results
-    are concatenated in chunk order, so outputs are identical for any thread
-    count.
-    """
-    jobs = [(start, min(chunk_size, total - start), k)
+def run_chunked(total: int, chunk_size: int, work, threads: int = 1):
+    """Yield ``work(count, chunk_index)`` over fixed-size chunks in chunk
+    order. Chunk boundaries depend only on ``total`` and ``chunk_size``, so
+    outputs are identical for any thread count."""
+    jobs = [(min(chunk_size, total - start), k)
             for k, start in enumerate(range(0, total, chunk_size))]
     if threads <= 1 or len(jobs) <= 1:
-        return [work(*job) for job in jobs]
+        yield from (work(*job) for job in jobs)
+        return
     # imported here: concurrent.futures loads logging, which a one-thread
     # run would pay for at startup and never use
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda job: work(*job), jobs))
+        yield from pool.map(lambda job: work(*job), jobs)
+
+
+@dataclass(frozen=True)
+class Moments:
+    """The package's one reduction of samples: for ``k`` rows, the count,
+    each row's sum, min and max, and the co-moments about the means.
+    :meth:`of` reads one block, one column per observation, and
+    :meth:`merge` adds another by the pairwise update of Chan, Golub &
+    LeVeque (1983). Means are sums over the count, so 0/1 rows give exact
+    means however the blocks fall."""
+
+    count: int
+    sums: np.ndarray
+    comoment: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    @classmethod
+    def of(cls, rows) -> "Moments":
+        rows = np.asarray(rows, dtype=float)
+        sums = rows.sum(axis=1)
+        dev = rows - (sums / rows.shape[1])[:, None]
+        # summed along each row, so equal rows give equal entries bit for
+        # bit, which a BLAS product does not promise
+        comoment = (dev[:, None, :] * dev[None, :, :]).sum(axis=2)
+        return cls(rows.shape[1], sums, comoment, rows.min(axis=1),
+                   rows.max(axis=1))
+
+    @property
+    def mean(self) -> np.ndarray:
+        return self.sums / self.count
+
+    def merge(self, other: "Moments") -> "Moments":
+        count = self.count + other.count
+        delta = other.mean - self.mean
+        comoment = (self.comoment + other.comoment + np.outer(delta, delta)
+                    * (self.count * other.count / count))
+        return Moments(count, self.sums + other.sums, comoment,
+                       np.minimum(self.lo, other.lo),
+                       np.maximum(self.hi, other.hi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,9 +334,9 @@ class RegenModel:
     :func:`sample_states` alone runs it, on chunks of ``window_chunk``.
     ``cycle_generator(gen)`` draws one joint cycle as a tuple of per
     coordinate :class:`CyclePath`; it is the reference the test suite
-    cross-checks the other two against. ``event_rates``, when given, are
-    the events per unit time (jumps, or uniformised steps) that coordinate
-    ``i``'s window draws in each replication besides its cycles.
+    cross-checks the other two against. ``window_events(taus)``, when
+    given, is the events (jumps, or uniformised steps) one replication of
+    the window expects to draw at ``taus`` besides its cycles.
     """
 
     state_dims: tuple[int, ...]
@@ -307,7 +344,7 @@ class RegenModel:
     cycle_generator: Callable[[np.random.Generator], tuple[CyclePath, ...]]
     window: Callable[[np.random.Generator, int, np.ndarray], list[np.ndarray]]
     cycle_batch: Callable[[int, np.random.Generator, int], CycleBatch]
-    event_rates: tuple[float, ...] = ()
+    window_events: Callable[[np.ndarray], float] | None = None
     window_chunk: int = WINDOW_CHUNK
 
     @property
@@ -327,32 +364,21 @@ def cycle_functionals(model: RegenModel, i: int, gs: Sequence, n_cycles: int,
     ``g``, from one pass over ``n_cycles`` fresh cycles of coordinate ``i``.
 
     Each block of ``BATCH_CYCLES`` cycles becomes one matrix, the lengths
-    then each ``g``'s per-cycle integrals, whose row means and co-moments
-    are merged into running totals by the pairwise update of Chan, Golub &
-    LeVeque (1983); memory does not grow with ``n_cycles``. Every row gets
+    then each ``g``'s per-cycle integrals, folded into one running
+    :class:`Moments`; memory does not grow with ``n_cycles``. Every row gets
     the same arithmetic, so a reward equal to the length gives exactly 1
     with SE 0. The SE is the first-order delta-method SE of the ratio of
     means, from ``ddof=1`` co-moments.
     """
     gen = as_generator(rng)
-    count = 0
-    mean = np.zeros(1 + len(gs))
-    comoment = np.zeros((len(mean), len(mean)))
+    totals = None
     for lo in range(0, n_cycles, BATCH_CYCLES):
         batch = model.cycle_batch(i, gen, min(BATCH_CYCLES, n_cycles - lo))
-        block = np.vstack([batch.lengths, batch.integrals(gs)])
-        block_mean = block.mean(axis=1)
-        dev = block - block_mean[:, None]
-        # summed along each row, so equal rows give equal entries bit for
-        # bit, which a BLAS product does not promise
-        block_comoment = (dev[:, None, :] * dev[None, :, :]).sum(axis=2)
-        delta = block_mean - mean
-        total = count + batch.count
-        mean += delta * (batch.count / total)
-        comoment += block_comoment
-        comoment += np.outer(delta, delta) * (count * batch.count / total)
-        count = total
-    cov = comoment / (count - 1)
+        block = Moments.of(np.vstack([batch.lengths, batch.integrals(gs)]))
+        totals = block if totals is None else totals.merge(block)
+    count = totals.count
+    mean = totals.mean
+    cov = totals.comoment / (count - 1)
     mean_l = mean[0]
     out = []
     for j in range(1, len(mean)):
@@ -755,19 +781,19 @@ def default_burn_in(model: RegenModel) -> float:
 def require_window_budget(model: RegenModel, times, n: int) -> None:
     """Refuse ``n`` replications of a window at ``times`` before any is
     drawn: when a coordinate expects ``DEFAULT_CYCLE_BUDGET`` cycles
-    (``times[i] / cycle_means[i]``) or, with ``event_rates``, as many
-    events (``event_rates[i] * times[i]``) per replication, or when the
-    largest chunk, ``min(n, window_chunk)`` replications, expects more
-    than ``MAX_WINDOW_WORK`` row-events at the largest of those counts."""
+    (``times[i] / cycle_means[i]``) or, with ``window_events``, a
+    replication expects as many events (``window_events(times)``), or when
+    the largest chunk, ``min(n, window_chunk)`` replications, expects more
+    than ``MAX_WINDOW_WORK`` row-events."""
     budget = DEFAULT_CYCLE_BUDGET
     times = np.asarray(times, dtype=float)
     # an infinite clock expects infinitely many cycles
     if np.max(times / np.asarray(model.cycle_means)) >= budget:
         raise BudgetExceededError(f"stationary window exceeded {budget} "
                                   f"cycles")
-    if not model.event_rates:
+    if model.window_events is None:
         return
-    events = float(np.max(times * np.asarray(model.event_rates)))
+    events = model.window_events(times)
     if events >= budget:
         raise BudgetExceededError(f"stationary window expects {budget} or "
                                   f"more events per replication")
@@ -779,14 +805,15 @@ def require_window_budget(model: RegenModel, times, n: int) -> None:
 
 
 def sample_states(model: RegenModel, times, n: int, seed: int, *,
-                  base_key: tuple[int, ...] = (1003,),
-                  threads: int | None = None) -> list[np.ndarray]:
+                  base_key: tuple[int, ...] = (1003,), reduce=None):
     """``n`` i.i.d. joint observations, coordinate ``i`` at ``times[i]``,
     from the model's ``window`` on chunks of ``window_chunk`` replications,
-    chunk ``k`` on substream ``(seed, *base_key, k)``, concatenated in
-    chunk order.
+    chunk ``k`` on substream ``(seed, *base_key, k)``.
 
-    Returns one (n, state_dim_i) array per coordinate. A run over
+    Returns one (n, state_dim_i) array per coordinate, chunks joined in
+    order; or, with ``reduce``, the lists of :class:`Moments`
+    ``reduce(states)`` makes of each chunk, merged entry by entry in chunk
+    order, so memory does not grow with ``n``. A run over
     :func:`require_window_budget` is refused before any chunk draws.
     """
     if n < 1:
@@ -801,8 +828,12 @@ def sample_states(model: RegenModel, times, n: int, seed: int, *,
     require_window_budget(model, times, n)
     key = (int(seed), *base_key)
 
-    def work(start: int, count: int, k: int) -> list[np.ndarray]:
-        return model.window(substream(*key, k), count, times)
+    def work(count: int, k: int):
+        states = model.window(substream(*key, k), count, times)
+        return states if reduce is None else reduce(states)
 
-    parts = run_chunked(n, model.window_chunk, work, thread_count(threads))
-    return [np.concatenate(cols) for cols in zip(*parts)]
+    parts = run_chunked(n, model.window_chunk, work, thread_count())
+    if reduce is None:
+        return [np.concatenate(cols) for cols in zip(*parts)]
+    return functools.reduce(
+        lambda a, b: [x.merge(y) for x, y in zip(a, b)], parts)

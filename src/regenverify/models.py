@@ -29,7 +29,7 @@ that straddles a cut point draws a double to settle it), with a block of
 words classified into event masks before its steps fire. The batch runs the
 whole network, records station ``i`` alone and draws its clock and event
 words step by step, a block of one step; the window has no clock, runs to
-Poisson step counts at the total rate (its ``event_rates``) and draws its
+Poisson step counts at the total rate (its ``window_events``) and draws its
 words a block of steps at a time, the same stream as one draw per step.
 Every family also keeps a per-cycle generator (``cycle_generator``);
 nothing in the package calls it, it is the oracle the tests cross-check the
@@ -46,6 +46,7 @@ from typing import Union
 
 import numpy as np
 
+from . import engine
 from .errors import (ArithmeticCyclesWarning, BudgetExceededError,
                      ConfigurationError, error_path)
 from .engine import (CycleBatch, CyclePath, RegenModel, level_rates,
@@ -54,7 +55,6 @@ from .randomness import (DependenceSpec, MarginalSpec, effective_arithmetic,
                          effective_cycle_mean, sample_cycle_vectors)
 from .renewal import equilibrium_tail, mean_excess
 
-MAX_EVENTS_PER_CYCLE = 10_000_000
 # most jump-time spacings one block of Levy free paths draws, unless the
 # block is one replication: below engine.WINDOW_ELEMENTS, and small enough
 # that a block's arrays stay in cache
@@ -198,7 +198,7 @@ def _levy_cycle(coord: LevyQueueCoordinate, start_level: float,
     level = start_level
     t = 0.0
     lam = coord.jump_rate
-    for _ in range(MAX_EVENTS_PER_CYCLE):
+    for _ in range(engine.DEFAULT_CYCLE_BUDGET):
         gap = gen.exponential(1.0 / lam) if lam > 0.0 else math.inf
         if gap >= level:
             breaks.append(t + level)
@@ -212,7 +212,7 @@ def _levy_cycle(coord: LevyQueueCoordinate, start_level: float,
         breaks.append(t)
         values.append(level)
     raise BudgetExceededError(
-        f"storage cycle exceeded {MAX_EVENTS_PER_CYCLE} jumps")
+        f"storage cycle exceeded {engine.DEFAULT_CYCLE_BUDGET} jumps")
 
 
 def _levy_batch(coord: LevyQueueCoordinate, start_levels: np.ndarray,
@@ -227,7 +227,7 @@ def _levy_batch(coord: LevyQueueCoordinate, start_levels: np.ndarray,
     t = np.zeros(count)
     level = np.asarray(start_levels, dtype=float)
     rows, times, levels = [live], [t], [level]
-    for _ in range(MAX_EVENTS_PER_CYCLE):
+    for _ in range(engine.DEFAULT_CYCLE_BUDGET):
         gap = (gen.exponential(1.0 / lam, live.size) if lam > 0.0
                else np.full(live.size, math.inf))
         done = gap >= level
@@ -242,7 +242,7 @@ def _levy_batch(coord: LevyQueueCoordinate, start_levels: np.ndarray,
         levels.append(level)
     else:
         raise BudgetExceededError(
-            f"storage cycle exceeded {MAX_EVENTS_PER_CYCLE} jumps")
+            f"storage cycle exceeded {engine.DEFAULT_CYCLE_BUDGET} jumps")
     starts, values, offsets = _by_cycle(rows, times, levels, count)
     values = values[:, None]
     return CycleBatch(starts, values, np.full_like(values, -1.0), offsets,
@@ -359,10 +359,12 @@ def build_levy_queue(spec: LevyQueueSpec) -> RegenModel:
                ) -> CycleBatch:
         return _levy_batch(coords[i], levels, gen)
 
+    # each coordinate draws its own free path, so their jumps add up
+    jump_rates = np.array([c.jump_rate for c in coords])
     return RegenModel((1,) * len(coords), means, generate,
                       _levy_window(coords, dep, restarts),
                       _vector_batch(dep, restarts, cycles),
-                      tuple(c.jump_rate for c in coords))
+                      lambda taus: float(jump_rates @ taus))
 
 
 # ---------------------------------------------------------------------------
@@ -730,9 +732,9 @@ def _jackson_cycle(spec: JacksonSpec, gen: np.random.Generator
     times.append(t)
     x[int(np.searchsorted(arr_cuts, gen.random(), side="right"))] += 1
     while x.any():
-        if len(times) > MAX_EVENTS_PER_CYCLE:
+        if len(times) > engine.DEFAULT_CYCLE_BUDGET:
             raise BudgetExceededError(
-                f"network cycle exceeded {MAX_EVENTS_PER_CYCLE} events")
+                f"network cycle exceeded {engine.DEFAULT_CYCLE_BUDGET} events")
         rows.append(x.copy())
         busy = x > 0
         rate = lam_ext + float(services[busy].sum())
@@ -884,7 +886,7 @@ def _jackson_batch(spec: JacksonSpec, i: int, gen: np.random.Generator,
     t = np.zeros(count)
     x = np.zeros((m, count), dtype=np.int32)
     rows, times, states = [live], [t], [x[i].copy()]
-    for _ in range(MAX_EVENTS_PER_CYCLE):
+    for _ in range(engine.DEFAULT_CYCLE_BUDGET):
         t = t + gen.exponential(1.0 / total, live.size)
         code, masks = classify(_jackson_words(gen, 1, live.size), refine,
                                np.int32)
@@ -909,7 +911,7 @@ def _jackson_batch(spec: JacksonSpec, i: int, gen: np.random.Generator,
                 break
     else:
         raise BudgetExceededError(
-            f"network cycle exceeded {MAX_EVENTS_PER_CYCLE} events")
+            f"network cycle exceeded {engine.DEFAULT_CYCLE_BUDGET} events")
     starts, values, offsets = _by_cycle(rows, times, states, count)
     values = values.astype(float)[:, None]
     return CycleBatch(starts, values, np.zeros_like(values), offsets, lengths)
@@ -991,10 +993,10 @@ def build_jackson(spec: JacksonSpec) -> RegenModel:
     m = len(spec.arrival_rates)
     mean = jackson_cycle_mean(spec)
     total, window = _jackson_window(spec)
-    # the window steps the whole network to each station's time
+    # the window steps one chain of the whole network to the latest time
     return RegenModel((1,) * m, (mean,) * m, partial(_jackson_cycle, spec),
-                      window, partial(_jackson_batch, spec), (total,) * m,
-                      JACKSON_CHUNK)
+                      window, partial(_jackson_batch, spec),
+                      lambda taus: total * float(np.max(taus)), JACKSON_CHUNK)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ round kernel to rounding. Driven by a busy-period walk, it is also the
 reference for the Levy window's Fuhrmann-Cooper decomposition. The cycle-route reference keeps every cycle's
 reward and length and takes their two-pass covariance; the package's
 streamed co-moments agree with it to rounding. The gap reference reduces a
-row-major (replications, m) matrix down its columns; it agrees with the
-package's coordinate-major rows bit for bit on 0/1 entries and to rounding
-on continuous ones.
+row-major (replications, m) matrix down its columns; the package's gap,
+read from streamed sums and co-moments, agrees with it bit for bit in the
+gap and means of 0/1 entries and to rounding everywhere else.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from regenverify import BudgetExceededError, engine, models
 from regenverify.asymptotics import GapEstimate
 from regenverify.engine import (DEFAULT_CYCLE_BUDGET, CycleBatch, CyclePath,
-                                Estimate, RegenModel)
+                                Estimate, Moments, RegenModel)
 from regenverify.models import JacksonSpec, _by_cycle
 from regenverify.randomness import (DependenceSpec, MarginalSpec,
                                     as_generator, effective_cycle_mean,
@@ -467,3 +467,16 @@ def product_form_gap_rows(samples: np.ndarray, *, t: float = math.nan,
         marginal_ses=tuple(float(v) for v in s.std(axis=0, ddof=1)
                            / math.sqrt(n)),
         degenerate=bool((s.min(axis=0) == s.max(axis=0)).any()))
+
+
+def gap_totals(samples: np.ndarray, chunk: int | None = None) -> Moments:
+    """The totals ``asymptotics.product_form_gap`` reads, of the rows
+    ``(p, s_1, ..., s_m)`` of a (replications, m) matrix, folded ``chunk``
+    replications at a time in order (all at once by default)."""
+    s = np.asarray(samples, dtype=float)
+    rows = np.vstack([s.prod(axis=1), s.T])
+    size = chunk or len(s)
+    totals = Moments.of(rows[:, :size])
+    for lo in range(size, len(s), size):
+        totals = totals.merge(Moments.of(rows[:, lo:lo + size]))
+    return totals

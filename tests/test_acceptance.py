@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, stats
 
-from oracles import tail
+from oracles import gap_totals, tail
 from regenverify import (ClearingCoordinate, ClearingSpec, DependenceSpec,
                          MarginalSpec, ScheduleSpec, build_clearing,
                          check_hypotheses, convergence_sweep,
@@ -175,7 +175,7 @@ def test_c05_single_renewal_process_two_times(report):
     states = sample_states(model, [2.0 * t, 3.0 * t], 100_000, seed=41)
     ages = [states[i][:, 0] for i in range(2)]
     mat = np.column_stack([(a <= median).astype(float) for a in ages])
-    est = product_form_gap(mat)
+    est = product_form_gap(gap_totals(mat))
     gap_ok = est.gap <= max(GAP_FLOOR, 3.0 * est.se)
 
     ks = [stats.kstest(a, lambda x: equilibrium_cdf(marginal, x)).statistic

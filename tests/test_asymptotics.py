@@ -12,13 +12,13 @@ from regenverify import (ClearingCoordinate, ClearingSpec, ConfigurationError,
                          convergence_sweep, final_gap_verdict,
                          quantile_indicator_tuples)
 from regenverify import asymptotics
-from regenverify.engine import indicator_le
+from regenverify.engine import Moments, exp_neg, indicator_le, sample_states
 from regenverify.randomness import substream
 from regenverify.asymptotics import (GapEstimate, ScheduleCoordinate,
                                      SweepResult, _quantile, check,
                                      product_form_gap)
 
-from oracles import product_form_gap_rows
+from oracles import gap_totals, product_form_gap_rows
 
 EXP1 = MarginalSpec.exponential(1.0)
 
@@ -155,7 +155,7 @@ def test_check_hypotheses_input_errors():
 def test_gap_on_independent_columns_is_noise():
     gen = substream(305, 0)
     mat = (gen.random((20_000, 2)) < 0.5).astype(float)
-    est = product_form_gap(mat)
+    est = product_form_gap(gap_totals(mat))
     assert est.gap <= 3.0 * est.se
     assert not est.degenerate
 
@@ -163,14 +163,14 @@ def test_gap_on_independent_columns_is_noise():
 def test_gap_on_identical_columns_is_quarter():
     gen = substream(306, 0)
     col = (gen.random(20_000) < 0.5).astype(float)
-    est = product_form_gap(np.column_stack([col, col]))
+    est = product_form_gap(gap_totals(np.column_stack([col, col])))
     assert abs(est.gap - 0.25) < 0.01
     assert est.gap > 10.0 * est.se
 
 
 def test_gap_on_constant_columns_is_degenerate_zero():
     mat = np.ones((2000, 3))
-    est = product_form_gap(mat)
+    est = product_form_gap(gap_totals(mat))
     assert est.gap == 0.0
     assert est.se == 0.0
     assert est.degenerate
@@ -181,7 +181,8 @@ def test_gap_flags_any_constant_column():
     # leave its SE a hair above zero
     gen = substream(309, 0)
     bern = (gen.random(10_000) < 0.37).astype(float)
-    est = product_form_gap(np.column_stack([np.ones(10_000), bern]))
+    est = product_form_gap(gap_totals(np.column_stack([np.ones(10_000),
+                                                       bern])))
     assert est.gap == 0.0
     assert est.degenerate
 
@@ -189,8 +190,8 @@ def test_gap_flags_any_constant_column():
 def test_gap_invariant_under_permuting_replications():
     gen = substream(308, 0)
     mat = gen.random((5000, 2))
-    a = product_form_gap(mat)
-    b = product_form_gap(mat[gen.permutation(5000)])
+    a = product_form_gap(gap_totals(mat))
+    b = product_form_gap(gap_totals(mat[gen.permutation(5000)]))
     # invariant up to summation order
     assert a.gap == pytest.approx(b.gap, abs=1e-13)
     assert a.mean_of_products == pytest.approx(b.mean_of_products, abs=1e-13)
@@ -202,7 +203,8 @@ def test_gap_se_matches_spread_of_signed_gap_under_null():
     signed, ses = [], []
     for rep in range(200):
         gen = substream(317, rep)
-        est = product_form_gap((gen.random((5000, 2)) < 0.5).astype(float))
+        est = product_form_gap(gap_totals(
+            (gen.random((5000, 2)) < 0.5).astype(float)))
         signed.append(est.mean_of_products - math.prod(est.marginal_means))
         ses.append(est.se)
     ratio = np.mean(ses) / np.std(signed, ddof=1)
@@ -211,9 +213,10 @@ def test_gap_se_matches_spread_of_signed_gap_under_null():
 
 def test_gap_input_validation():
     with pytest.raises(ValueError):
-        product_form_gap(np.ones((999, 2)))
+        product_form_gap(gap_totals(np.ones((999, 2))))
+    # the product row alone, with no coordinate
     with pytest.raises(ValueError):
-        product_form_gap(np.ones(2000))
+        product_form_gap(Moments.of(np.ones((1, 2000))))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
@@ -224,17 +227,20 @@ def test_gap_matches_row_major_reference(m):
     shared = gen.random((n, 1))
     ind = (0.5 * shared + 0.5 * gen.random((n, m))
            < gen.uniform(0.3, 0.7, m)).astype(float)
-    ours = product_form_gap(ind, t=1.0)
+    ours = product_form_gap(gap_totals(ind), t=1.0)
     ref = product_form_gap_rows(ind, t=1.0)
     assert ours.gap == ref.gap
-    assert ours.se == ref.se
+    # the SE is a quadratic form in co-moments, the reference's the spread
+    # of the influence values; they agree to rounding
+    assert ours.se == pytest.approx(ref.se, rel=1e-12, abs=0.0)
     assert ours.degenerate == ref.degenerate
     assert ours.marginal_means == ref.marginal_means
-    # continuous columns: sums along a row are pairwise, down a column
-    # sequential, so they agree to rounding; the gap is a difference of two
-    # terms of the size of the mean of products, and agrees on their scale
+    # continuous columns: the totals' sums are pairwise, the reference's
+    # down a column sequential, so they agree to rounding; the gap is a
+    # difference of two terms of the size of the mean of products, and
+    # agrees on their scale
     cont = gen.exponential(size=(n, m))
-    ours = product_form_gap(cont, t=1.0)
+    ours = product_form_gap(gap_totals(cont), t=1.0)
     ref = product_form_gap_rows(cont, t=1.0)
     assert ours.gap == pytest.approx(ref.gap, rel=1e-12,
                                      abs=1e-12 * ref.mean_of_products)
@@ -244,26 +250,65 @@ def test_gap_matches_row_major_reference(m):
     assert ours.marginal_means == pytest.approx(ref.marginal_means, rel=1e-12)
     assert ours.marginal_ses == pytest.approx(ref.marginal_ses, rel=1e-12)
     assert ours.degenerate == ref.degenerate
-    # a C-ordered matrix and the transpose of a coordinate-major buffer
+    # totals folded in chunks: 0/1 gaps and means exact, the rest to
+    # rounding
     for mat in (ind, cont):
-        rows = np.ascontiguousarray(mat.T)
-        assert product_form_gap(mat, t=1.0) == product_form_gap(rows.T, t=1.0)
+        whole = product_form_gap(gap_totals(mat), t=1.0)
+        parts = product_form_gap(gap_totals(mat, chunk=999), t=1.0)
+        if mat is ind:
+            assert parts.gap == whole.gap
+            assert parts.marginal_means == whole.marginal_means
+        assert parts.gap == pytest.approx(
+            whole.gap, rel=1e-12, abs=1e-12 * whole.mean_of_products)
+        assert parts.se == pytest.approx(whole.se, rel=1e-12)
+        assert parts.marginal_ses == pytest.approx(whole.marginal_ses,
+                                                   rel=1e-12)
+        assert parts.degenerate == whole.degenerate
 
 
-def test_sweep_hands_over_coordinate_major_rows(monkeypatch):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_folds_every_chunk_into_the_row_major_gap(monkeypatch,
+                                                        threads):
+    monkeypatch.setenv("REGEN_VERIFY_THREADS", threads)
     seen = []
 
-    def spy(samples, **kwargs):
-        seen.append(samples.T.flags.c_contiguous)
-        return product_form_gap(samples, **kwargs)
+    def spy(totals, **kwargs):
+        seen.append(totals.count)
+        return product_form_gap(totals, **kwargs)
 
     monkeypatch.setattr(asymptotics, "product_form_gap", spy)
     model = drift_clearing([1.0, 0.5], DependenceSpec.comonotone())
+    sched = affine([(1, 0), (1, 0)])
     fs = [("q50", (indicator_le(1.0), indicator_le(2.0))),
-          ("q25", (indicator_le(0.3), indicator_le(0.6)))]
-    convergence_sweep(model, affine([(1, 0), (1, 0)]), (10.0, 50.0, 200.0),
-                      fs, 1000, seed=319)
-    assert seen == [True] * 6
+          ("q25", (indicator_le(0.3), indicator_le(0.6))),
+          ("exp", (exp_neg(), exp_neg()))]
+    grid = (10.0, 50.0, 200.0)
+    chunk = model.window_chunk
+    # one full chunk, two, and several with a short last one
+    for n in (chunk, 2 * chunk, 5 * chunk + 123):
+        seen.clear()
+        sweep = convergence_sweep(model, sched, grid, fs, n, seed=319)
+        assert seen == [n] * 9
+        for k, t in enumerate(grid):
+            states = sample_states(model, sched.values(t), n, 319,
+                                   base_key=(101, k))
+            for f_id, pair in fs:
+                [est] = [g for g in sweep.gaps
+                         if g.t == t and g.f_id == f_id]
+                mat = np.column_stack([f(x) for f, x in zip(pair, states)])
+                ref = product_form_gap_rows(mat, t=t, f_id=f_id)
+                if f_id.startswith("q"):
+                    assert est.gap == ref.gap
+                    assert est.marginal_means == ref.marginal_means
+                else:
+                    assert est.gap == pytest.approx(
+                        ref.gap, rel=1e-12, abs=1e-12 * ref.mean_of_products)
+                    assert est.marginal_means == pytest.approx(
+                        ref.marginal_means, rel=1e-12)
+                assert est.se == pytest.approx(ref.se, rel=1e-12, abs=0.0)
+                assert est.marginal_ses == pytest.approx(ref.marginal_ses,
+                                                         rel=1e-12)
+                assert est.degenerate == ref.degenerate
 
 
 # ---------------------------------------------------------------------------

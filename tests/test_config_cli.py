@@ -400,19 +400,21 @@ def test_stationary_failure_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_stationary_event_budget_exits_5(tmp_path, capsys, monkeypatch):
-    from regenverify import models
-    monkeypatch.setattr(models, "MAX_EVENTS_PER_CYCLE", 2)
+    from regenverify import engine
+    # the budget bounds both the cycles the route asks for and the jumps
+    # of each busy period; one of these 200 has more than 200 jumps
+    monkeypatch.setattr(engine, "DEFAULT_CYCLE_BUDGET", 200)
     path = write_config(tmp_path, {
         "model": {"kind": "levy_queue",
                   "coordinates": [{"restart_level": EXP, "jump_rate": 0.9,
                                    "jump_size": EXP}],
                   "dependence": {"kind": "independent"}},
-        "run": {"seed": 9, "n_cycles": 2000, "horizon": 2000.0,
+        "run": {"seed": 9, "n_cycles": 200, "horizon": 2000.0,
                 "g": {"kind": "identity"}},
         "output": {"directory": str(tmp_path / "res")},
     })
     assert main(["stationary", "--config", str(path)]) == EXIT_BUDGET
-    assert "2 jumps" in capsys.readouterr().err
+    assert "storage cycle exceeded 200 jumps" in capsys.readouterr().err
 
 
 def test_stationary_cycle_budget_exits_5_before_allocating(tmp_path, capsys):
@@ -669,8 +671,20 @@ def power_clock_case():
     return obj, [], "stationary window exceeded 10000000 cycles"
 
 
+def levy_work_case():
+    # two coordinates at jump rate 0.5 read at 3 * 10^6 expect 3 * 10^6
+    # jumps per replication between them, 1.2 * 10^10 in a 4096-row chunk
+    obj = json.loads((CONFIG_DIR / "levy_parallel.json").read_text())
+    obj["model"]["coordinates"][1]["jump_rate"] = 0.5
+    obj["run"]["t_grid"] = [10.0, 100.0, 3e6]
+    return obj, ["--reps", "4096"], (
+        "stationary window expects more than 10000000000 row-events in a "
+        "chunk of 4096 replications")
+
+
 WINDOW_BUDGET_CASES = {
     "levy_jumps": levy_jumps_case,
+    "levy_work": levy_work_case,
     "jackson_steps": jackson_steps_case,
     "jackson_work": lambda: (
         jackson_work_scenario(), [], "stationary window expects more than "

@@ -463,11 +463,11 @@ def test_sample_states_rejects_non_finite_times(make_model, bad,
 
 
 def test_run_chunked_is_thread_count_invariant():
-    def work(start, count, k):
-        return np.arange(start, start + count) * (k + 1)
+    def work(count, k):
+        return np.arange(count) * (k + 1)
 
-    one = run_chunked(1000, 128, work, threads=1)
-    four = run_chunked(1000, 128, work, threads=4)
+    one = list(run_chunked(1000, 128, work, threads=1))
+    four = list(run_chunked(1000, 128, work, threads=4))
     assert len(one) == len(four) == 8
     for a, b in zip(one, four):
         assert np.array_equal(a, b)

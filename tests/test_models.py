@@ -225,7 +225,7 @@ def test_levy_second_coordinate_matches_fuhrmann_cooper():
 
 
 def test_levy_batch_event_budget_enforced(monkeypatch):
-    monkeypatch.setattr(models, "MAX_EVENTS_PER_CYCLE", 2)
+    monkeypatch.setattr(engine, "DEFAULT_CYCLE_BUDGET", 2)
     model = levy_model(LevyQueueCoordinate(restart_level=EXP1, jump_rate=0.9,
                                            jump_size=EXP1))
     with pytest.raises(BudgetExceededError):
@@ -233,7 +233,7 @@ def test_levy_batch_event_budget_enforced(monkeypatch):
 
 
 def test_jackson_batch_event_budget_enforced(monkeypatch):
-    monkeypatch.setattr(models, "MAX_EVENTS_PER_CYCLE", 2)
+    monkeypatch.setattr(engine, "DEFAULT_CYCLE_BUDGET", 2)
     with pytest.raises(BudgetExceededError):
         build_jackson(TANDEM).cycle_batch(0, substream(106, 0), 1000)
 
@@ -589,10 +589,10 @@ def test_jackson_sampler_work_budget_bounds_one_chunk(monkeypatch):
     model = build_jackson(TANDEM)
     states = sample_states(model, [400.0, 10.0], 100, seed=127)
     assert states[0].shape == (100, 1)
-    for threads in (1, 2):
+    for threads in ("1", "2"):
+        monkeypatch.setenv("REGEN_VERIFY_THREADS", threads)
         with pytest.raises(BudgetExceededError, match="100000 row-events"):
-            sample_states(model, [400.4, 10.0], 100, seed=127,
-                          threads=threads)
+            sample_states(model, [400.4, 10.0], 100, seed=127)
     # the bound is per chunk: rows past the first chunk add no work to it
     rows = models.JACKSON_CHUNK
     monkeypatch.setattr(engine, "MAX_WINDOW_WORK", rows * 10)
@@ -607,7 +607,7 @@ def step_oracle_states(spec: JacksonSpec, taus, n: int, seed: int):
     ``jackson_chunk_states`` as its window, on the model's chunks."""
     model = dataclasses.replace(build_jackson(spec),
                                 window=jackson_chunk_states(spec))
-    return sample_states(model, taus, n, seed, threads=1)
+    return sample_states(model, taus, n, seed)
 
 
 # external arrivals at stations 0 and 2, a three-way split out of station
@@ -626,7 +626,7 @@ def test_jackson_sampler_matches_step_oracle_bit_for_bit(spec, taus):
     m = len(spec.arrival_rates)
     taus = np.asarray(taus[:m])
     n = 3000
-    fast = sample_states(build_jackson(spec), taus, n, 131, threads=1)
+    fast = sample_states(build_jackson(spec), taus, n, 131)
     slow = step_oracle_states(spec, taus, n, 131)
     for a, b in zip(fast, slow):
         assert a.shape == b.shape == (n, 1)
@@ -654,11 +654,11 @@ def test_jackson_sampler_states_do_not_depend_on_block_edges(spec, chunk,
         monkeypatch.setattr(models, "JACKSON_CHUNK", chunk)
     n = 600 if chunk is None else 40
     taus = np.array([20.0, 30.0, 25.0][:len(spec.arrival_rates)])
-    whole = sample_states(build_jackson(spec), taus, n, 133, threads=1)
+    whole = sample_states(build_jackson(spec), taus, n, 133)
     # blocks of 5 steps each, where the default holds 100 or more
     rows = min(n, models.JACKSON_CHUNK)
     monkeypatch.setattr(models, "JACKSON_BLOCK", 5 * rows)
-    fives = sample_states(build_jackson(spec), taus, n, 133, threads=1)
+    fives = sample_states(build_jackson(spec), taus, n, 133)
     for a, b in zip(whole, fives):
         assert a.shape == (n, 1)
         assert a.tobytes() == b.tobytes()
@@ -683,10 +683,10 @@ def test_jackson_sampler_widens_its_counts_bit_for_bit(name, monkeypatch):
     n = 3000
     slow = step_oracle_states(spec, taus, n, 137)
     assert max(b.max() for b in slow) > 127
-    fast = sample_states(build_jackson(spec), taus, n, 137, threads=1)
+    fast = sample_states(build_jackson(spec), taus, n, 137)
     # blocks of 5 steps, so the widening falls on another block edge
     monkeypatch.setattr(models, "JACKSON_BLOCK", 5 * n)
-    fives = sample_states(build_jackson(spec), taus, n, 137, threads=1)
+    fives = sample_states(build_jackson(spec), taus, n, 137)
     for a, b, c in zip(fast, fives, slow):
         assert a.shape == (n, 1)
         assert a.tobytes() == b.tobytes() == c.tobytes()
@@ -857,13 +857,14 @@ THREAD_MODELS = {**WINDOW_MODELS, "levy_copula": lambda: levy_model(
 
 
 @pytest.mark.parametrize("family", sorted(THREAD_MODELS))
-def test_window_sampler_is_thread_count_invariant(family):
+def test_window_sampler_is_thread_count_invariant(family, monkeypatch):
     model = THREAD_MODELS[family]()
     n = engine.WINDOW_CHUNK + 904
-    one = sample_states(model, [20.0, 30.0], n, seed=107, threads=1)
+    monkeypatch.setenv("REGEN_VERIFY_THREADS", "1")
+    one = sample_states(model, [20.0, 30.0], n, seed=107)
     for threads in (2, 4):
-        other = sample_states(model, [20.0, 30.0], n, seed=107,
-                              threads=threads)
+        monkeypatch.setenv("REGEN_VERIFY_THREADS", str(threads))
+        other = sample_states(model, [20.0, 30.0], n, seed=107)
         for a, b, d in zip(one, other, model.state_dims):
             assert a.shape == (n, d)
             assert a.tobytes() == b.tobytes()
@@ -971,12 +972,14 @@ def test_window_ages_at_exact_epochs(monkeypatch):
     assert np.all(off == 0.75)
 
 
-def test_jackson_sampler_is_thread_count_invariant():
+def test_jackson_sampler_is_thread_count_invariant(monkeypatch):
     model = build_jackson(TANDEM)
     # the Jackson sampler runs chunks of 16384 replications
     n = 16384 + 904
-    one = sample_states(model, [20.0, 30.0], n, seed=128, threads=1)
-    two = sample_states(model, [20.0, 30.0], n, seed=128, threads=2)
+    monkeypatch.setenv("REGEN_VERIFY_THREADS", "1")
+    one = sample_states(model, [20.0, 30.0], n, seed=128)
+    monkeypatch.setenv("REGEN_VERIFY_THREADS", "2")
+    two = sample_states(model, [20.0, 30.0], n, seed=128)
     for a, b in zip(one, two):
         assert a.shape == (n, 1)
         assert a.tobytes() == b.tobytes()
@@ -1078,7 +1081,7 @@ def renewal_states(dep, laws, taus, n, seed):
     model = engine.RegenModel(
         (2,) * len(laws), tuple(effective_cycle_mean(dep, sp) for sp in laws),
         None, engine.renewal_window_sampler(dep, laws, age_and_length), None)
-    return sample_states(model, taus, n, seed, threads=1)
+    return sample_states(model, taus, n, seed)
 
 
 def round_window(dep, laws, taus, n, seed):
@@ -1305,8 +1308,7 @@ def test_levy_decomposition_matches_round_sampler(dep, coords):
     model = levy_model(*coords, dependence=dep)
     fast = sample_states(model, taus, n, seed=150)
     walk = sample_states(dataclasses.replace(
-        model, window=levy_busy_period_window(coords, dep)), taus, n, seed=151,
-        threads=1)
+        model, window=levy_busy_period_window(coords, dep)), taus, n, seed=151)
     for a, b in zip(fast, walk):
         assert a.shape == (n, 1)
         assert two_sample_ks(a[:, 0], b[:, 0]) < ks_critical(n)
@@ -1394,6 +1396,18 @@ def test_levy_decomposition_budgets(monkeypatch):
     assert sum(len(jumps) for jumps in blocks) == n
     assert all(len(jumps) == 1 or np.sum(jumps + 1) <= 500
                for jumps in blocks)
+
+
+def test_levy_work_bound_counts_every_coordinate():
+    # each coordinate draws its own free path, so a row's jumps add up:
+    # 0.5 * 3e6 twice makes 3e6 per row and 1.2e10 in a chunk of 4096
+    model = levy_model(M_G_1_VACATION, M_G_1_VACATION)
+    with pytest.raises(BudgetExceededError, match="10000000000 row-events "
+                       "in a chunk of 4096 "):
+        engine.require_window_budget(model, [3e6, 3e6], 4096)
+    # one coordinate's jumps, or 3000 rows of both, stay under the bound
+    engine.require_window_budget(model, [3e6, 0.0], 4096)
+    engine.require_window_budget(model, [3e6, 3e6], 3000)
 
 
 # ---------------------------------------------------------------------------
