@@ -118,6 +118,13 @@ def _sweep_refusals(cfg: ScenarioConfig, model: RegenModel) -> float:
     return burn
 
 
+def _require_status(spec) -> None:
+    """What status-pi refuses before building the model: another family."""
+    if not isinstance(spec, StatusSpec):
+        raise ConfigurationError("status-pi needs a status model",
+                                 "model.kind")
+
+
 def _status_refusals(run, model: RegenModel) -> float:
     """What status-pi refuses before drawing: a window over
     ``require_window_budget`` for the run's replications at the burn-in,
@@ -153,15 +160,16 @@ def _stationary_refusals(run, model: RegenModel) -> float:
 
 def cmd_validate(args) -> int:
     cfg = _load(args)
+    # a file with neither a schedule nor run.g is a status-pi scenario
+    status = cfg.schedule is None and cfg.run.g is None
+    if status:
+        _require_status(cfg.model)
     model = _build(cfg.model)
     if cfg.schedule is not None:
         _sweep_refusals(cfg, model)
     if cfg.run.g is not None:
         _stationary_refusals(cfg.run, model)
-    # another family's model alone is a model check, which status-pi's
-    # budget does not apply to
-    if (cfg.schedule is None and cfg.run.g is None
-            and isinstance(cfg.model, StatusSpec)):
+    if status:
         _status_refusals(cfg.run, model)
     print(canonical_json(scenario_to_json(cfg)))
     return EXIT_OK
@@ -216,9 +224,7 @@ def cmd_verify_independence(args) -> int:
 
 def cmd_status_pi(args) -> int:
     cfg = _load(args)
-    if not isinstance(cfg.model, StatusSpec):
-        raise ConfigurationError("status-pi needs a status model",
-                                 "model.kind")
+    _require_status(cfg.model)
     model = _build(cfg.model)
     run = cfg.run
     # refuse before the closed form's quadrature pays for it

@@ -10,8 +10,9 @@ flat segment arrays (:class:`CycleBatch`) and integrate them in closed form;
 the cycle route folds each block into :class:`Moments`, so its memory does
 not depend on the number of cycles. A model's ``window`` reads each
 coordinate in its straddling cycle, which :func:`straddling_cycles` alone
-draws; only :func:`sample_states` runs it, on chunks of replications, once
-:func:`require_window_budget` admits them.
+draws, in the laws' own time units, by one visit rule for every gamma
+process it reads; only :func:`sample_states` runs it, on chunks of
+replications, once :func:`require_window_budget` admits them.
 """
 
 from __future__ import annotations
@@ -487,57 +488,26 @@ def time_average_estimate(model: RegenModel, i: int, g, horizon: float,
     return Estimate(value, se)
 
 
-def bridge_processes(dep, laws) -> list[list[int]] | None:
-    """The coordinates reading each unit-rate gamma process, or None when
-    the cycle lengths have no closed-form block sums.
+def bridge_processes(dep, laws) -> list[tuple[float, list[int]]] | None:
+    """The shape and the coordinates of each unit-rate gamma process that
+    the cycle lengths times their rates are increments of, or None when the
+    cycle lengths have no closed-form block sums.
 
-    Exponential and gamma cycle lengths times their rates are unit-rate
-    gamma increments: one process per coordinate when the coupling is
-    independent, one shared process when it is comonotone and every law
-    has the same kind and shape (the shared unit quantile of
-    ``randomness._invert``).
+    Exponential and gamma cycle lengths qualify: one process per coordinate
+    when the coupling is independent, one shared process when it is
+    comonotone and every law has the same kind and shape (the shared unit
+    quantile of ``randomness._invert``).
     """
     if any(sp.kind not in UNIT_RATE_KINDS for sp in laws):
         return None
+    shapes = [1.0 if sp.kind == "exponential" else float(sp.shape)
+              for sp in laws]
     if dep.kind == "independent":
-        return [[i] for i in range(len(laws))]
+        return [(shape, [i]) for i, shape in enumerate(shapes)]
     if dep.kind == "comonotone" and len({(sp.kind, sp.shape)
                                          for sp in laws}) == 1:
-        return [list(range(len(laws)))]
+        return [(shapes[0], list(range(len(laws))))]
     return None
-
-
-def level_rates(dep, laws) -> np.ndarray:
-    """The rate that turns coordinate ``i``'s times into its levels in
-    :func:`straddling_cycles`: its law's rate where
-    :func:`bridge_processes` accepts the laws, whose gamma processes run at
-    unit rate, and 1 where the round kernel sums cycle lengths as drawn."""
-    if bridge_processes(dep, laws) is None:
-        return np.ones(len(laws))
-    return np.array([sp.rate for sp in laws])
-
-
-def renewal_window_sampler(dep, laws, state):
-    """The ``window`` of renewal cycles drawn from ``laws`` under ``dep``:
-    coordinate ``i`` reads the cycle straddling the level ``tau_i *
-    rate_i`` (:func:`level_rates`), the same in every row, from
-    :func:`straddling_cycles`, and ``state(i, age, length, gen)`` fills it.
-    """
-    rates = level_rates(dep, laws)
-
-    def window(gen: np.random.Generator, count: int,
-               taus: np.ndarray) -> list[np.ndarray]:
-        levels = (taus * rates)[:, None]
-        out = [None] * len(laws)
-        for i, lo, hi in straddling_cycles(gen, count, dep, laws, levels):
-            length = (hi - lo) / rates[i]
-            # the level difference can round a hair past the cycle end
-            age = np.minimum((levels[i] - lo) / rates[i],
-                             np.nextafter(length, 0.0))
-            out[i] = state(i, age, length, gen)
-        return out
-
-    return window
 
 
 def straddling_cycles(gen: np.random.Generator, count: int, dep, laws,
@@ -545,29 +515,25 @@ def straddling_cycles(gen: np.random.Generator, count: int, dep, laws,
     """Yield ``(i, lo, hi)`` for every coordinate ``i``: the ends
     G_{n-1} <= levels[i] < G_n, one per row, of the straddling cycle of
     G_n, the sums of coordinate ``i``'s cycle lengths drawn from ``laws``
-    under ``dep``, times its :func:`level_rates`. ``levels`` has one row
-    per coordinate and one column per replication, or a single column that
-    every replication shares. It is the only reader of straddling cycles,
-    with three kernels.
+    under ``dep``. ``levels`` has one row per coordinate and one column per
+    replication, or a single column that every replication shares. It is
+    the only reader of straddling cycles, with two kernels.
 
-    Each process of :func:`bridge_processes`, a unit-rate gamma process,
-    is read without drawing the cycles before the level: one whose shape
-    is an integer k takes :func:`_poisson_cycles`, an O(1) draw per row
-    and level from the Poisson count of the points below the level; any
-    other shape takes :func:`_bisected_cycles`. Both visit a process's
-    levels so that the joint law of comonotone straddling cycles is exact.
-    Every other law or coupling takes :func:`_round_cycles`, which draws
-    every joint cycle up to the levels.
+    Each process of :func:`bridge_processes` is read without drawing the
+    cycles before the level, by :func:`_bridge_cycles` at the levels times
+    the laws' rates, the time units of a unit-rate gamma process; the ends
+    come back divided by the rates. Every other law or coupling takes
+    :func:`_round_cycles`, which draws every joint cycle up to the levels.
     """
-    groups = bridge_processes(dep, laws)
-    if groups is None:
+    processes = bridge_processes(dep, laws)
+    if processes is None:
         yield from _round_cycles(gen, count, dep, laws, levels)
         return
-    for coords in groups:
-        law = laws[coords[0]]
-        shape = 1.0 if law.kind == "exponential" else float(law.shape)
-        cycles = _poisson_cycles if shape.is_integer() else _bisected_cycles
-        yield from cycles(gen, count, shape, coords, levels)
+    rates = np.array([sp.rate for sp in laws])
+    units = levels * rates[:, None]
+    for shape, coords in processes:
+        for i, lo, hi in _bridge_cycles(gen, count, shape, coords, units):
+            yield i, lo / rates[i], hi / rates[i]
 
 
 def _round_cycles(gen: np.random.Generator, count: int, dep, laws,
@@ -639,25 +605,24 @@ def _round_cycles(gen: np.random.Generator, count: int, dep, laws,
         yield i, ends[0, i], ends[1, i]
 
 
-def _poisson_cycles(gen: np.random.Generator, count: int, shape: float,
-                    coords: list[int], levels: np.ndarray):
+def _bridge_cycles(gen: np.random.Generator, count: int, shape: float,
+                   coords: list[int], levels: np.ndarray):
     """Yield ``(i, lo, hi)``, the ends G_{n-1} <= levels[i] < G_n of each
-    row's straddling cycle, for a gamma process of integer shape k.
+    row's straddling cycle, for a unit-rate gamma process G of ``shape``.
 
-    Its points G_n are every k-th point of a unit-rate Poisson process. At
-    a level L past the last restart, N ~ Poisson(L) points lie below it and
-    J = N mod k of them in the straddling cycle. Given N the points are
-    uniform order statistics on [0, L] (Kingman, 1993), so the age is
-    L * X / (X + Y), X ~ Gamma(J + 1) and Y ~ Gamma(N - J), or L when
-    N < k; the residual is Gamma(k - J) by memorylessness. Each row visits
-    its own levels in ascending order, ties in the order of ``coords``: a
-    level below the end of the row's last cycle reads that cycle, and one
-    at or past it restarts the process at that renewal epoch. Each row
-    draws at most four variates per level. A coordinate is yielded once
-    every row has visited its level, so levels that every row shares are
-    visited, and yielded, one coordinate at a time.
+    Each row visits its own levels in ascending order, ties in the order of
+    ``coords``: a level below the end of the row's last cycle reads that
+    cycle, and one at or past it restarts the process at that renewal epoch
+    and reads the cycle straddling the level from there, by
+    :func:`_poisson_read` for an integer shape and :func:`_bisected_read`
+    for any other, neither drawing the cycles in between. So the joint law
+    of comonotone straddling cycles is exact. ``ended`` counts each row's
+    cycles before its current one, and the budget is checked on it once per
+    visit. A coordinate is yielded once every row has visited its level, so
+    levels that every row shares are visited, and yielded, one coordinate
+    at a time.
     """
-    k = int(shape)
+    read = _poisson_read if shape.is_integer() else _bisected_read
     budget = DEFAULT_CYCLE_BUDGET
     own = levels[coords]
     # the visit at which each row reads each position of coords
@@ -676,102 +641,97 @@ def _poisson_cycles(gen: np.random.Generator, count: int, shape: float,
                                 (count,))
         fresh = np.flatnonzero(hi <= level)
         if fresh.size:
-            start = level[fresh]
-            span = start - hi[fresh]
-            n = gen.poisson(span)
-            j = n % k
-            ended[fresh] += 1 + n // k
+            before, lo[fresh], hi[fresh] = read(gen, shape, hi[fresh],
+                                                level[fresh])
+            ended[fresh] += 1 + before
             if ended[fresh].max() >= budget:
                 raise BudgetExceededError(f"stationary window exceeded "
                                           f"{budget} cycles")
-            x = gen.standard_gamma(j + 1.0)
-            # rows with N < k draw Gamma(0), which is 0 and takes nothing
-            # from the stream
-            y = gen.standard_gamma((n - j).astype(float))
-            split = np.divide(x, x + y, out=np.ones_like(x), where=y > 0.0)
-            lo[fresh] = start - span * split
-            hi[fresh] = start + gen.standard_gamma(k - j.astype(float))
         np.copyto(ends[0], lo, where=now)
         np.copyto(ends[1], hi, where=now)
         for p in np.flatnonzero(last == visit):
             yield coords[p], ends[0, p], ends[1, p]
 
 
-def _bisected_cycles(gen: np.random.Generator, count: int, shape: float,
-                     coords: list[int], levels: np.ndarray):
-    """Yield ``(i, lo, hi)``, the ends G_{n-1} <= levels[i] < G_n of each
-    row's straddling cycle, for a gamma process of any shape.
+def _poisson_read(gen: np.random.Generator, shape: float, epoch: np.ndarray,
+                  level: np.ndarray):
+    """How many cycles a gamma process of integer shape k renewed at
+    ``epoch`` ends before the one straddling ``level``, and that cycle's
+    ends.
 
-    Draws G_K, a Gamma(K * shape) block sum past every level of its row,
-    and bisects the bracket G_lo <= level < G_hi on the cycle index with
-    G_mid = G_lo + (G_hi - G_lo) * Beta((mid - lo) * shape, (hi - mid) *
-    shape), the exact law of a gamma sum split at ``mid`` (Devroye, 1986,
-    ch. IX), in about log2(level / shape) steps. Bridges between drawn
-    points are independent, so a level starts from the tightest bracket
-    among the points earlier levels drew, whatever the order of the levels.
+    Its points are every k-th point of a unit-rate Poisson process. N ~
+    Poisson(level - epoch) points lie between, and J = N mod k of them in
+    the straddling cycle. Given N the points are uniform order statistics
+    (Kingman, 1993), so the age is (level - epoch) * X / (X + Y), X ~
+    Gamma(J + 1) and Y ~ Gamma(N - J), or level - epoch when N < k; the
+    residual is Gamma(k - J) by memorylessness. At most four variates per
+    row.
     """
-    budget = DEFAULT_CYCLE_BUDGET
-    rows = np.arange(count)
-    top = np.broadcast_to(levels[coords].max(axis=0), (count,))
-    mean = float(top.max()) / shape
-    k = min(int(mean + BRIDGE_SPREAD * math.sqrt(mean)) + 2, budget)
-    # the points of G drawn so far, one column per draw; a row that a draw
-    # skips repeats a point it already has
-    index = [np.zeros(count, dtype=np.int64),
-             np.full(count, k, dtype=np.int64)]
-    value = [np.zeros(count), gen.standard_gamma(k * shape, count)]
+    k = int(shape)
+    span = level - epoch
+    n = gen.poisson(span)
+    j = n % k
+    x = gen.standard_gamma(j + 1.0)
+    # rows with N < k draw Gamma(0), which is 0 and takes nothing from the
+    # stream
+    y = gen.standard_gamma((n - j).astype(float))
+    split = np.divide(x, x + y, out=np.ones_like(x), where=y > 0.0)
+    return (n // k, level - span * split,
+            level + gen.standard_gamma(k - j.astype(float)))
+
+
+def _bisected_read(gen: np.random.Generator, shape: float, epoch: np.ndarray,
+                   level: np.ndarray):
+    """How many cycles a gamma process of any shape renewed at ``epoch``
+    ends before the one straddling ``level``, and that cycle's ends.
+
+    Draws G_K, a Gamma(K * shape) block sum past the level, and bisects the
+    bracket G_lo <= level < G_hi on the cycle index with G_mid = G_lo +
+    (G_hi - G_lo) * Beta((mid - lo) * shape, (hi - mid) * shape), the exact
+    law of a gamma sum split at ``mid`` (Devroye, 1986, ch. IX), in about
+    log2((level - epoch) / shape) steps.
+    """
+    mean = float((level - epoch).max()) / shape
+    k = int(mean + BRIDGE_SPREAD * math.sqrt(mean)) + 2
+    lo_i = np.zeros(len(epoch), dtype=np.int64)
+    hi_i = np.full(len(epoch), k, dtype=np.int64)
+    lo_v = epoch.copy()
+    hi_v = epoch + gen.standard_gamma(k * shape, len(epoch))
     while True:
-        short = np.flatnonzero(value[-1] <= top)
+        short = np.flatnonzero(hi_v <= level)
         if not short.size:
             break
-        reach = index[-1][short]
-        if np.any(reach >= budget):
-            raise BudgetExceededError(f"stationary window exceeded "
-                                      f"{budget} cycles")
-        left = (top[short] - value[-1][short]) / shape
-        more = np.minimum(
-            (left + BRIDGE_SPREAD * np.sqrt(left)).astype(np.int64) + 2,
-            budget - reach)
-        index.append(index[-1].copy())
-        value.append(value[-1].copy())
-        index[-1][short] += more
-        value[-1][short] += gen.standard_gamma(more * shape)
-    for i in coords:
-        level = levels[i]
-        known_i = np.column_stack(index)
-        known_v = np.column_stack(value)
-        below = known_v <= level[:, None]
-        lo_col = np.where(below, known_i, -1).argmax(axis=1)
-        hi_col = np.where(below, budget + 1, known_i).argmin(axis=1)
-        lo_i, lo_v = known_i[rows, lo_col], known_v[rows, lo_col]
-        hi_i, hi_v = known_i[rows, hi_col], known_v[rows, hi_col]
-        while True:
-            width = hi_i - lo_i
-            if width.max() < 2:
-                break
-            mid = lo_i + width // 2
-            # Beta((mid - lo) * shape, (hi - mid) * shape) as a ratio of
-            # gammas; rows down to one cycle draw Gamma(0), which is 0 and
-            # takes nothing from the stream
-            a = (mid - lo_i) * shape
-            x = gen.standard_gamma(a)
-            total = x + gen.standard_gamma(
-                np.where(width > 1, (hi_i - mid) * shape, 0.0))
-            split = np.divide(x, total, out=x, where=total > 0.0)
-            # both gammas can underflow at tiny shapes
-            lost = np.flatnonzero((total == 0.0) & (a > 0.0))
-            if lost.size:
-                split[lost] = gen.beta(a[lost], (hi_i - mid)[lost] * shape)
-            # clipped so that points stay ordered with their index
-            g = np.minimum(lo_v + (hi_v - lo_v) * split, hi_v)
-            index.append(mid)
-            value.append(g)
-            low = g <= level
-            lo_i = np.where(low, mid, lo_i)
-            lo_v = np.where(low, g, lo_v)
-            hi_i = np.where(low, hi_i, mid)
-            hi_v = np.where(low, hi_v, g)
-        yield i, lo_v, hi_v
+        left = (level[short] - hi_v[short]) / shape
+        more = (left + BRIDGE_SPREAD * np.sqrt(left)).astype(np.int64) + 2
+        lo_i[short] = hi_i[short]
+        lo_v[short] = hi_v[short]
+        hi_i[short] += more
+        hi_v[short] += gen.standard_gamma(more * shape)
+    while True:
+        width = hi_i - lo_i
+        if width.max() < 2:
+            break
+        mid = lo_i + width // 2
+        # Beta((mid - lo) * shape, (hi - mid) * shape) as a ratio of
+        # gammas; rows down to one cycle draw Gamma(0), which is 0 and
+        # takes nothing from the stream
+        a = (mid - lo_i) * shape
+        x = gen.standard_gamma(a)
+        total = x + gen.standard_gamma(
+            np.where(width > 1, (hi_i - mid) * shape, 0.0))
+        split = np.divide(x, total, out=x, where=total > 0.0)
+        # both gammas can underflow at tiny shapes
+        lost = np.flatnonzero((total == 0.0) & (a > 0.0))
+        if lost.size:
+            split[lost] = gen.beta(a[lost], (hi_i - mid)[lost] * shape)
+        # clipped so that points stay ordered with their index
+        g = np.minimum(lo_v + (hi_v - lo_v) * split, hi_v)
+        low = g <= level
+        lo_i = np.where(low, mid, lo_i)
+        lo_v = np.where(low, g, lo_v)
+        hi_i = np.where(low, hi_i, mid)
+        hi_v = np.where(low, hi_v, g)
+    return lo_i, lo_v, hi_v
 
 
 def default_burn_in(model: RegenModel) -> float:

@@ -15,13 +15,13 @@ coordinates. In all but Jackson networks joint cycle ``n`` is driven by the
 writes its within-cycle law once, as ``cycles(i, column, gen)``: coordinate
 ``i``'s entries turned into its :class:`CycleBatch`. :func:`_vector_batch`
 makes the ``cycle_batch`` of it. The windows read one straddling cycle of
-the vectors' sums per coordinate from :func:`engine.straddling_cycles`,
-whatever the laws and coupling; its kernels (two gamma-process bridges and
-a round kernel) are chosen there. Renewal families build ``cycles`` for the
-straddling cycles alone and read them at their ages
-(:func:`_renewal_window`); a Levy queue's window state is its free path
-reflected at its infimum plus the residual restart level there
-(:func:`_levy_window`), so no window draws a busy period. Jackson networks'
+the vectors' sums per coordinate from :func:`engine.straddling_cycles`, at
+levels in the laws' own time units, whatever the laws and coupling; its
+kernels (a gamma-process bridge and a round kernel) are chosen there.
+Renewal families build ``cycles`` for the straddling cycles alone and read
+them at their ages (:func:`_renewal_window`); a Levy queue's window state
+is its free path reflected at its infimum plus the residual restart level
+there (:func:`_levy_window`), so no window draws a busy period. Jackson networks'
 batch and window drive one step of uniformised transitions
 (:func:`_jackson_events`): masked updates of a station-major state, one
 16-bit random word per chain and step picking its event exactly (a word
@@ -49,8 +49,8 @@ import numpy as np
 from . import engine
 from .errors import (ArithmeticCyclesWarning, BudgetExceededError,
                      ConfigurationError, error_path)
-from .engine import (CycleBatch, CyclePath, RegenModel, level_rates,
-                     linear_path, renewal_window_sampler, straddling_cycles)
+from .engine import (CycleBatch, CyclePath, RegenModel, linear_path,
+                     straddling_cycles)
 from .randomness import (DependenceSpec, MarginalSpec, effective_arithmetic,
                          effective_cycle_mean, sample_cycle_vectors)
 from .renewal import equilibrium_tail, mean_excess
@@ -140,14 +140,23 @@ def _check_jumps(rate: float, size: MarginalSpec | None) -> None:
 
 def _renewal_window(dep: DependenceSpec, marginals, cycles):
     """The ``window`` of a renewal-driven family: the drawn entries are the
-    cycle lengths, and the straddling cycles are drawn by ``cycles(i,
-    lengths, gen)``, the family's own batch, and read at their ages."""
+    cycle lengths, coordinate ``i`` reads the cycle straddling ``tau_i``,
+    the same in every row, from :func:`engine.straddling_cycles`, and
+    ``cycles(i, lengths, gen)``, the family's own batch, draws that cycle
+    and reads it at its age."""
 
-    def state(i: int, age: np.ndarray, length: np.ndarray,
-              gen: np.random.Generator) -> np.ndarray:
-        return cycles(i, length, gen).at(np.arange(len(age)), age)
+    def window(gen: np.random.Generator, count: int,
+               taus: np.ndarray) -> list[np.ndarray]:
+        out = [None] * len(marginals)
+        for i, lo, hi in straddling_cycles(gen, count, dep, marginals,
+                                           taus[:, None]):
+            length = hi - lo
+            # the ends can round a hair past the level on either side
+            age = np.clip(taus[i] - lo, 0.0, np.nextafter(length, 0.0))
+            out[i] = cycles(i, length, gen).at(np.arange(count), age)
+        return out
 
-    return renewal_window_sampler(dep, marginals, state)
+    return window
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +325,7 @@ def _levy_window(coords, dep: DependenceSpec, restarts):
     (Fuhrmann & Cooper, 1985). The Y_i are independent and the coupling
     enters only through G, so each chunk draws every coordinate's free
     paths (:func:`_free_paths`), then the straddling cycles of G at the
-    levels D_i * rate_i (:func:`engine.straddling_cycles`,
-    :func:`engine.level_rates`), on every coupling."""
-    rates = level_rates(dep, restarts)[:, None]
+    depths D_i (:func:`engine.straddling_cycles`), on every coupling."""
 
     def window(gen: np.random.Generator, count: int,
                taus: np.ndarray) -> list[np.ndarray]:
@@ -326,10 +333,8 @@ def _levy_window(coords, dep: DependenceSpec, restarts):
         out = np.empty((len(coords), count))
         for i, coord in enumerate(coords):
             depth[i], out[i] = _free_paths(coord, float(taus[i]), count, gen)
-        levels = depth * rates
-        for i, _, hi in straddling_cycles(gen, count, dep, restarts,
-                                          levels):
-            out[i] += (hi - levels[i]) / rates[i]
+        for i, _, hi in straddling_cycles(gen, count, dep, restarts, depth):
+            out[i] += hi - depth[i]
         return [row[:, None] for row in out]
 
     return window

@@ -306,7 +306,7 @@ def test_validate_warns_on_arithmetic_cycles(tmp_path, capsys):
         "model": {"kind": "age_residual",
                   "cycle_length": {"kind": "deterministic", "value": 1.0},
                   "copies": 1},
-        "run": {"seed": 1},
+        "run": {"seed": 1, "g": {"kind": "identity"}},
     })
     rc = main(["validate", "--config", str(path)])
     assert rc == EXIT_OK
@@ -638,6 +638,28 @@ def test_validate_refuses_what_the_command_refuses(tmp_path, capsys,
     assert codes[0] in (EXIT_CONFIG, EXIT_BUDGET), errors[0]
     assert codes[1] == codes[0]
     assert errors[1] == errors[0]
+    assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in CONFIG_DIR.glob("*.json")
+    if "schedule" in (obj := json.loads(p.read_text()))
+    and obj["model"]["kind"] != "status"))
+def test_validate_refuses_another_family_without_a_schedule(tmp_path, capsys,
+                                                            name):
+    # with neither a schedule nor run.g a file is a status-pi scenario, and
+    # no command runs another family's model there
+    obj = json.loads((CONFIG_DIR / name).read_text())
+    del obj["schedule"]
+    obj["output"]["directory"] = str(tmp_path / "res")
+    path = write_config(tmp_path, obj)
+    errors = {}
+    for command in ("verify-independence", "stationary", "status-pi",
+                    "validate"):
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        errors[command] = capsys.readouterr().err
+    assert errors["validate"] == errors["status-pi"]
+    assert "status-pi needs a status model" in errors["validate"]
     assert not (tmp_path / "res").exists()
 
 

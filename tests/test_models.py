@@ -920,15 +920,13 @@ def test_window_sampler_matches_full_cumsum_oracle(family, monkeypatch,
     # the first round holds at most 2 cycles per replication
     monkeypatch.setattr(engine, "WINDOW_ELEMENTS", n * 2 * 2)
     calls = spy_on_draws(monkeypatch)
-    # (age, length) read from the kernel as engine.renewal_window_sampler
-    # reads it; the rates are 1 on the round kernel
+    # (age, length) read from the kernel as models._renewal_window reads it
     fast = [None, None]
     for i, lo, hi in engine.straddling_cycles(substream(126, 0), n, dep,
                                               laws, levels):
         length = hi - lo
-        fast[i] = age_and_length(
-            i, np.minimum(levels[i] - lo, np.nextafter(length, 0.0)),
-            length, None)
+        fast[i] = np.column_stack(
+            [np.minimum(levels[i] - lo, np.nextafter(length, 0.0)), length])
     rounds = len(calls)
     assert rounds >= 5
 
@@ -1071,16 +1069,20 @@ def test_clearing_window_mean_matches_closed_form(jump, cycle, second_moment):
 # the bridge window sampler
 
 
-def age_and_length(i, age, length, gen):
-    return np.column_stack([age, length])
+def age_and_length(i, lengths, gen):
+    """Cycles whose state is (age, length), so a window reading each
+    straddling cycle at its age returns its age and length exactly."""
+    return models._linear_batch(
+        np.column_stack([np.zeros(len(lengths)), lengths]), (1.0, 0.0),
+        lengths)
 
 
 def renewal_states(dep, laws, taus, n, seed):
-    """(age, length) states of ``engine.renewal_window_sampler``, drawn by
+    """(age, length) states of ``models._renewal_window``, drawn by
     ``sample_states`` for a model with that window and the laws' means."""
     model = engine.RegenModel(
         (2,) * len(laws), tuple(effective_cycle_mean(dep, sp) for sp in laws),
-        None, engine.renewal_window_sampler(dep, laws, age_and_length), None)
+        None, models._renewal_window(dep, laws, age_and_length), None)
     return sample_states(model, taus, n, seed)
 
 
@@ -1116,9 +1118,15 @@ def ks_critical(n: int, alpha: float = 0.001) -> float:
     (DependenceSpec.comonotone(),
      (MarginalSpec.gamma(2.5, 1.0), MarginalSpec.gamma(2.5, 2.0)),
      (60.0, 31.0)),
+    # levels 5 and 5.25 of the shared process on the bisection: often the
+    # same cycle
+    (DependenceSpec.comonotone(),
+     (MarginalSpec.gamma(2.5, 1.0), MarginalSpec.gamma(2.5, 2.0)),
+     (5.0, 2.625)),
 ], ids=["clearing_comonotone_1000", "clearing_comonotone_7_3",
         "clearing_comonotone_near_levels", "age_residual_gamma",
-        "status_independent", "comonotone_gamma_3", "comonotone_gamma_2_5"])
+        "status_independent", "comonotone_gamma_3", "comonotone_gamma_2_5",
+        "comonotone_gamma_2_5_near_levels"])
 def test_bridge_matches_round_sampler(dep, laws, taus):
     assert engine.bridge_processes(dep, laws) is not None
     n = 4000
@@ -1138,20 +1146,25 @@ def test_bridge_matches_round_sampler(dep, laws, taus):
 
 def test_bridge_edges():
     dep = DependenceSpec.comonotone()
-    laws = (EXP1, MarginalSpec.exponential(0.5))
-    # at time 0 the straddling cycle is the first one, entered at 0
-    for states in renewal_states(dep, laws, np.zeros(2), 500, 142):
-        assert np.all(states[:, 0] == 0.0)
-        assert np.all(states[:, 1] > 0.0)
-    # 4 million mean cycles past the origin: the gamma sums are near 4e6
-    # and the ages O(1), and no age reaches its cycle's end
-    n = 256
-    taus = 4e6 * np.array([sp.mean() for sp in laws])
-    for states, sp in zip(renewal_states(dep, laws, taus, n, 143), laws):
-        age, length = states[:, 0], states[:, 1]
-        assert np.all((0.0 <= age) & (age < length))
-        # the stationary age of an exponential cycle has the cycle's law
-        assert abs(age.mean() - sp.mean()) <= 4.0 * sp.mean() / math.sqrt(n)
+    # rates 0.7 and 0.3 turn the gamma process's ends back into times
+    # inexactly, where rates 1 and 0.5 divide exactly
+    for laws in ((EXP1, MarginalSpec.exponential(0.5)),
+                 (MarginalSpec.exponential(0.7),
+                  MarginalSpec.exponential(0.3))):
+        # at time 0 the straddling cycle is the first one, entered at 0
+        for states in renewal_states(dep, laws, np.zeros(2), 500, 142):
+            assert np.all(states[:, 0] == 0.0)
+            assert np.all(states[:, 1] > 0.0)
+        # 4 million mean cycles past the origin: the gamma sums are near
+        # 4e6 and the ages O(1), and no age reaches its cycle's end
+        n = 4096
+        taus = 4e6 * np.array([sp.mean() for sp in laws])
+        for states, sp in zip(renewal_states(dep, laws, taus, n, 143), laws):
+            age, length = states[:, 0], states[:, 1]
+            assert np.all((0.0 <= age) & (age < length))
+            # the stationary age of an exponential cycle has the cycle's law
+            assert (abs(age.mean() - sp.mean())
+                    <= 4.0 * sp.mean() / math.sqrt(n))
 
 
 def test_bridge_split_survives_gamma_underflow(monkeypatch):
@@ -1168,16 +1181,20 @@ def test_bridge_split_survives_gamma_underflow(monkeypatch):
     monkeypatch.setattr(engine, "substream",
                         lambda *key: SpyGenerator(stream(*key).bit_generator))
     dep = DependenceSpec.comonotone()
-    laws = (MarginalSpec.gamma(0.004, 1.0), MarginalSpec.gamma(0.004, 2.0))
     n = 4000
-    taus = np.array([0.08, 0.04])
-    bridge = renewal_states(dep, laws, taus, n, 144)
-    assert betas
-    walk = round_window(dep, laws, taus, n, 145)
-    for a, b in zip(bridge, walk):
-        assert np.all((0.0 <= a[:, 0]) & (a[:, 0] < a[:, 1]))
-        assert two_sample_ks(a[:, 0], b[:, 0]) < ks_critical(n)
-        assert two_sample_ks(a[:, 1], b[:, 1]) < ks_critical(n)
+    # unit levels 0.08 of the shared process; rates 0.7 and 0.3 turn its
+    # ends back into times inexactly
+    for rates in ((1.0, 2.0), (0.7, 0.3)):
+        laws = tuple(MarginalSpec.gamma(0.004, rate) for rate in rates)
+        taus = 0.08 / np.array(rates)
+        betas.clear()
+        bridge = renewal_states(dep, laws, taus, n, 144)
+        assert betas
+        walk = round_window(dep, laws, taus, n, 145)
+        for a, b in zip(bridge, walk):
+            assert np.all((0.0 <= a[:, 0]) & (a[:, 0] < a[:, 1]))
+            assert two_sample_ks(a[:, 0], b[:, 0]) < ks_critical(n)
+            assert two_sample_ks(a[:, 1], b[:, 1]) < ks_critical(n)
 
 
 @pytest.mark.parametrize("dep, laws", [
@@ -1223,10 +1240,11 @@ def test_integer_shape_bridge_draws_at_most_four_variates(monkeypatch, dep,
 def test_bridge_takes_rate_family_laws_under_independent_or_shared_quantile():
     exp_half = MarginalSpec.exponential(0.5)
     accepted = [
-        (DependenceSpec.independent(), (EXP1, GAMMA_2_1), [[0], [1]]),
-        (DependenceSpec.comonotone(), (EXP1, exp_half), [[0, 1]]),
+        (DependenceSpec.independent(), (EXP1, GAMMA_2_1),
+         [(1.0, [0]), (2.0, [1])]),
+        (DependenceSpec.comonotone(), (EXP1, exp_half), [(1.0, [0, 1])]),
         (DependenceSpec.comonotone(),
-         (GAMMA_2_1, MarginalSpec.gamma(2.0, 3.0)), [[0, 1]]),
+         (GAMMA_2_1, MarginalSpec.gamma(2.0, 3.0)), [(2.0, [0, 1])]),
     ]
     for dep, laws, groups in accepted:
         assert engine.bridge_processes(dep, laws) == groups
@@ -1252,18 +1270,21 @@ def test_bridge_budget_enforced(monkeypatch):
     stream = engine.substream
     monkeypatch.setattr(engine, "substream",
                         lambda *key: opened.append(key) or stream(*key))
-    model = WINDOW_MODELS["clearing_jumps"]()
-    # coordinate 0 has mean cycle 1: 100 mean cycles reach the budget,
-    # and no chunk opens its stream
-    for times in ([1000.0, 1000.0], [100.0, 0.0]):
+    # mean cycles 1 on coordinate 0: exponential ones read by the Poisson
+    # count, and gamma(2.5) ones by the bisection
+    for model in (WINDOW_MODELS["clearing_jumps"](), build_age_residual(
+            AgeResidualSpec(MarginalSpec.gamma(2.5, 2.5), copies=2))):
+        opened.clear()
+        # 100 mean cycles reach the budget, and no chunk opens its stream
+        for times in ([1000.0, 1000.0], [100.0, 0.0]):
+            with pytest.raises(BudgetExceededError, match="100 cycles"):
+                sample_states(model, times, 1000, seed=124)
+        assert opened == []
+        # at t=90, G_100 <= 90 for some of the 1000 replications: the
+        # budget stops the read after its first draws
         with pytest.raises(BudgetExceededError, match="100 cycles"):
-            sample_states(model, times, 1000, seed=124)
-    assert opened == []
-    # at t=90, G_100 <= 90 for some of the 1000 replications: the budget
-    # stops the bracket search after its first draws
-    with pytest.raises(BudgetExceededError, match="100 cycles"):
-        sample_states(model, [90.0, 90.0], 1000, seed=124)
-    assert opened
+            sample_states(model, [90.0, 90.0], 1000, seed=124)
+        assert opened
 
 
 # ---------------------------------------------------------------------------
