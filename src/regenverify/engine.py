@@ -27,9 +27,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, ConfigurationError
-from .randomness import (UNIT_RATE_KINDS, as_generator,
-                         effective_cycle_mean, sample_cycle_vectors,
-                         substream)
+from .randomness import (as_generator, effective_cycle_mean,
+                         sample_cycle_vectors, substream)
 
 DEFAULT_CYCLE_BUDGET = 10_000_000
 TIME_AVERAGE_BATCHES = 32
@@ -493,19 +492,17 @@ def bridge_processes(dep, laws) -> list[tuple[float, list[int]]] | None:
     the cycle lengths times their rates are increments of, or None when the
     cycle lengths have no closed-form block sums.
 
-    Exponential and gamma cycle lengths qualify: one process per coordinate
-    when the coupling is independent, one shared process when it is
-    comonotone and every law has the same kind and shape (the shared unit
-    quantile of ``randomness._invert``).
+    Laws with a unit shape qualify: one process per coordinate when the
+    coupling is independent, one shared process when it is comonotone and
+    every law has one unit shape, exponential counting as shape 1 (the
+    shared unit quantile of ``randomness._invert``).
     """
-    if any(sp.kind not in UNIT_RATE_KINDS for sp in laws):
+    shapes = [sp.unit_shape for sp in laws]
+    if None in shapes:
         return None
-    shapes = [1.0 if sp.kind == "exponential" else float(sp.shape)
-              for sp in laws]
     if dep.kind == "independent":
         return [(shape, [i]) for i, shape in enumerate(shapes)]
-    if dep.kind == "comonotone" and len({(sp.kind, sp.shape)
-                                         for sp in laws}) == 1:
+    if dep.kind == "comonotone" and len(set(shapes)) == 1:
         return [(shapes[0], list(range(len(laws))))]
     return None
 

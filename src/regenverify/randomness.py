@@ -25,8 +25,6 @@ MARGINAL_KINDS = {"exponential": ("rate",), "gamma": ("shape", "rate"),
 DEPENDENCE_KINDS = {"independent": (), "comonotone": (),
                     "common_shock": ("shock",),
                     "gaussian_copula": ("correlation",)}
-# laws whose quantile is a unit-rate quantile divided by the rate
-UNIT_RATE_KINDS = ("exponential", "gamma")
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -136,16 +134,21 @@ class MarginalSpec:
     # -- moments -----------------------------------------------------------
 
     def mean(self) -> float:
-        k = self.kind
-        if k == "exponential":
-            return 1.0 / self.rate
-        if k == "gamma":
-            return self.shape / self.rate
-        if k == "deterministic":
+        if self.unit_shape is not None:
+            return self.unit_shape / self.rate
+        if self.kind == "deterministic":
             return self.value
-        if k == "lattice":
+        if self.kind == "lattice":
             return self.span * sum(n * w for n, w in self.weights)
         return 0.5 * (self.lo + self.hi)
+
+    @property
+    def unit_shape(self) -> float | None:
+        """The gamma shape of this law at rate 1, exponential counting as
+        shape 1, or None for a law outside the rate families."""
+        if self.kind == "exponential":
+            return 1.0
+        return float(self.shape) if self.kind == "gamma" else None
 
     @property
     def arithmetic(self) -> bool:
@@ -189,7 +192,7 @@ class MarginalSpec:
         """The law's quantiles (inverse CDF) at levels ``us`` in [0, 1],
         uniforms a generator drew; the levels are not range-checked."""
         k = self.kind
-        if k in UNIT_RATE_KINDS:
+        if self.unit_shape is not None:
             return self._unit_quantile(us, np.empty_like(us)) / self.rate
         if k == "deterministic":
             return np.full_like(us, self.value)
@@ -204,20 +207,20 @@ class MarginalSpec:
     def _unit_quantile(self, us: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Quantiles of this law at rate 1, written to ``out``, which may
         be ``us``; the law's own quantile is this divided by its rate."""
-        if self.kind == "exponential":
+        if self.unit_shape == 1.0:
             np.negative(us, out=out)
             np.log1p(out, out=out)
             return np.negative(out, out=out)
         from scipy import special
-        return special.gammaincinv(self.shape, us, out=out)
+        return special.gammaincinv(self.unit_shape, us, out=out)
 
     def sample(self, rng, size=None):
         gen = as_generator(rng)
-        k = self.kind
-        if k == "exponential":
+        k, shape = self.kind, self.unit_shape
+        if shape == 1.0:
             out = gen.exponential(1.0 / self.rate, size)
-        elif k == "gamma":
-            out = gen.gamma(self.shape, 1.0 / self.rate, size)
+        elif shape is not None:
+            out = gen.gamma(shape, 1.0 / self.rate, size)
         elif k == "deterministic":
             out = self.value if size is None else np.full(size, self.value)
         elif k == "lattice":
@@ -352,20 +355,20 @@ def sample_cycle_vectors(dep: DependenceSpec, marginals, rng,
 def _quantile_groups(laws) -> list[list[int]]:
     """Indices of ``laws`` grouped by shared quantile, in the order
     :func:`_invert` takes them: each law outside the rate families alone,
-    then one group per rate family and shape."""
+    then one group per unit shape, exponential counting as shape 1."""
     groups: dict = {}
     for i, sp in enumerate(laws):
-        key = (sp.kind, sp.shape) if sp.kind in UNIT_RATE_KINDS else i
+        key = i if sp.unit_shape is None else (sp.unit_shape,)
         groups.setdefault(key, []).append(i)
     return sorted(groups.values(),
-                  key=lambda rows: laws[rows[0]].kind in UNIT_RATE_KINDS)
+                  key=lambda rows: laws[rows[0]].unit_shape is not None)
 
 
 def _invert(laws, out: np.ndarray, groups) -> None:
     """Turn the uniforms held in ``out[groups[-1][0]]`` into each law's
     quantiles, law ``i``'s in ``out[i]``.
 
-    A group of rate-family laws shares one unit-rate quantile, and each
+    A group of laws of one unit shape shares one unit-rate quantile, and each
     member's row is that divided by its rate (F_rate^-1 = F_1^-1 / rate).
     Every group but the last reads the uniforms; the last one, which holds
     them, is inverted in place, so they are never copied.
@@ -373,7 +376,7 @@ def _invert(laws, out: np.ndarray, groups) -> None:
     u = out[groups[-1][0]]
     for rows in groups:
         lead = laws[rows[0]]
-        if lead.kind not in UNIT_RATE_KINDS:
+        if lead.unit_shape is None:
             out[rows[0]] = lead._quantile(u)
             continue
         unit = lead._unit_quantile(u, out[rows[0]])

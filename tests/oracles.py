@@ -192,8 +192,9 @@ def breakpoints(spec: MarginalSpec) -> tuple[float, ...]:
 
 def row_major_ppf(sp: MarginalSpec, us: np.ndarray) -> np.ndarray:
     """One law's quantiles of ``us``, each kind's inverse CDF in one
-    expression, rate-family laws included."""
-    if sp.kind == "exponential":
+    expression, rate-family laws included; gamma of shape 1 takes the
+    exponential's closed form."""
+    if sp.kind == "exponential" or (sp.kind == "gamma" and sp.shape == 1.0):
         return -np.log1p(-us) / sp.rate
     if sp.kind == "gamma":
         from scipy import special

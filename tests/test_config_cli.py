@@ -948,6 +948,41 @@ def test_thread_count_does_not_change_outputs(tmp_path, child_env):
     assert outs["1"] == outs["4"]
 
 
+def test_comonotone_exponential_and_gamma_1_clearing(tmp_path, child_env):
+    # exp(1) and gamma(1, 0.5) share one unit-rate gamma(1) process, at
+    # clocks (t, t) and the default grid
+    obj = small_sweep_scenario(out="unused")
+    obj["model"]["coordinates"][1]["cycle_length"] = {
+        "kind": "gamma", "shape": 1.0, "rate": 0.5}
+    del obj["run"]["t_grid"]
+    path = write_config(tmp_path, obj)
+    outs = {}
+    for threads in ("1", "2"):
+        # the same relative output directory, which validate echoes
+        cwd = tmp_path / f"t{threads}"
+        cwd.mkdir()
+        runs = [subprocess.run(
+            [sys.executable, "-m", "regenverify", command, "--config",
+             str(path), "--out", "out"],
+            capture_output=True, text=True, env=child_env(threads),
+            cwd=cwd) for command in ("validate", "verify-independence")]
+        for proc in runs:
+            assert proc.returncode == EXIT_OK, proc.stderr
+        outs[threads] = ([(proc.stdout, proc.stderr) for proc in runs],
+                         {f.name: f.read_bytes()
+                          for f in sorted((cwd / "out").iterdir())})
+    assert sorted(outs["1"][1]) == ["gap.csv", "verdict.json"]
+    assert outs["1"] == outs["2"]
+    # the same law written as exp(1) and exp(0.5) reads the same process
+    obj["model"]["coordinates"][1]["cycle_length"] = {
+        "kind": "exponential", "rate": 0.5}
+    exp_path = write_config(tmp_path, obj, "exp.json")
+    assert main(["verify-independence", "--config", str(exp_path), "--out",
+                 str(tmp_path / "exp")]) == EXIT_OK
+    assert outs["1"][1] == {f.name: f.read_bytes()
+                            for f in sorted((tmp_path / "exp").iterdir())}
+
+
 def test_cli_import_leaves_scipy_stats_unloaded(child_env):
     proc = subprocess.run(
         [sys.executable, "-c",

@@ -1123,10 +1123,13 @@ def ks_critical(n: int, alpha: float = 0.001) -> float:
     (DependenceSpec.comonotone(),
      (MarginalSpec.gamma(2.5, 1.0), MarginalSpec.gamma(2.5, 2.0)),
      (5.0, 2.625)),
+    # an exponential law is gamma of shape 1: one shared process
+    (DependenceSpec.comonotone(), (EXP1, MarginalSpec.gamma(1.0, 0.5)),
+     (7.0, 3.0)),
 ], ids=["clearing_comonotone_1000", "clearing_comonotone_7_3",
         "clearing_comonotone_near_levels", "age_residual_gamma",
         "status_independent", "comonotone_gamma_3", "comonotone_gamma_2_5",
-        "comonotone_gamma_2_5_near_levels"])
+        "comonotone_gamma_2_5_near_levels", "comonotone_exp_gamma_1"])
 def test_bridge_matches_round_sampler(dep, laws, taus):
     assert engine.bridge_processes(dep, laws) is not None
     n = 4000
@@ -1245,6 +1248,9 @@ def test_bridge_takes_rate_family_laws_under_independent_or_shared_quantile():
         (DependenceSpec.comonotone(), (EXP1, exp_half), [(1.0, [0, 1])]),
         (DependenceSpec.comonotone(),
          (GAMMA_2_1, MarginalSpec.gamma(2.0, 3.0)), [(2.0, [0, 1])]),
+        # exponential counts as gamma of shape 1
+        (DependenceSpec.comonotone(), (EXP1, MarginalSpec.gamma(1.0, 2.0)),
+         [(1.0, [0, 1])]),
     ]
     for dep, laws, groups in accepted:
         assert engine.bridge_processes(dep, laws) == groups

@@ -138,6 +138,30 @@ def test_comonotone_different_rates_scale_exactly():
     assert np.allclose(draws[:, 1], 2.0 * draws[:, 0], rtol=1e-12)
 
 
+def test_comonotone_exponential_and_gamma_1_share_one_quantile():
+    dep = DependenceSpec.comonotone()
+    margs = [MarginalSpec.exponential(1.0), MarginalSpec.gamma(1.0, 0.5)]
+    draws = sample_cycle_vectors(dep, margs, substream(5, 1), 10_000)
+    # one unit shape, one unit-rate quantile divided by each rate
+    assert draws[:, 1].tobytes() == (draws[:, 0] / 0.5).tobytes()
+
+
+def test_unit_shapes_of_every_kind():
+    laws = [MarginalSpec.exponential(2.0), MarginalSpec.gamma(2.5, 2.0),
+            MarginalSpec.deterministic(1.0),
+            MarginalSpec.lattice(1.0, {1: 1.0}),
+            MarginalSpec.shifted_uniform(0.5, 1.5)]
+    assert [sp.unit_shape for sp in laws] == [1.0, 2.5, None, None, None]
+
+
+@pytest.mark.parametrize("rate", [1.0, 0.5, 3.0])
+def test_gamma_1_draws_the_exponential_stream(rate):
+    gamma, expo = MarginalSpec.gamma(1.0, rate), MarginalSpec.exponential(rate)
+    assert gamma.sample(substream(41, 0)) == expo.sample(substream(41, 0))
+    assert (gamma.sample(substream(41, 1), 4097).tobytes()
+            == expo.sample(substream(41, 1), 4097).tobytes())
+
+
 def test_common_shock_correlation():
     shock = MarginalSpec.exponential(1.0)
     dep = DependenceSpec.common_shock(shock)
@@ -200,6 +224,11 @@ ORACLE_CASES = {
                           MarginalSpec.shifted_uniform(0.2, 1.9),
                           MarginalSpec.gamma(2.0, 4.0),
                           MarginalSpec.deterministic(1.3), EXP_HALF]),
+    # exponential and gamma(1) laws share one unit quantile
+    "comonotone_gamma_1": (DependenceSpec.comonotone(),
+                           [MarginalSpec.gamma(1.0, 0.7), EXP1,
+                            MarginalSpec.gamma(2.0, 1.5),
+                            MarginalSpec.gamma(1.0, 3.0)]),
     "common_shock": (DependenceSpec.common_shock(EXP_HALF),
                      [EXP1, MarginalSpec.gamma(2.0, 1.0),
                       MarginalSpec.deterministic(0.5)]),
