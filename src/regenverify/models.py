@@ -14,7 +14,9 @@ coordinates. In all but Jackson networks joint cycle ``n`` is driven by the
 ``n``-th i.i.d. vector of restart levels or cycle lengths, and the family
 writes its within-cycle law once, as ``cycles(i, column, gen)``: coordinate
 ``i``'s entries turned into its :class:`CycleBatch`. :func:`_vector_batch`
-makes the ``cycle_batch`` of it. The windows read one straddling cycle of
+makes the ``cycle_batch`` of it; a Levy queue's ``cycles`` reads a block's
+busy periods off one free path at the sums of its restart levels
+(:func:`_levy_batch`). The windows read one straddling cycle of
 the vectors' sums per coordinate from :func:`engine.straddling_cycles`, at
 levels in the laws' own time units, whatever the laws and coupling; its
 kernels (a gamma-process bridge and a round kernel) are chosen there.
@@ -91,10 +93,10 @@ def _linear_batch(values: np.ndarray, slope, lengths: np.ndarray
 
 def _by_cycle(rows: list, starts: list, values: list, count: int
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Segment starts, values and per-cycle offsets from lockstep rounds,
-    where round ``r`` opened a segment in each cycle of ``rows[r]``. Rounds
-    are in time order, so a stable sort by cycle keeps each cycle's
-    segments in time order."""
+    """Segment starts, values and per-cycle offsets from the lockstep rounds
+    of Jackson cycles, where round ``r`` opened a segment in each cycle of
+    ``rows[r]``. Rounds are in time order, so a stable sort by cycle keeps
+    each cycle's segments in time order."""
     cycle = np.concatenate(rows)
     order = np.argsort(cycle, kind="stable")
     counts = np.bincount(cycle, minlength=count)
@@ -226,36 +228,66 @@ def _levy_cycle(coord: LevyQueueCoordinate, start_level: float,
 
 def _levy_batch(coord: LevyQueueCoordinate, start_levels: np.ndarray,
                 gen: np.random.Generator) -> CycleBatch:
-    """One busy period from each start level, all run in lockstep: every
-    round draws the next gap of each live cycle, ends the cycles whose gap
-    reaches their level and adds a jump and a new segment to the rest."""
-    count = len(start_levels)
+    """One busy period from each start level, read off one free path.
+
+    With Y(s) = J(s) - s the free path and G_k = U_1 + ... + U_k the sums of
+    the start levels, busy period k runs at level Y + G_k from Y's first
+    passage to -G_{k-1} to its first passage to -G_k (strong Markov
+    property), and its jumps are Y's jumps in between. Y's infimum is
+    reached just before a jump, so one ``searchsorted`` of the sums in the
+    negated running infimum of the pre-jump values finds each period's
+    closing jump, and the jumps, already in cycle order, scatter into place.
+    Jumps are drawn in chunks sized by Wald's identity for the depth still
+    to go, at least doubling, each continuing from the path's last state. A
+    cycle with more than ``engine.DEFAULT_CYCLE_BUDGET`` jumps is refused;
+    drawing stops early once the jumps drawn outnumber that many per cycle
+    opened, since one of those cycles has more."""
+    levels = np.asarray(start_levels, dtype=float)
+    count = len(levels)
     lam = coord.jump_rate
-    lengths = np.empty(count)
-    live = np.arange(count)
-    t = np.zeros(count)
-    level = np.asarray(start_levels, dtype=float)
-    rows, times, levels = [live], [t], [level]
-    for _ in range(engine.DEFAULT_CYCLE_BUDGET):
-        gap = (gen.exponential(1.0 / lam, live.size) if lam > 0.0
-               else np.full(live.size, math.inf))
-        done = gap >= level
-        lengths[live[done]] = t[done] + level[done]
-        go = ~done
-        live, t = live[go], t[go] + gap[go]
-        if not live.size:
-            break
-        level = level[go] - gap[go] + coord.jump_size.sample(gen, live.size)
-        rows.append(live)
-        times.append(t)
-        levels.append(level)
-    else:
-        raise BudgetExceededError(
-            f"storage cycle exceeded {engine.DEFAULT_CYCLE_BUDGET} jumps")
-    starts, values, offsets = _by_cycle(rows, times, levels, count)
-    values = values[:, None]
+    if lam == 0.0:
+        return _linear_batch(levels[:, None], (-1.0,), levels)
+    budget = engine.DEFAULT_CYCLE_BUDGET
+    sums = np.cumsum(levels)
+    # Wald: a passage through depth d takes lam * d / (1 - load) jumps
+    per_depth = lam / (1.0 - coord.load())
+    ts, ys, closes, ends = [], [], [], []
+    t0 = y0 = 0.0
+    closed = drawn = size = 0
+    while closed < count and drawn <= budget * (closed + 1):
+        size = max(2 * size, int(1.05 * per_depth * (sums[-1] + y0)) + 16)
+        gaps = gen.exponential(1.0 / lam, size)
+        jumps = np.asarray(coord.jump_size.sample(gen, size), dtype=float)
+        t = t0 + np.cumsum(gaps)
+        y = y0 + np.cumsum(jumps - gaps)
+        low = y - jumps
+        hit = np.searchsorted(-np.minimum.accumulate(low), sums[closed:])
+        hit = hit[:np.searchsorted(hit, size)]
+        new = closed + len(hit)
+        closes.append(drawn + hit)
+        ends.append(t[hit] + low[hit] + sums[closed:new])
+        ts.append(t)
+        ys.append(y)
+        closed, drawn = new, drawn + size
+        t0, y0 = float(t[-1]), float(y[-1])
+    closing = np.concatenate(closes)
+    per = np.diff(closing, prepend=0)
+    if closed < count or per.max() > budget:
+        raise BudgetExceededError(f"storage cycle exceeded {budget} jumps")
+    # cycle k's segments: its start, then jumps closing[k-1] .. closing[k]-1
+    used = int(closing[-1])
+    owner = np.repeat(np.arange(count), per)
+    ends = np.concatenate(ends)
+    begins = np.concatenate(([0.0], ends[:-1]))
+    offsets = closing - per + np.arange(count)
+    at = np.arange(used) + owner + 1
+    starts = np.zeros(used + count)
+    starts[at] = np.concatenate(ts)[:used] - begins[owner]
+    values = np.empty((used + count, 1))
+    values[offsets, 0] = levels
+    values[at, 0] = np.concatenate(ys)[:used] + sums[owner]
     return CycleBatch(starts, values, np.full_like(values, -1.0), offsets,
-                      lengths)
+                      ends - begins)
 
 
 def _free_paths(coord: LevyQueueCoordinate, tau: float, count: int,

@@ -315,7 +315,8 @@ def full_cumsum_window_sampler(dep, laws, expand, cycle_means, state_dims):
 def levy_busy_period_window(coords, dep):
     """Reference ``window`` of Levy queues, independent of the
     Fuhrmann-Cooper decomposition: every busy period of every round is
-    walked (``models._levy_batch``) and read at the window's elapsed time.
+    drawn (``models._levy_batch``, one free path per round read at the
+    sums of its restart levels) and read at the window's elapsed time.
     Rounds are sized by the busy periods' means."""
     restarts = tuple(c.restart_level for c in coords)
     means = [effective_cycle_mean(dep, c.restart_level) / (1.0 - c.load())

@@ -166,17 +166,87 @@ def test_cycle_batch_matches_cycle_generator(family):
         assert ties.statistic < 0.023
 
 
-def test_levy_cycle_batch_structure():
-    model = levy_model(M_G_1_VACATION)
+# jump laws of mean 1 at rate 0.5 (load 1/2), each drawn through
+# ``sample(gen, n)``, and a coordinate at load 0.9
+LEVY_JUMP_LAWS = {
+    "exponential": M_G_1_VACATION,
+    "gamma_2_5": LevyQueueCoordinate(
+        restart_level=EXP1, jump_rate=0.5,
+        jump_size=MarginalSpec.gamma(2.5, 2.5)),
+    "shifted_uniform": LevyQueueCoordinate(
+        restart_level=EXP1, jump_rate=0.5,
+        jump_size=MarginalSpec.shifted_uniform(0.2, 1.8)),
+    "lattice": LevyQueueCoordinate(
+        restart_level=EXP1, jump_rate=0.5,
+        jump_size=MarginalSpec.lattice(0.5, {1: 0.5, 3: 0.5})),
+    "deterministic": LevyQueueCoordinate(
+        restart_level=EXP1, jump_rate=0.5,
+        jump_size=MarginalSpec.deterministic(1.0)),
+    "load_0_9": LevyQueueCoordinate(restart_level=EXP1, jump_rate=0.9,
+                                    jump_size=EXP1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEVY_JUMP_LAWS))
+def test_levy_cycle_batch_structure(name):
+    model = levy_model(LEVY_JUMP_LAWS[name])
     batch = model.cycle_batch(0, substream(104, 0), 10_000)
     counts = np.diff(batch.offsets, append=len(batch.starts))
     seg = batch.segment_lengths()
+    assert batch.values.shape == (len(batch.starts), 1)
     assert np.all(batch.slopes == -1.0)
+    assert np.all(batch.starts[batch.offsets] == 0.0)
     assert np.all(seg > 0.0)
-    # every busy period ends exactly when its level reaches zero
+    # every busy period ends exactly when its level reaches zero, and its
+    # jumps only lift it
     ends = batch.values[:, 0] - seg
     last = batch.offsets + counts - 1
     assert np.allclose(ends[last], 0.0, atol=1e-9)
+    inner = np.ones(len(seg), dtype=bool)
+    inner[last] = False
+    assert np.all(ends[inner] > 0.0)
+    assert np.all(batch.values[1:, 0][inner[:-1]] > ends[inner])
+
+
+@pytest.mark.parametrize("block", [1, 4])
+def test_levy_batch_matches_per_jump_cycles_at_load_0_9(block):
+    # small blocks at load 0.9 outrun their first chunk of jumps, so they
+    # read busy periods across top-up chunks
+    coord = LEVY_JUMP_LAWS["load_0_9"]
+    model = levy_model(coord)
+    n = 4000
+    gen = substream(110, 0)
+    batches = [model.cycle_batch(0, gen, block) for _ in range(n // block)]
+    lengths = np.concatenate([b.lengths for b in batches])
+    rewards = np.concatenate([b.integrals([exp_neg()])[0] for b in batches])
+    counts = np.concatenate([np.diff(b.offsets, append=len(b.starts))
+                             for b in batches])
+    starts = np.concatenate([b.values[b.offsets, 0] for b in batches])
+    # a busy period with more than twice its Wald mean of jumps
+    # (0.9 / 0.1 per unit of start level) drew past its first chunk
+    assert np.any(counts - 1 > 2.0 * 9.0 * starts + 16)
+    oracle = substream(110, 1)
+    paths = [models._levy_cycle(coord, float(u), oracle)
+             for u in EXP1.sample(oracle, n)]
+    crit = ks_critical(n)
+    assert two_sample_ks(lengths, [p.length for p in paths]) < crit
+    assert two_sample_ks(
+        rewards, [path_integral(p, exp_neg()) for p in paths]) < crit
+    ties = stats.ks_2samp(counts, [len(p.values) for p in paths],
+                          method="asymp")
+    assert ties.statistic < crit
+
+
+def test_levy_batch_without_jumps_is_its_start_levels():
+    levels = EXP1.sample(substream(111, 0), 1000)
+    batch = models._levy_batch(
+        LevyQueueCoordinate(restart_level=EXP1), levels, substream(111, 1))
+    assert np.array_equal(batch.offsets, np.arange(1000))
+    assert np.array_equal(batch.starts, np.zeros(1000))
+    assert batch.values.shape == (1000, 1)
+    assert np.array_equal(batch.values[:, 0], levels)
+    assert np.array_equal(batch.lengths, levels)
+    assert np.all(batch.slopes == -1.0)
 
 
 def test_cycle_batches_keep_the_cycle_coupling():
@@ -230,6 +300,26 @@ def test_levy_batch_event_budget_enforced(monkeypatch):
                                            jump_size=EXP1))
     with pytest.raises(BudgetExceededError):
         model.cycle_batch(0, substream(106, 0), 1000)
+
+
+@pytest.mark.parametrize("count", [1, 4, 1000])
+def test_levy_batch_budget_is_the_largest_jump_count(count, monkeypatch):
+    # the early stop never refuses a block whose cycles fit the budget: at
+    # the largest per-cycle jump count the batch is the same bit for bit,
+    # one less is refused
+    coord = LEVY_JUMP_LAWS["load_0_9"]
+    levels = EXP1.sample(substream(114, 0), count)
+    batch = models._levy_batch(coord, levels, substream(114, 1))
+    most = int(np.diff(batch.offsets, append=len(batch.starts)).max()) - 1
+    monkeypatch.setattr(engine, "DEFAULT_CYCLE_BUDGET", most)
+    again = models._levy_batch(coord, levels, substream(114, 1))
+    for field in dataclasses.fields(batch):
+        assert np.array_equal(getattr(again, field.name),
+                              getattr(batch, field.name))
+    monkeypatch.setattr(engine, "DEFAULT_CYCLE_BUDGET", most - 1)
+    with pytest.raises(BudgetExceededError,
+                       match=f"storage cycle exceeded {most - 1} jumps"):
+        models._levy_batch(coord, levels, substream(114, 1))
 
 
 def test_jackson_batch_event_budget_enforced(monkeypatch):
